@@ -45,7 +45,7 @@ from .errors import (
     UnknownIdentifier,
     WrongIntegralCount,
 )
-from .flow import SCHEMES, integrate_augmented, sample_brownian
+from .flow import SCHEMES, _n_steps, integrate_augmented, sample_brownian
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -166,11 +166,7 @@ def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
 
 
 def n_steps_for(cfg: RunConfig) -> int:
-    span = cfg.T - cfg.t0
-    n = round(span / cfg.dt)
-    if n < 1 or abs(n * cfg.dt - span) > 1e-12 * max(1.0, abs(span)):
-        raise ConfigError(f"dt {cfg.dt!r} does not divide T - t0 = {span!r}")
-    return n
+    return _n_steps(cfg.T - cfg.t0, cfg.dt)
 
 
 def initial_state(cfg: RunConfig, system: geo.HamiltonianSystem) -> np.ndarray:
@@ -251,8 +247,7 @@ def cmd_verify_contact(args) -> int:
         )
     x0 = initial_state(cfg, system)
     finest = sample_brownian(system.d, n, cfg.dt, cfg.seed, t0=cfg.t0)
-    report = ver.defect_convergence(system, x0, finest, cfg.scheme, levels)
-    traj = integrate_augmented(system, x0, finest, cfg.scheme)
+    report, traj = ver._defect_ladder(system, x0, finest, cfg.scheme, levels)
     lam_dev = None
     if cfg.conformal_factor is not None:
         lam_dev = ver.conformal_factor_check(traj, cfg.conformal_factor)

@@ -19,7 +19,15 @@ Schemes
 -------
 ``heun``      predictor-corrector (Euler predictor, trapezoidal corrector).
 ``midpoint``  implicit Stratonovich midpoint rule, solved by fixed-point
-              iteration to sup-norm tolerance 1e-13 (at most 50 sweeps).
+              iteration to tolerance 1e-13 (at most 50 sweeps), tested per
+              path: each path keeps the sweep at which its own update met
+              ``max|dy| <= 1e-13 * max(1, max|y|)``.
+
+One stepping core serves single paths and batches.  A state has any number
+of leading axes (a single path is ``(m,)``, a batch of paths is ``(B, m)``),
+so one path gives the same bits alone or as any row of a batch.  Single
+paths evaluate the fields through the scalar tapes, which check domains;
+batches use the array tapes.
 
 Both schemes are applied unchanged to the augmented system carrying the flow
 Jacobian J (the linearization dJ = DX J) and log of the conformal factor
@@ -97,6 +105,22 @@ def _polar_gaussians(seed: int, count: int) -> np.ndarray:
     return out
 
 
+def _increments(d: int, n_steps: int, dt: float, master_seed: int, stream_index: int) -> np.ndarray:
+    """The (d, n_steps) increments of one noise stream: its normals fill the
+    matrix row by row and are scaled by sqrt(dt)."""
+    g = _polar_gaussians(stream_seed(master_seed, stream_index), d * n_steps)
+    return (g * math.sqrt(dt)).reshape(d, n_steps)
+
+
+def _n_steps(span: float, dt: float) -> int:
+    """Number of steps of size ``dt`` in ``span``, which ``dt`` must divide
+    to relative tolerance 1e-12."""
+    n = round(span / dt)
+    if n < 1 or abs(n * dt - span) > 1e-12 * max(1.0, abs(span)):
+        raise InvalidStep(f"dt {dt!r} does not divide T - t0 = {span!r}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
     """A seeded grid of Brownian increments shared across schemes and
@@ -140,11 +164,7 @@ def sample_brownian(
         raise InvalidStep(f"dt must be positive, got {dt!r}")
     if n_steps < 0 or d < 0:
         raise InvalidStep("n_steps and d must be nonnegative")
-    if d == 0 or n_steps == 0:
-        inc = np.zeros((d, n_steps))
-    else:
-        g = _polar_gaussians(stream_seed(master_seed, stream_index), d * n_steps)
-        inc = (g * math.sqrt(dt)).reshape(d, n_steps)
+    inc = _increments(d, n_steps, dt, master_seed, stream_index)
     inc.setflags(write=False)
     return BrownianPath(
         t0=float(t0), dt=float(dt), n_steps=n_steps, d=d,
@@ -166,26 +186,43 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 
 
 # ---------------------------------------------------------------------------
-# One-step maps (generic over the augmented state)
+# One-step maps and the stepping loop (generic over leading path axes)
 # ---------------------------------------------------------------------------
+
+def _apply(g, dw):
+    """Diffusion columns ``g`` (..., m, d) applied to increments ``dw`` (..., d)."""
+    return (g @ dw[..., None])[..., 0]
+
 
 def _heun_step(drift: Callable, diffusion: Callable, y, dw, dt):
     a0 = drift(y)
     g0 = diffusion(y)
-    y_pred = y + a0 * dt + g0 @ dw
+    y_pred = y + a0 * dt + _apply(g0, dw)
     a1 = drift(y_pred)
     g1 = diffusion(y_pred)
-    return y + 0.5 * dt * (a0 + a1) + 0.5 * ((g0 + g1) @ dw)
+    return y + 0.5 * dt * (a0 + a1) + 0.5 * _apply(g0 + g1, dw)
+
+
+def _sup(a):
+    """max|a| over the last axis: one value per path."""
+    rows = np.abs(a).reshape(-1, a.shape[-1])
+    # numpy reduces a transposed copy much faster than a short last axis.
+    return rows.T.copy().max(axis=0).reshape(a.shape[:-1])
 
 
 def _midpoint_step(drift, diffusion, y, dw, dt, tol=1e-13, max_iter=50):
-    y_new = y + drift(y) * dt + diffusion(y) @ dw
+    def image(z):
+        return y + drift(z) * dt + _apply(diffusion(z), dw)
+
+    y_new = image(y)
+    done = np.zeros(y.shape[:-1], dtype=bool)
     for _ in range(max_iter):
-        mid = 0.5 * (y + y_new)
-        y_next = y + drift(mid) * dt + diffusion(mid) @ dw
-        err = float(np.max(np.abs(y_next - y_new)))
-        y_new = y_next
-        if err <= tol * max(1.0, float(np.max(np.abs(y_new)))):
+        y_next = image(0.5 * (y + y_new))
+        err = _sup(y_next - y_new)
+        # A path that has met its own test keeps that sweep's value.
+        y_new = np.where(done[..., None], y_new, y_next)
+        done |= err <= tol * np.maximum(1.0, _sup(y_new))
+        if done.all():
             return y_new
     raise MidpointDivergence(
         f"midpoint fixed point did not reach {tol:g} within {max_iter} sweeps"
@@ -202,6 +239,43 @@ def _stepper(scheme: str):
         raise InvalidStep(f"unknown scheme {scheme!r}; expected one of {SCHEMES}") from None
 
 
+def _run(drift, diffusion, y, increments, dt, scheme: str, operation: str, keep: bool):
+    """Step ``y`` over the grid of ``increments`` (..., d, n_steps), whose
+    leading axes match those of ``y``.  Returns the (n_steps + 1, *y.shape)
+    history if ``keep``, else the final value."""
+    stepper = _stepper(scheme)
+    n_steps = increments.shape[-1]
+    if keep:
+        history = np.empty((n_steps + 1, *y.shape))
+        history[0] = y
+    with np.errstate(all="ignore"):
+        for j in range(n_steps):
+            y = stepper(drift, diffusion, y, increments[..., j], dt)
+            if keep:
+                history[j + 1] = y
+    out = history if keep else y
+    if not np.isfinite(out).all():
+        raise NumericalFailure(operation, "non-finite values")
+    return out
+
+
+def _state_fields(sys: HamiltonianSystem, y: np.ndarray) -> tuple:
+    """Drift and diffusion of the state: scalar tapes for one path, array
+    tapes for a (B, dim) batch."""
+    if y.ndim == 1:
+        return (lambda x: sys.vector_field(0, x)), sys.diffusion_matrix
+    return sys.drift_batch, sys.diffusion_batch
+
+
+def _initial_state(sys: HamiltonianSystem, x0, path: BrownianPath) -> np.ndarray:
+    if path.d != sys.d:
+        raise InvalidStep(f"path has {path.d} noise channels, system expects {sys.d}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.dim,):
+        raise InvalidStep(f"initial state must have length {sys.dim}")
+    return x0
+
+
 # ---------------------------------------------------------------------------
 # State-space integration
 # ---------------------------------------------------------------------------
@@ -216,11 +290,7 @@ def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.n
     """Advance the state by one step of the chosen Stratonovich scheme."""
     x = np.asarray(x, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    return _stepper(scheme)(
-        lambda y: sys.vector_field(0, y),
-        lambda y: sys.diffusion_matrix(y),
-        x, dw, float(dt),
-    )
+    return _run(*_state_fields(sys, x), x, dw[..., None], float(dt), scheme, "step", False)
 
 
 @dataclass(eq=False)
@@ -237,24 +307,8 @@ class Trajectory:
 
 def integrate(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun") -> Trajectory:
     """Integrate the stochastic contact system over the grid of ``path``."""
-    if path.d != sys.d:
-        raise InvalidStep(f"path has {path.d} noise channels, system expects {sys.d}")
-    stepper = _stepper(scheme)
-    drift = lambda y: sys.vector_field(0, y)
-    diffusion = lambda y: sys.diffusion_matrix(y)
-    dim = sys.dim
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (dim,):
-        raise InvalidStep(f"initial state must have length {dim}")
-    states = np.empty((path.n_steps + 1, dim))
-    states[0] = x0
-    x = states[0]
-    dt = path.dt
-    for j in range(path.n_steps):
-        x = stepper(drift, diffusion, x, path.increments[:, j], dt)
-        states[j + 1] = x
-    if not np.isfinite(states).all():
-        raise NumericalFailure("integrate", "trajectory contains non-finite values")
+    x0 = _initial_state(sys, x0, path)
+    states = _run(*_state_fields(sys, x0), x0, path.increments, path.dt, scheme, "integrate", True)
     return Trajectory(times=path.times(), states=states)
 
 
@@ -300,8 +354,7 @@ def integrate_augmented(
 
     applied with the same increments and scheme as the state itself.
     """
-    if path.d != sys.d:
-        raise InvalidStep(f"path has {path.d} noise channels, system expects {sys.d}")
+    x0 = _initial_state(sys, x0, path)
     dim = sys.dim
     d = sys.d
     n_aug = dim + dim * dim + 1
@@ -326,57 +379,17 @@ def integrate_augmented(
             out[-1, k] = -sys.reeb_rate(k + 1, x)
         return out
 
-    stepper = _stepper(scheme)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (dim,):
-        raise InvalidStep(f"initial state must have length {dim}")
-    y = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    states = np.empty((path.n_steps + 1, dim))
-    jacobians = np.empty((path.n_steps + 1, dim, dim))
-    log_lambda = np.empty(path.n_steps + 1)
-    states[0], jacobians[0], log_lambda[0] = x0, np.eye(dim), 0.0
-    dt = path.dt
-    for j in range(path.n_steps):
-        y = stepper(drift, diffusion, y, path.increments[:, j], dt)
-        states[j + 1] = y[:dim]
-        jacobians[j + 1] = y[dim:-1].reshape(dim, dim)
-        log_lambda[j + 1] = y[-1]
-    if not (np.isfinite(states).all() and np.isfinite(jacobians).all()
-            and np.isfinite(log_lambda).all()):
-        raise NumericalFailure("integrate_augmented", "non-finite values in augmented flow")
+    y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
+    ys = _run(drift, diffusion, y0, path.increments, path.dt, scheme, "integrate_augmented", True)
     return AugmentedTrajectory(
-        times=path.times(), states=states, jacobians=jacobians, log_lambda=log_lambda
+        times=path.times(), states=ys[:, :dim],
+        jacobians=ys[:, dim:-1].reshape(-1, dim, dim), log_lambda=ys[:, -1],
     )
 
 
 # ---------------------------------------------------------------------------
 # Batched integration (one row per path; used by the ensemble runner)
 # ---------------------------------------------------------------------------
-
-def _heun_step_batch(sys, states, dw, dt):
-    a0 = sys.drift_batch(states)
-    g0 = sys.diffusion_batch(states)
-    pred = states + a0 * dt + (g0 @ dw[:, :, None])[:, :, 0]
-    a1 = sys.drift_batch(pred)
-    g1 = sys.diffusion_batch(pred)
-    return states + 0.5 * dt * (a0 + a1) + 0.5 * ((g0 + g1) @ dw[:, :, None])[:, :, 0]
-
-
-def _midpoint_step_batch(sys, states, dw, dt, tol=1e-13, max_iter=50):
-    a = sys.drift_batch(states)
-    g = sys.diffusion_batch(states)
-    new = states + a * dt + (g @ dw[:, :, None])[:, :, 0]
-    for _ in range(max_iter):
-        mid = 0.5 * (states + new)
-        a = sys.drift_batch(mid)
-        g = sys.diffusion_batch(mid)
-        nxt = states + a * dt + (g @ dw[:, :, None])[:, :, 0]
-        err = float(np.max(np.abs(nxt - new)))
-        new = nxt
-        if err <= tol * max(1.0, float(np.max(np.abs(new)))):
-            return new
-    raise MidpointDivergence("batched midpoint fixed point stalled")
-
 
 def integrate_batch_final(
     sys: HamiltonianSystem,
@@ -390,13 +403,6 @@ def integrate_batch_final(
     ``initial_states`` is (B, dim) and ``increments`` is (B, d, n_steps).
     Only the final state is kept; intermediate states are discarded.
     """
-    _stepper(scheme)  # validate name
-    stepper = _heun_step_batch if scheme == "heun" else _midpoint_step_batch
-    states = np.array(initial_states, dtype=float)
-    n_steps = increments.shape[2]
-    with np.errstate(all="ignore"):
-        for j in range(n_steps):
-            states = stepper(sys, states, increments[:, :, j], dt)
-    if not np.isfinite(states).all():
-        raise NumericalFailure("integrate_batch_final", "non-finite final states")
-    return states
+    states = np.asarray(initial_states, dtype=float)
+    return _run(*_state_fields(sys, states), states, increments, dt, scheme,
+                "integrate_batch_final", False)

@@ -29,8 +29,8 @@ from .flow import (
     integrate,
     integrate_augmented,
     integrate_batch_final,
-    _polar_gaussians,
-    stream_seed,
+    _increments,
+    _n_steps,
 )
 from .geometry import HamiltonianSystem
 
@@ -241,6 +241,13 @@ def defect_convergence(
     sys: HamiltonianSystem, x0, finest_path: BrownianPath, scheme: str = "heun", levels: int = 3
 ) -> ConvergenceReport:
     """Max contact-defect sup norm per step size, finest level included."""
+    return _defect_ladder(sys, x0, finest_path, scheme, levels)[0]
+
+
+def _defect_ladder(
+    sys: HamiltonianSystem, x0, finest_path: BrownianPath, scheme: str, levels: int
+) -> tuple:
+    """``defect_convergence``'s report and the finest level's trajectory."""
     _check_levels(finest_path, levels)
     dts = []
     errors = []
@@ -249,9 +256,10 @@ def defect_convergence(
         traj = integrate_augmented(sys, x0, coarse, scheme)
         dts.append(coarse.dt)
         errors.append(contact_defect(traj, sys.chart).max_sup)
-    return ConvergenceReport(
+    report = ConvergenceReport(
         label="contact_defect_sup", dts=dts, errors=errors, orders=_fitted_orders(errors)
     )
+    return report, traj
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +271,8 @@ def _mc_batch(args) -> np.ndarray:
      observable_source, zero_channels) = args
     d = sys.d
     increments = np.empty((count, d, n_steps))
-    sqrt_dt = math.sqrt(dt)
     for i in range(count):
-        g = _polar_gaussians(stream_seed(master_seed, start + i), d * n_steps)
-        increments[i] = (g * sqrt_dt).reshape(d, n_steps)
+        increments[i] = _increments(d, n_steps, dt, master_seed, start + i)
     for k in zero_channels:
         increments[:, k, :] = 0.0
     initial = np.tile(np.asarray(x0, dtype=float), (count, 1))
@@ -302,9 +308,7 @@ def monte_carlo(
     span = T - t0
     if span <= 0.0:
         raise InvalidStep("T must exceed t0")
-    n_steps = round(span / dt)
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise InvalidStep(f"dt {dt!r} does not divide T - t0 = {span!r}")
+    n_steps = _n_steps(span, dt)
     observable_source = observable if isinstance(observable, str) else expr.to_source(observable)
     sys.prepare(observable_source)  # validate early
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contactsde import flow, geometry as geo
+from contactsde import catalog, flow, geometry as geo
 from contactsde.errors import (
     IndivisibleFactor,
     InvalidStep,
@@ -258,14 +258,22 @@ def test_deterministic_conformal_factor_quadrature():
 # batched integration
 # ---------------------------------------------------------------------------
 
-def test_batch_matches_scalar_paths(dissipative):
-    x0 = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
-    n_steps, dt = 100, 1e-3
-    increments = np.empty((4, 1, n_steps))
-    finals = []
-    for s in range(4):
-        p = flow.sample_brownian(1, n_steps, dt, 123, stream_index=s)
-        increments[s] = p.increments
-        finals.append(flow.integrate(dissipative, x0, p).final_state)
-    batch = flow.integrate_batch_final(dissipative, np.tile(x0, (4, 1)), increments, dt)
-    assert np.max(np.abs(batch - np.array(finals))) <= 1e-12
+# SE midpoint stalls at larger steps from its default state.
+_BATCH_DT = {"dissipative-2d": 1e-3, "sasaki-einstein-t11": 1e-5}
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
+def test_batch_matches_scalar_paths(system_id, scheme):
+    # A path's result must not depend on the other paths in its batch.
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    x0 = np.array(entry.default_initial_state)
+    n_paths, n_steps, dt = 8, 100, _BATCH_DT[system_id]
+    paths = [flow.sample_brownian(system.d, n_steps, dt, 123, stream_index=s) for s in range(n_paths)]
+    increments = np.stack([p.increments for p in paths])
+    finals = np.array([flow.integrate(system, x0, p, scheme).final_state for p in paths])
+    batch = flow.integrate_batch_final(system, np.tile(x0, (n_paths, 1)), increments, dt, scheme)
+    assert np.array_equal(batch, finals)
+    alone = flow.integrate_batch_final(system, x0[None], increments[:1], dt, scheme)
+    assert np.array_equal(batch[:1], alone)

@@ -209,6 +209,9 @@ def test_monte_carlo_validation(dissipative):
         ver.monte_carlo(dissipative, x0, T=0.1, dt=0.01, n_paths=1, master_seed=0, observable="z")
     with pytest.raises(InvalidStep):
         ver.monte_carlo(dissipative, x0, T=0.1, dt=0.03, n_paths=4, master_seed=0, observable="z")
+    with pytest.raises(InvalidStep):  # the CLI's tolerance, 1e-12 relative
+        ver.monte_carlo(dissipative, x0, T=1.0, dt=1e-3 * (1 + 1e-11), n_paths=4,
+                        master_seed=0, observable="z")
 
 
 def test_ensemble_stats_roundtrip():

@@ -25,9 +25,10 @@ Schemes
 
 One stepping core serves single paths and batches.  A state has any number
 of leading axes (a single path is ``(m,)``, a batch of paths is ``(B, m)``),
-so one path gives the same bits alone or as any row of a batch.  Single
-paths evaluate the fields through the scalar tapes, which check domains;
-batches use the array tapes.
+so one path gives the same bits alone or as any row of a batch.  Each stage
+makes one ``fields(y) -> (drift, diffusion)`` call; for the state system
+that is ``HamiltonianSystem.drift_diffusion``, which runs the scalar tapes
+(with domain checks) on one path and the array tapes on a batch.
 
 Both schemes are applied unchanged to the augmented system carrying the flow
 Jacobian J (the linearization dJ = DX J) and log of the conformal factor
@@ -194,12 +195,10 @@ def _apply(g, dw):
     return (g @ dw[..., None])[..., 0]
 
 
-def _heun_step(drift: Callable, diffusion: Callable, y, dw, dt):
-    a0 = drift(y)
-    g0 = diffusion(y)
+def _heun_step(fields: Callable, y, dw, dt):
+    a0, g0 = fields(y)
     y_pred = y + a0 * dt + _apply(g0, dw)
-    a1 = drift(y_pred)
-    g1 = diffusion(y_pred)
+    a1, g1 = fields(y_pred)
     return y + 0.5 * dt * (a0 + a1) + 0.5 * _apply(g0 + g1, dw)
 
 
@@ -210,9 +209,10 @@ def _sup(a):
     return rows.T.copy().max(axis=0).reshape(a.shape[:-1])
 
 
-def _midpoint_step(drift, diffusion, y, dw, dt, tol=1e-13, max_iter=50):
+def _midpoint_step(fields, y, dw, dt, tol=1e-13, max_iter=50):
     def image(z):
-        return y + drift(z) * dt + _apply(diffusion(z), dw)
+        a, g = fields(z)
+        return y + a * dt + _apply(g, dw)
 
     y_new = image(y)
     done = np.zeros(y.shape[:-1], dtype=bool)
@@ -239,7 +239,7 @@ def _stepper(scheme: str):
         raise InvalidStep(f"unknown scheme {scheme!r}; expected one of {SCHEMES}") from None
 
 
-def _run(drift, diffusion, y, increments, dt, scheme: str, operation: str, keep: bool):
+def _run(fields, y, increments, dt, scheme: str, operation: str, keep: bool):
     """Step ``y`` over the grid of ``increments`` (..., d, n_steps), whose
     leading axes match those of ``y``.  Returns the (n_steps + 1, *y.shape)
     history if ``keep``, else the final value."""
@@ -250,21 +250,13 @@ def _run(drift, diffusion, y, increments, dt, scheme: str, operation: str, keep:
         history[0] = y
     with np.errstate(all="ignore"):
         for j in range(n_steps):
-            y = stepper(drift, diffusion, y, increments[..., j], dt)
+            y = stepper(fields, y, increments[..., j], dt)
             if keep:
                 history[j + 1] = y
     out = history if keep else y
     if not np.isfinite(out).all():
         raise NumericalFailure(operation, "non-finite values")
     return out
-
-
-def _state_fields(sys: HamiltonianSystem, y: np.ndarray) -> tuple:
-    """Drift and diffusion of the state: scalar tapes for one path, array
-    tapes for a (B, dim) batch."""
-    if y.ndim == 1:
-        return (lambda x: sys.vector_field(0, x)), sys.diffusion_matrix
-    return sys.drift_batch, sys.diffusion_batch
 
 
 def _initial_state(sys: HamiltonianSystem, x0, path: BrownianPath) -> np.ndarray:
@@ -290,7 +282,7 @@ def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.n
     """Advance the state by one step of the chosen Stratonovich scheme."""
     x = np.asarray(x, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    return _run(*_state_fields(sys, x), x, dw[..., None], float(dt), scheme, "step", False)
+    return _run(sys.drift_diffusion, x, dw[..., None], float(dt), scheme, "step", False)
 
 
 @dataclass(eq=False)
@@ -308,7 +300,7 @@ class Trajectory:
 def integrate(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun") -> Trajectory:
     """Integrate the stochastic contact system over the grid of ``path``."""
     x0 = _initial_state(sys, x0, path)
-    states = _run(*_state_fields(sys, x0), x0, path.increments, path.dt, scheme, "integrate", True)
+    states = _run(sys.drift_diffusion, x0, path.increments, path.dt, scheme, "integrate", True)
     return Trajectory(times=path.times(), states=states)
 
 
@@ -359,28 +351,18 @@ def integrate_augmented(
     d = sys.d
     n_aug = dim + dim * dim + 1
 
-    def unpack(y):
-        return y[:dim], y[dim:-1].reshape(dim, dim)
-
-    def drift(y):
-        x, jac = unpack(y)
-        out = np.empty(n_aug)
-        out[:dim] = sys.vector_field(0, x)
-        out[dim:-1] = (sys.vector_field_jacobian(0, x) @ jac).ravel()
-        out[-1] = -sys.reeb_rate(0, x)
-        return out
-
-    def diffusion(y):
-        x, jac = unpack(y)
-        out = np.empty((n_aug, d))
-        for k in range(d):
-            out[:dim, k] = sys.vector_field(k + 1, x)
-            out[dim:-1, k] = (sys.vector_field_jacobian(k + 1, x) @ jac).ravel()
-            out[-1, k] = -sys.reeb_rate(k + 1, x)
-        return out
+    def fields(y):
+        x, jac = y[:dim], y[dim:-1].reshape(dim, dim)
+        out = np.empty((d + 1, n_aug))
+        for i in range(d + 1):
+            out[i, :dim] = sys.vector_field(i, x)
+            out[i, dim:-1] = (sys.vector_field_jacobian(i, x) @ jac).ravel()
+            out[i, -1] = -sys.reeb_rate(i, x)
+        # A C-contiguous diffusion block keeps the bits of the matmul in _apply.
+        return out[0], np.ascontiguousarray(out[1:].T)
 
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    ys = _run(drift, diffusion, y0, path.increments, path.dt, scheme, "integrate_augmented", True)
+    ys = _run(fields, y0, path.increments, path.dt, scheme, "integrate_augmented", True)
     return AugmentedTrajectory(
         times=path.times(), states=ys[:, :dim],
         jacobians=ys[:, dim:-1].reshape(-1, dim, dim), log_lambda=ys[:, -1],
@@ -404,5 +386,5 @@ def integrate_batch_final(
     Only the final state is kept; intermediate states are discarded.
     """
     states = np.asarray(initial_states, dtype=float)
-    return _run(*_state_fields(sys, states), states, increments, dt, scheme,
+    return _run(sys.drift_diffusion, states, increments, dt, scheme,
                 "integrate_batch_final", False)

@@ -116,7 +116,8 @@ class DarbouxChart:
         pass
 
     def guard_batch(self, states: np.ndarray) -> None:
-        pass
+        # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
+        self.guard(states)
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-2.0, 2.0, size=(count, self.dim))
@@ -185,15 +186,18 @@ class SasakiEinsteinChart:
         return expr.mul(expr.const(3.0), expr.differentiate(f, "psi"))
 
     def guard(self, x: np.ndarray) -> None:
-        if abs(math.sin(x[0])) < SIN_GUARD or abs(math.sin(x[1])) < SIN_GUARD:
+        """Reject a state (5,) or a batch (B, 5) near sin(theta_i) = 0."""
+        if x.ndim > 1:
+            if bool((np.abs(np.sin(x[:, :2])) < SIN_GUARD).any()):
+                raise SingularChartPoint("batch contains states near sin(theta_i) = 0")
+        elif abs(math.sin(x[0])) < SIN_GUARD or abs(math.sin(x[1])) < SIN_GUARD:
             raise SingularChartPoint(
                 f"|sin(theta_i)| below {SIN_GUARD:g} at theta=({x[0]!r}, {x[1]!r})"
             )
 
     def guard_batch(self, states: np.ndarray) -> None:
-        s = np.abs(np.sin(states[:, :2]))
-        if bool((s < SIN_GUARD).any()):
-            raise SingularChartPoint("batch contains states near sin(theta_i) = 0")
+        # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
+        self.guard(states)
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty((count, 5))
@@ -224,6 +228,11 @@ class HamiltonianSystem:
     """A chart together with a drift Hamiltonian H_0, noise Hamiltonians
     H_1..H_d, and precompiled vector fields, state-Jacobians, gradients and
     Reeb derivatives of every H_i.
+
+    The per-state methods (``gradient``, ``vector_field``,
+    ``vector_field_jacobian``, ``diffusion_matrix``, ``drift_diffusion``)
+    take one state ``(dim,)`` or a batch ``(B, dim)`` and give a result with
+    the same leading axes; both go through one evaluator, ``_eval``.
 
     Constants are substituted at build time, so every compiled tape reads
     only chart coordinates.  Instances are immutable after construction and
@@ -259,12 +268,16 @@ class HamiltonianSystem:
             tuple(expr.compile_tape(c, layout) for c in comps)
             for comps in self.vector_field_exprs
         )
+        # DX_H flattened row-major (dim, dim); diffusion row-major (dim, d).
         self._dx_tapes = tuple(
             tuple(
-                tuple(expr.compile_tape(expr.differentiate(c, name), layout) for name in layout)
-                for c in comps
+                expr.compile_tape(expr.differentiate(c, name), layout)
+                for c in comps for name in layout
             )
             for comps in self.vector_field_exprs
+        )
+        self._diffusion_tapes = tuple(
+            self._x_tapes[k][r] for r in range(chart.dim) for k in range(1, len(prepared))
         )
         self._reeb_tapes = tuple(
             expr.compile_tape(chart.reeb_derivative_expr(h), layout) for h in prepared
@@ -294,62 +307,55 @@ class HamiltonianSystem:
             raise ConfigError(f"expression references unknown names {sorted(extra)}")
         return tree
 
-    # -- pointwise evaluation -----------------------------------------------
+    # -- evaluation at a state (dim,) or a batch (B, dim) --------------------
+
+    def _eval(self, tapes, x: np.ndarray) -> np.ndarray:
+        """Values of ``tapes`` at ``x``: shape (len(tapes),) for one state,
+        (B, len(tapes)) for a batch.  One state runs the tapes on Python
+        floats (scalar mode, with domain checks); a batch runs them on its
+        columns (array mode)."""
+        if x.ndim == 1:
+            values = x.tolist()
+            return np.array([t(values) for t in tapes])
+        columns = list(x.T)
+        out = np.empty((x.shape[0], len(tapes)))
+        for r, tape in enumerate(tapes):
+            out[:, r] = tape(columns)
+        return out
 
     def hamiltonian(self, i: int, x: np.ndarray) -> float:
         return self._h_tapes[i](x)
 
     def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return np.array([t(x) for t in self._grad_tapes[i]])
+        return self._eval(self._grad_tapes[i], x)
 
     def vector_field(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return np.array([t(x) for t in self._x_tapes[i]])
+        return self._eval(self._x_tapes[i], x)
 
     def vector_field_jacobian(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        dim = self.dim
-        out = np.empty((dim, dim))
-        rows = self._dx_tapes[i]
-        for r in range(dim):
-            row = rows[r]
-            for c in range(dim):
-                out[r, c] = row[c](x)
-        return out
+        return self._eval(self._dx_tapes[i], x).reshape(*x.shape[:-1], self.dim, self.dim)
 
     def reeb_rate(self, i: int, x: np.ndarray) -> float:
         return float(self._reeb_tapes[i](x))
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        out = np.empty((self.dim, self.d))
-        for k in range(self.d):
-            for r in range(self.dim):
-                out[r, k] = self._x_tapes[k + 1][r](x)
-        return out
+        return self._eval(self._diffusion_tapes, x).reshape(*x.shape[:-1], self.dim, self.d)
 
     def drift_diffusion(self, x: np.ndarray):
-        """Drift vector X_{H_0}(x) and diffusion columns X_{H_k}(x)."""
-        return self.vector_field(0, x), self.diffusion_matrix(x)
+        """Drift vector X_{H_0}(x) and diffusion columns X_{H_k}(x); the state
+        is guarded once, by ``vector_field``."""
+        return (self.vector_field(0, x),
+                self._eval(self._diffusion_tapes, x).reshape(*x.shape[:-1], self.dim, self.d))
 
-    # -- batched evaluation (one row per path) ------------------------------
-
+    # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.
     def drift_batch(self, states: np.ndarray) -> np.ndarray:
-        self.chart.guard_batch(states)
-        cols = [states[:, i] for i in range(self.dim)]
-        out = np.empty_like(states)
-        for r, tape in enumerate(self._x_tapes[0]):
-            out[:, r] = tape(cols)
-        return out
+        return self.vector_field(0, states)
 
     def diffusion_batch(self, states: np.ndarray) -> np.ndarray:
-        b = states.shape[0]
-        cols = [states[:, i] for i in range(self.dim)]
-        out = np.empty((b, self.dim, self.d))
-        for k in range(self.d):
-            for r, tape in enumerate(self._x_tapes[k + 1]):
-                out[:, r, k] = tape(cols)
-        return out
+        return self.diffusion_matrix(states)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +403,13 @@ def _d_eta_pairing(chart, x, xf, xg) -> float:
     return total
 
 
+def _bracket(chart, x, f, g) -> float:
+    """d_eta(X_f, X_g) + f R(g) - g R(f) from the triples (X, value, R) of
+    ``f`` and ``g`` at ``x``."""
+    (xf, fv, rf), (xg, gv, rg) = f, g
+    return _d_eta_pairing(chart, x, xf, xg) + fv * rg - gv * rf
+
+
 def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
     """Jacobi bracket [f, g] at ``x``:
     ``d_eta(X_f, X_g) + f R(g) - g R(f)``, with R the Reeb derivative.
@@ -412,7 +425,7 @@ def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
     gv = expr.evaluate(g, ctx)
     rf = expr.evaluate(sys.chart.reeb_derivative_expr(f), ctx)
     rg = expr.evaluate(sys.chart.reeb_derivative_expr(g), ctx)
-    return float(_d_eta_pairing(sys.chart, x, xf, xg) + fv * rg - gv * rf)
+    return float(_bracket(sys.chart, x, (xf, fv, rf), (xg, gv, rg)))
 
 
 def jacobi_bracket_expr(sys: HamiltonianSystem, f, g) -> expr.Expr:
@@ -530,20 +543,13 @@ def check_integrability(
         vals = [expr.evaluate(h, ctx) for h in prepared]
         rvals = [expr.evaluate(r, ctx) for r in rates]
         fmat = np.array([_field_at(sys, comps, ctx) for comps in fields])
+        jets = list(zip(fmat, vals, rvals))
         for i in range(1, n + 1):
             # [h_i, 1]: the d_eta term vanishes for a constant only after
             # contraction, so compute it honestly.
-            reeb_bracket = (
-                _d_eta_pairing(sys.chart, x, fmat[i], fmat[0])
-                + vals[i] * rvals[0] - vals[0] * rvals[i]
-            )
-            max_reeb = max(max_reeb, abs(reeb_bracket))
+            max_reeb = max(max_reeb, abs(_bracket(sys.chart, x, jets[i], jets[0])))
             for j in range(i + 1, n + 1):
-                pair = (
-                    _d_eta_pairing(sys.chart, x, fmat[i], fmat[j])
-                    + vals[i] * rvals[j] - vals[j] * rvals[i]
-                )
-                max_pair = max(max_pair, abs(pair))
+                max_pair = max(max_pair, abs(_bracket(sys.chart, x, jets[i], jets[j])))
         min_sv = min(min_sv, float(np.linalg.svd(fmat, compute_uv=False)[-1]))
 
     passed = max_pair <= tol and max_reeb <= tol and min_sv >= independence_tol

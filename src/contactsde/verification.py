@@ -30,6 +30,7 @@ from .flow import (
     integrate_augmented,
     integrate_batch_final,
     _increments,
+    _initial_state,
     _n_steps,
 )
 from .geometry import HamiltonianSystem
@@ -187,22 +188,19 @@ def finite_difference_jacobian(
     sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun", h: float = 1e-5
 ) -> np.ndarray:
     """Central-difference Jacobian of the time-T flow map, re-integrating
-    with the same path.  Independent oracle for the co-integrated tangent
-    flow."""
+    with the same path: the 2 dim perturbed starts run as one batch.
+    Independent oracle for the co-integrated tangent flow."""
     if h <= 0.0:
         raise InvalidStep("h must be positive")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _initial_state(sys, x0, path)
     dim = x0.size
-    out = np.empty((dim, dim))
-    for c in range(dim):
-        plus = x0.copy()
-        minus = x0.copy()
-        plus[c] += h
-        minus[c] -= h
-        final_plus = integrate(sys, plus, path, scheme).final_state
-        final_minus = integrate(sys, minus, path, scheme).final_state
-        out[:, c] = (final_plus - final_minus) / (2.0 * h)
-    return out
+    starts = np.tile(x0, (2, dim, 1))
+    cols = np.arange(dim)
+    starts[0, cols, cols] += h
+    starts[1, cols, cols] -= h
+    increments = np.broadcast_to(path.increments, (2 * dim, *path.increments.shape))
+    finals = integrate_batch_final(sys, starts.reshape(2 * dim, dim), increments, path.dt, scheme)
+    return np.ascontiguousarray((finals[:dim] - finals[dim:]).T / (2.0 * h))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,16 @@ def test_convergence_command_deterministic_system(tmp_path, capsys):
     assert all(o >= 1.9 for o in report["orders"])
 
 
+@pytest.mark.parametrize("command", ["verify-contact", "convergence"])
+def test_levels_rule_shared_by_commands(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=1e-3)
+    # 100 steps are not divisible by 2^3
+    code, _, err = run_cli(capsys, command, "--config", cfg, "--levels", "4")
+    assert (code, err) == (2, "config error: finest grid of 100 steps is not divisible by 2^3\n")
+    code, _, err = run_cli(capsys, command, "--config", cfg, "--levels", "2")
+    assert (code, err) == (2, "config error: levels must be >= 3\n")
+
+
 def test_unknown_system_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, system="missing", T=0.1, dt=0.01)
     code, _, err = run_cli(capsys, "simulate", "--config", cfg)

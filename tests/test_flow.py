@@ -97,7 +97,7 @@ def test_heun_step_is_second_order_taylor_on_linear_drift():
     x = np.array([1.0, -0.5])
     dt = 0.01
     taylor = x + dt * (a_mat @ x) + 0.5 * dt * dt * (a_mat @ a_mat @ x)
-    heun = _heun_step(lambda y: a_mat @ y, lambda y: np.zeros((2, 0)), x, np.zeros(0), dt)
+    heun = _heun_step(lambda y: (a_mat @ y, np.zeros((2, 0))), x, np.zeros(0), dt)
     assert np.max(np.abs(heun - taylor)) <= 1e-15
 
 

@@ -144,6 +144,10 @@ def test_se_singular_point_guard():
     syse = geo.HamiltonianSystem(geo.SasakiEinsteinChart(), "phi1")
     with pytest.raises(SingularChartPoint):
         geo.contact_vector_field(syse, 0, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+    batch = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
+    for evaluate in (syse.drift_batch, syse.diffusion_batch, syse.drift_diffusion):
+        with pytest.raises(SingularChartPoint):
+            evaluate(batch)
 
 
 def test_system_jacobian_matches_fd(dissipative, sasaki_einstein, rng):

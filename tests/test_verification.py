@@ -126,6 +126,13 @@ def test_fd_jacobian_matches_augmented(dissipative):
     fd = ver.finite_difference_jacobian(dissipative, x0, p, h=1e-5)
     rel = np.linalg.norm(aug.jacobians[-1] - fd) / np.linalg.norm(aug.jacobians[-1])
     assert rel <= 1e-4
+    # the batched oracle's column equals two single-path integrations bit for bit
+    plus, minus = np.array(x0), np.array(x0)
+    plus[2] += 1e-5
+    minus[2] -= 1e-5
+    column = (flow.integrate(dissipative, plus, p).final_state
+              - flow.integrate(dissipative, minus, p).final_state) / (2.0 * 1e-5)
+    assert np.array_equal(fd[:, 2], column)
 
 
 def test_fd_jacobian_rejects_bad_h(dissipative):

@@ -60,11 +60,12 @@ class MissingTangentData(ContactSDEError):
 
 
 class NumericalFailure(ContactSDEError):
-    """Integration produced non-finite values."""
+    """An operation produced non-finite values.  ``operation`` names it; the
+    CLI prints both as "numerical failure in <operation>: <message>"."""
 
     def __init__(self, operation: str, message: str):
         self.operation = operation
-        super().__init__(f"numerical failure in {operation}: {message}")
+        super().__init__(message)
 
 
 class ConfigError(ContactSDEError):

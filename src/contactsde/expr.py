@@ -15,6 +15,11 @@ Precedence is ``^`` above unary minus above ``*``/``/`` above ``+``/``-``;
 to a numeric constant at parse time (variable exponents are rejected), which
 keeps differentiation closed over the node types below.
 
+Compiled tapes (:func:`compile_tape`) do all of the package's numeric
+evaluation, on one state or on a batch.  The tree evaluator
+(:func:`evaluate`) is the reference oracle: a tape in scalar mode performs
+the same operations in the same order and agrees with it bit for bit.
+
 Expression trees and compiled tapes are immutable and safe to share across
 threads; evaluation contexts are caller-owned.  The only simplifications ever
 applied are constant folding and the neutral-element rules (``x*1``, ``x*0``,

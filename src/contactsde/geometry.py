@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import ConfigError, SingularChartPoint, WrongIntegralCount
+from .errors import ConfigError, NumericalFailure, SingularChartPoint, WrongIntegralCount
 
 __all__ = [
     "DarbouxChart", "SasakiEinsteinChart", "chart_by_id",
@@ -153,8 +153,8 @@ class SasakiEinsteinChart:
 
     def d_eta_upper(self, x: np.ndarray):
         return [
-            (0, 2, -math.sin(x[0]) / 3.0),
-            (1, 3, -math.sin(x[1]) / 3.0),
+            (0, 2, -np.sin(x[..., 0]) / 3.0),
+            (1, 3, -np.sin(x[..., 1]) / 3.0),
         ]
 
     def reeb(self, x: np.ndarray) -> np.ndarray:
@@ -229,10 +229,11 @@ class HamiltonianSystem:
     H_1..H_d, and precompiled vector fields, state-Jacobians, gradients and
     Reeb derivatives of every H_i.
 
-    The per-state methods (``gradient``, ``vector_field``,
-    ``vector_field_jacobian``, ``diffusion_matrix``, ``drift_diffusion``)
-    take one state ``(dim,)`` or a batch ``(B, dim)`` and give a result with
-    the same leading axes; both go through one evaluator, ``_eval``.
+    The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
+    ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
+    ``drift_diffusion``) take one state ``(dim,)`` or a batch ``(B, dim)``
+    and give a result with the same leading axes; all go through one
+    evaluator, ``_eval``, as do the jets (``_jet``) behind the brackets.
 
     Constants are substituted at build time, so every compiled tape reads
     only chart coordinates.  Instances are immutable after construction and
@@ -307,6 +308,14 @@ class HamiltonianSystem:
             raise ConfigError(f"expression references unknown names {sorted(extra)}")
         return tree
 
+    def _jet(self, f) -> tuple:
+        """Tapes of ``(X_f components..., f, R(f))`` over the chart
+        coordinates; ``_eval`` of a jet gives dim + 2 values per state."""
+        f = self.prepare(f)
+        chart = self.chart
+        parts = (*chart.vector_field_exprs(f), f, chart.reeb_derivative_expr(f))
+        return tuple(expr.compile_tape(e, chart.names) for e in parts)
+
     # -- evaluation at a state (dim,) or a batch (B, dim) --------------------
 
     def _eval(self, tapes, x: np.ndarray) -> np.ndarray:
@@ -323,8 +332,8 @@ class HamiltonianSystem:
             out[:, r] = tape(columns)
         return out
 
-    def hamiltonian(self, i: int, x: np.ndarray) -> float:
-        return self._h_tapes[i](x)
+    def hamiltonian(self, i: int, x: np.ndarray):
+        return self._eval(self._h_tapes[i:i + 1], x)[..., 0]
 
     def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         return self._eval(self._grad_tapes[i], x)
@@ -337,8 +346,8 @@ class HamiltonianSystem:
         self.chart.guard(x)
         return self._eval(self._dx_tapes[i], x).reshape(*x.shape[:-1], self.dim, self.dim)
 
-    def reeb_rate(self, i: int, x: np.ndarray) -> float:
-        return float(self._reeb_tapes[i](x))
+    def reeb_rate(self, i: int, x: np.ndarray):
+        return self._eval(self._reeb_tapes[i:i + 1], x)[..., 0]
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
@@ -389,25 +398,15 @@ def check_intrinsic_relations(sys: HamiltonianSystem, i: int, x):
     return r1, float(np.max(np.abs(resid)))
 
 
-def _field_at(sys: HamiltonianSystem, comps, ctx) -> np.ndarray:
-    return np.array([expr.evaluate(c, ctx) for c in comps])
-
-
-def _d_eta_pairing(chart, x, xf, xg) -> float:
-    """d_eta(X_f, X_g) in antisymmetrized form: sums coeff * (Xf_a Xg_b -
-    Xf_b Xg_a) over the structural upper entries, so [f, f] vanishes exactly
-    and swapping arguments negates the value bit for bit."""
+def _bracket(chart, x, jf, jg):
+    """d_eta(X_f, X_g) + f R(g) - g R(f) from the jets of ``f`` and ``g`` at
+    a state (dim + 2,) or a batch (B, dim + 2).  d_eta(X_f, X_g) sums coeff *
+    (Xf_a Xg_b - Xf_b Xg_a) over the structural upper entries, so [f, f]
+    vanishes exactly and swapping arguments negates the value bit for bit."""
     total = 0.0
     for a, b, coeff in chart.d_eta_upper(x):
-        total += coeff * (xf[a] * xg[b] - xf[b] * xg[a])
-    return total
-
-
-def _bracket(chart, x, f, g) -> float:
-    """d_eta(X_f, X_g) + f R(g) - g R(f) from the triples (X, value, R) of
-    ``f`` and ``g`` at ``x``."""
-    (xf, fv, rf), (xg, gv, rg) = f, g
-    return _d_eta_pairing(chart, x, xf, xg) + fv * rg - gv * rf
+        total += coeff * (jf[..., a] * jg[..., b] - jf[..., b] * jg[..., a])
+    return total + jf[..., -2] * jg[..., -1] - jg[..., -2] * jf[..., -1]
 
 
 def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
@@ -416,16 +415,8 @@ def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     sys.chart.guard(x)
-    f = sys.prepare(f)
-    g = sys.prepare(g)
-    ctx = sys.context(x)
-    xf = _field_at(sys, sys.chart.vector_field_exprs(f), ctx)
-    xg = _field_at(sys, sys.chart.vector_field_exprs(g), ctx)
-    fv = expr.evaluate(f, ctx)
-    gv = expr.evaluate(g, ctx)
-    rf = expr.evaluate(sys.chart.reeb_derivative_expr(f), ctx)
-    rg = expr.evaluate(sys.chart.reeb_derivative_expr(g), ctx)
-    return float(_bracket(sys.chart, x, (xf, fv, rf), (xg, gv, rg)))
+    jf, jg = np.split(sys._eval(sys._jet(f) + sys._jet(g), x), 2)
+    return float(_bracket(sys.chart, x, jf, jg))
 
 
 def jacobi_bracket_expr(sys: HamiltonianSystem, f, g) -> expr.Expr:
@@ -448,9 +439,7 @@ def jacobi_bracket_expr(sys: HamiltonianSystem, f, g) -> expr.Expr:
 
 def reeb_derivative(sys: HamiltonianSystem, f, x) -> float:
     """Derivative of ``f`` along the Reeb field at ``x`` (iota_R df)."""
-    f = sys.prepare(f)
-    ctx = sys.context(np.asarray(x, dtype=float))
-    return float(expr.evaluate(sys.chart.reeb_derivative_expr(f), ctx))
+    return float(sys._eval(sys._jet(f)[-1:], np.asarray(x, dtype=float))[0])
 
 
 def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
@@ -462,17 +451,13 @@ def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
     asserted.
     """
     x = np.asarray(x, dtype=float)
-    f = sys.prepare(f)
+    sys.chart.guard(x)
     g = sys.prepare(g)
     h = sys.prepare(h)
-    ctx = sys.context(x)
-    gh = expr.mul(g, h)
-    b_gh = jacobi_bracket(sys, f, gh, x)
-    b_g = jacobi_bracket(sys, f, g, x)
-    b_h = jacobi_bracket(sys, f, h, x)
-    b_1 = jacobi_bracket(sys, f, expr.const(1.0), x)
-    gv = expr.evaluate(g, ctx)
-    hv = expr.evaluate(h, ctx)
+    funcs = (f, expr.mul(g, h), g, h, expr.const(1.0))
+    jf, jgh, jg, jh, j1 = np.split(sys._eval(sum(map(sys._jet, funcs), ()), x), 5)
+    b_gh, b_g, b_h, b_1 = (float(_bracket(sys.chart, x, jf, j)) for j in (jgh, jg, jh, j1))
+    gv, hv = float(jg[-2]), float(jh[-2])
     flat = b_gh - (b_g * hv + gv * b_h - b_1)
     scaled = b_gh - (b_g * hv + gv * b_h - gv * hv * b_1)
     return flat, scaled
@@ -527,30 +512,35 @@ def check_integrability(
         raise WrongIntegralCount(
             f"expected {n + 1} integrals for a {sys.dim}-dimensional chart, got {len(integrals)}"
         )
-    prepared = [sys.prepare(h) for h in integrals]
-    if prepared[0] != expr.Const(1.0):
+    tapes = sum(map(sys._jet, integrals), ())
+    if sys.prepare(integrals[0]) != expr.Const(1.0):
         raise WrongIntegralCount("the first integral must be the constant 1")
-    fields = [sys.chart.vector_field_exprs(h) for h in prepared]
-    rates = [sys.chart.reeb_derivative_expr(h) for h in prepared]
+    states = np.asarray(sample_states, dtype=float)
+    if states.ndim != 2 or len(states) < 1 or states.shape[1] != sys.dim:
+        raise ConfigError(
+            f"sample_states must have shape (B >= 1, {sys.dim}), got {states.shape}"
+        )
 
-    max_pair = 0.0
-    max_reeb = 0.0
-    min_sv = math.inf
-    states = np.atleast_2d(np.asarray(sample_states, dtype=float))
-    for x in states:
-        sys.chart.guard(x)
-        ctx = sys.context(x)
-        vals = [expr.evaluate(h, ctx) for h in prepared]
-        rvals = [expr.evaluate(r, ctx) for r in rates]
-        fmat = np.array([_field_at(sys, comps, ctx) for comps in fields])
-        jets = list(zip(fmat, vals, rvals))
-        for i in range(1, n + 1):
-            # [h_i, 1]: the d_eta term vanishes for a constant only after
-            # contraction, so compute it honestly.
-            max_reeb = max(max_reeb, abs(_bracket(sys.chart, x, jets[i], jets[0])))
-            for j in range(i + 1, n + 1):
-                max_pair = max(max_pair, abs(_bracket(sys.chart, x, jets[i], jets[j])))
-        min_sv = min(min_sv, float(np.linalg.svd(fmat, compute_uv=False)[-1]))
+    sys.chart.guard(states)
+    with np.errstate(all="ignore"):
+        jets = sys._eval(tapes, states)
+        bad = ~np.isfinite(jets).all(axis=1)
+        if bad.any():
+            # Array mode skips domain checks: a scalar-mode replay of the
+            # first bad state raises the DomainError naming its node, if any.
+            sys._eval(tapes, states[bad.argmax()])
+            raise NumericalFailure("check_integrability", "non-finite values")
+        jets = jets.reshape(len(states), n + 1, sys.dim + 2)
+
+        def sup(i, j):
+            return np.abs(_bracket(sys.chart, states, jets[:, i], jets[:, j])).max()
+
+        # [h_i, 1]: the d_eta term vanishes for a constant only after
+        # contraction, so compute it honestly.
+        max_reeb = max(sup(i, 0) for i in range(1, n + 1))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        max_pair = max((sup(i, j) for i, j in pairs), default=0.0)
+        min_sv = np.linalg.svd(jets[:, :, :sys.dim], compute_uv=False)[:, -1].min()
 
     passed = max_pair <= tol and max_reeb <= tol and min_sv >= independence_tol
     return IntegrabilityReport(

@@ -178,9 +178,10 @@ def conformal_factor_check(traj: AugmentedTrajectory, closed_form) -> float:
     ``closed_form`` is an expression in the single variable ``t``.
     """
     cf = expr.parse(closed_form, ["t"]) if isinstance(closed_form, str) else closed_form
+    tape = expr.compile_tape(cf, ["t"])
     dev = 0.0
-    for t, ll in zip(traj.times, traj.log_lambda):
-        dev = max(dev, abs(math.exp(ll) - expr.evaluate(cf, {"t": float(t)})))
+    for t, ll in zip(traj.times.tolist(), traj.log_lambda):
+        dev = max(dev, abs(math.exp(ll) - tape([t])))
     return dev
 
 
@@ -276,8 +277,7 @@ def _mc_batch(args) -> np.ndarray:
     initial = np.tile(np.asarray(x0, dtype=float), (count, 1))
     finals = integrate_batch_final(sys, initial, increments, dt, scheme)
     tape = expr.compile_tape(sys.prepare(observable_source), sys.chart.names)
-    values = tape([finals[:, i] for i in range(sys.dim)])
-    return np.broadcast_to(np.asarray(values, dtype=float), (count,)).copy()
+    return sys._eval((tape,), finals)[:, 0]
 
 
 def monte_carlo(

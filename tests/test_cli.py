@@ -255,6 +255,30 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", cfg)
     assert code == 3
     assert "numerical failure" in err
+    # Heun blows up to non-finite values: the operation is named once
+    cfg = write_config(
+        tmp_path, name="blowup.json",
+        system={"chart": "darboux", "n": 1, "h0": "q1^4*p1^4", "noise": [], "constants": {}},
+        T=1.0, dt=0.5, initial_state=[30.0, 30.0, 0.0],
+    )
+    code, _, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert code == 3
+    assert err.count("numerical failure") == 1
+
+
+@pytest.mark.parametrize("integral, message", [
+    ("log(q1)", "log of non-positive value in Func(fn='log', arg=Var(name='q1'))"),
+    ("1/(q1-q1)", "division by zero in BinOp(op='/', left=Const(value=1.0), "
+                  "right=BinOp(op='-', left=Var(name='q1'), right=Var(name='q1')))"),
+])
+def test_check_integrability_domain_error(tmp_path, capsys, integral, message):
+    cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=1e-3)
+    code, out, err = run_cli(
+        capsys, "check-integrability", "--config", cfg,
+        "--integral", "1", "--integral", integral, "--integral", "p2",
+    )
+    assert (code, out) == (3, "")
+    assert err == f"numerical failure in check-integrability: {message}\n"
 
 
 def test_bad_scheme_and_bad_expression(tmp_path, capsys):

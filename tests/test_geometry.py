@@ -6,6 +6,7 @@ import pytest
 from contactsde import expr, geometry as geo
 from contactsde.errors import (
     ConfigError,
+    NumericalFailure,
     SingularChartPoint,
     UnknownIdentifier,
     WrongIntegralCount,
@@ -148,6 +149,15 @@ def test_se_singular_point_guard():
     for evaluate in (syse.drift_batch, syse.diffusion_batch, syse.drift_diffusion):
         with pytest.raises(SingularChartPoint):
             evaluate(batch)
+
+
+def test_hamiltonian_and_reeb_rate_take_a_batch(dissipative, sasaki_einstein):
+    for system in (dissipative, sasaki_einstein):
+        states = geo.sample_states(system.chart, 7, seed=4)
+        for i in range(system.d + 1):
+            for query in (system.hamiltonian, system.reeb_rate):
+                rows = np.array([query(i, x) for x in states])
+                assert np.array_equal(query(i, states), rows)
 
 
 def test_system_jacobian_matches_fd(dissipative, sasaki_einstein, rng):
@@ -337,6 +347,34 @@ def test_integrability_wrong_count(darboux1):
         geo.check_integrability(darboux1, ["1", "z", "q1"], states)
     with pytest.raises(WrongIntegralCount):
         geo.check_integrability(darboux1, ["q1", "z"], states)  # first must be 1
+
+
+def test_integrability_validates_sample_states(darboux1):
+    with pytest.raises(ConfigError):
+        geo.check_integrability(darboux1, ["1", "q1"], np.empty((0, 3)))
+    with pytest.raises(ConfigError):
+        geo.check_integrability(darboux1, ["1", "q1"], np.zeros((4, 5)))
+
+
+def test_integrability_non_finite_values():
+    system = geo.HamiltonianSystem(geo.DarbouxChart(2), "0")
+    states = geo.sample_states(system.chart, 20, seed=3)
+    with pytest.raises(NumericalFailure):
+        geo.check_integrability(system, ["1", "(q1*1e200)*(p1*1e200)", "p2"], states)
+
+
+@pytest.mark.parametrize("chart, integrals", [
+    (geo.SasakiEinsteinChart(), ["1", "cos(theta1)/3", "cos(theta2)/3"]),
+    (geo.DarbouxChart(2), ["1", "q1*p2 + z^2", "p1^2*q2 - z*q1"]),
+])
+def test_integrability_brackets_match_per_state(chart, integrals):
+    system = geo.HamiltonianSystem(chart, "0")
+    states = geo.sample_states(chart, 40, seed=5)
+    report = geo.check_integrability(system, integrals, states)
+    pair = max(abs(geo.jacobi_bracket(system, integrals[1], integrals[2], x)) for x in states)
+    reeb = max(abs(geo.jacobi_bracket(system, h, "1", x)) for x in states for h in integrals[1:])
+    assert report.max_pairwise_bracket == pair
+    assert report.max_reeb_bracket == reeb
 
 
 def test_integrability_report_roundtrip(sasaki_einstein):

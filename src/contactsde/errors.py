@@ -26,8 +26,8 @@ class UnknownIdentifier(ContactSDEError):
 
 class DomainError(ContactSDEError):
     """Evaluation outside a function's domain (log of non-positive value,
-    division by zero, fractional power of a negative base).  Carries the
-    offending expression node when available."""
+    division by zero, fractional power of a negative base, sin/cos of an
+    infinite value).  Carries the offending expression node when available."""
 
     def __init__(self, message: str, node=None):
         self.node = node

@@ -390,7 +390,8 @@ def evaluate(e, ctx: Mapping[str, float]) -> float:
     """Evaluate an expression tree or a compiled tape at ``ctx``.
 
     Raises :class:`DomainError` (carrying the offending node) on division by
-    zero, log of a non-positive value, or an invalid power.
+    zero, log of a non-positive value, an invalid power, or sin/cos of an
+    infinite value.
     """
     if isinstance(e, EvalTape):
         try:
@@ -430,10 +431,11 @@ def _eval_tree(e: Expr, ctx: Mapping[str, float]) -> float:
     v = _eval_tree(e.arg, ctx)
     if e.fn == "neg":
         return -v
-    if e.fn == "sin":
-        return math.sin(v)
-    if e.fn == "cos":
-        return math.cos(v)
+    if e.fn in ("sin", "cos"):
+        try:
+            return getattr(math, e.fn)(v)
+        except ValueError:
+            raise DomainError(f"{e.fn} of infinite value", e) from None
     if e.fn == "exp":
         try:
             return math.exp(v)
@@ -516,9 +518,10 @@ class EvalTape:
     Evaluating the tape performs exactly the same floating-point operations
     in exactly the same order as the tree evaluator, so scalar results agree
     bit for bit.  Slot values may also be equal-length numpy arrays, in which
-    case the tape evaluates elementwise over the whole batch (domain checks
-    are skipped in array mode; callers are expected to screen for non-finite
-    results).
+    case the tape evaluates elementwise over the whole batch.  Array mode
+    makes no domain checks of its own: ``HamiltonianSystem._eval`` runs it
+    with numpy's floating-point flags raising and replays a faulting batch
+    in scalar mode, so its callers need not.
     """
 
     __slots__ = ("code", "layout")
@@ -555,10 +558,22 @@ class EvalTape:
                 stack[-1] = -stack[-1]
             elif op == OP_SIN:
                 v = stack[-1]
-                stack[-1] = math.sin(v) if isinstance(v, float) else np.sin(v)
+                if isinstance(v, float):
+                    try:
+                        stack[-1] = math.sin(v)
+                    except ValueError:
+                        raise DomainError("sin of infinite value", node) from None
+                else:
+                    stack[-1] = np.sin(v)
             elif op == OP_COS:
                 v = stack[-1]
-                stack[-1] = math.cos(v) if isinstance(v, float) else np.cos(v)
+                if isinstance(v, float):
+                    try:
+                        stack[-1] = math.cos(v)
+                    except ValueError:
+                        raise DomainError("cos of infinite value", node) from None
+                else:
+                    stack[-1] = np.cos(v)
             elif op == OP_EXP:
                 v = stack[-1]
                 if isinstance(v, float):

@@ -34,6 +34,13 @@ Both schemes are applied unchanged to the augmented system carrying the flow
 Jacobian J (the linearization dJ = DX J) and log of the conformal factor
 (d log_lambda = -R(H_0) dt - sum_k R(H_k) o dB).  Co-integrating J with the
 same internal stages makes J exactly the derivative of the discrete flow map.
+Its stage guards the state once, evaluates the (X, DX, R) tapes of all d+1
+Hamiltonians in one ``HamiltonianSystem._eval`` call and applies every DX to
+J in one stacked product.
+
+``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
+no stage evaluates a blown-up state.  A domain fault in a batch raises the
+``DomainError`` that its first faulting path raises alone.
 """
 from __future__ import annotations
 
@@ -242,21 +249,22 @@ def _stepper(scheme: str):
 def _run(fields, y, increments, dt, scheme: str, operation: str, keep: bool):
     """Step ``y`` over the grid of ``increments`` (..., d, n_steps), whose
     leading axes match those of ``y``.  Returns the (n_steps + 1, *y.shape)
-    history if ``keep``, else the final value."""
+    history if ``keep``, else the final value.  Raises ``NumericalFailure``
+    at the first non-finite state, the initial one included, so no stage
+    ever evaluates the fields of a blown-up state."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[-1]
     if keep:
         history = np.empty((n_steps + 1, *y.shape))
-        history[0] = y
     with np.errstate(all="ignore"):
-        for j in range(n_steps):
-            y = stepper(fields, y, increments[..., j], dt)
+        for j in range(n_steps + 1):
+            if not np.isfinite(y).all():
+                raise NumericalFailure(operation, "non-finite values")
             if keep:
-                history[j + 1] = y
-    out = history if keep else y
-    if not np.isfinite(out).all():
-        raise NumericalFailure(operation, "non-finite values")
-    return out
+                history[j] = y
+            if j < n_steps:
+                y = stepper(fields, y, increments[..., j], dt)
+    return history if keep else y
 
 
 def _initial_state(sys: HamiltonianSystem, x0, path: BrownianPath) -> np.ndarray:
@@ -349,15 +357,13 @@ def integrate_augmented(
     x0 = _initial_state(sys, x0, path)
     dim = sys.dim
     d = sys.d
-    n_aug = dim + dim * dim + 1
 
     def fields(y):
         x, jac = y[:dim], y[dim:-1].reshape(dim, dim)
-        out = np.empty((d + 1, n_aug))
-        for i in range(d + 1):
-            out[i, :dim] = sys.vector_field(i, x)
-            out[i, dim:-1] = (sys.vector_field_jacobian(i, x) @ jac).ravel()
-            out[i, -1] = -sys.reeb_rate(i, x)
+        sys.chart.guard(x)
+        out = sys._eval(sys._augmented_tapes, x).reshape(d + 1, -1)
+        out[:, dim:-1] = (out[:, dim:-1].reshape(d + 1, dim, dim) @ jac).reshape(d + 1, -1)
+        out[:, -1] = -out[:, -1]
         # A C-contiguous diffusion block keeps the bits of the matmul in _apply.
         return out[0], np.ascontiguousarray(out[1:].T)
 

@@ -226,14 +226,16 @@ def chart_by_id(kind: str, n: int | None = None):
 
 class HamiltonianSystem:
     """A chart together with a drift Hamiltonian H_0, noise Hamiltonians
-    H_1..H_d, and precompiled vector fields, state-Jacobians, gradients and
-    Reeb derivatives of every H_i.
+    H_1..H_d, and precompiled values, gradients and augmented fields of every
+    H_i: one tape store ``_tapes[i]`` of ``(X_H, DX_H, R(H))``, which the
+    field queries slice and the augmented integrator runs whole.
 
     The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
     ``drift_diffusion``) take one state ``(dim,)`` or a batch ``(B, dim)``
     and give a result with the same leading axes; all go through one
     evaluator, ``_eval``, as do the jets (``_jet``) behind the brackets.
+    ``_eval`` holds the domain rule for both shapes.
 
     Constants are substituted at build time, so every compiled tape reads
     only chart coordinates.  Instances are immutable after construction and
@@ -265,23 +267,19 @@ class HamiltonianSystem:
         self.vector_field_exprs = tuple(
             tuple(chart.vector_field_exprs(h)) for h in prepared
         )
-        self._x_tapes = tuple(
-            tuple(expr.compile_tape(c, layout) for c in comps)
-            for comps in self.vector_field_exprs
+        # Per H: X_H, DX_H row-major (dim, dim), R(H), in augmented-state order.
+        self._tapes = tuple(
+            tuple(expr.compile_tape(e, layout) for e in (
+                *comps,
+                *(expr.differentiate(c, name) for c in comps for name in layout),
+                chart.reeb_derivative_expr(h),
+            ))
+            for h, comps in zip(prepared, self.vector_field_exprs)
         )
-        # DX_H flattened row-major (dim, dim); diffusion row-major (dim, d).
-        self._dx_tapes = tuple(
-            tuple(
-                expr.compile_tape(expr.differentiate(c, name), layout)
-                for c in comps for name in layout
-            )
-            for comps in self.vector_field_exprs
-        )
+        self._augmented_tapes = sum(self._tapes, ())
+        # Diffusion row-major (dim, d).
         self._diffusion_tapes = tuple(
-            self._x_tapes[k][r] for r in range(chart.dim) for k in range(1, len(prepared))
-        )
-        self._reeb_tapes = tuple(
-            expr.compile_tape(chart.reeb_derivative_expr(h), layout) for h in prepared
+            self._tapes[k][r] for r in range(chart.dim) for k in range(1, len(prepared))
         )
 
     # -- basic queries ------------------------------------------------------
@@ -322,14 +320,29 @@ class HamiltonianSystem:
         """Values of ``tapes`` at ``x``: shape (len(tapes),) for one state,
         (B, len(tapes)) for a batch.  One state runs the tapes on Python
         floats (scalar mode, with domain checks); a batch runs them on its
-        columns (array mode)."""
+        columns (array mode).
+
+        One domain rule serves both: a batch raises the ``DomainError`` that
+        its first faulting row raises alone.  Array mode runs with numpy's
+        floating-point flags raising; on a flag the rows are replayed in
+        scalar mode, in order.  If no row raises (an overflow, say), the
+        batch is evaluated again with the flags ignored and its non-finite
+        values are left to the caller's screen."""
         if x.ndim == 1:
             values = x.tolist()
             return np.array([t(values) for t in tapes])
         columns = list(x.T)
         out = np.empty((x.shape[0], len(tapes)))
-        for r, tape in enumerate(tapes):
-            out[:, r] = tape(columns)
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                for r, tape in enumerate(tapes):
+                    out[:, r] = tape(columns)
+        except FloatingPointError:
+            for row in x:
+                self._eval(tapes, row)
+            with np.errstate(all="ignore"):
+                for r, tape in enumerate(tapes):
+                    out[:, r] = tape(columns)
         return out
 
     def hamiltonian(self, i: int, x: np.ndarray):
@@ -340,14 +353,14 @@ class HamiltonianSystem:
 
     def vector_field(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._x_tapes[i], x)
+        return self._eval(self._tapes[i][:self.dim], x)
 
     def vector_field_jacobian(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._dx_tapes[i], x).reshape(*x.shape[:-1], self.dim, self.dim)
+        return self._eval(self._tapes[i][self.dim:-1], x).reshape(*x.shape[:-1], self.dim, self.dim)
 
     def reeb_rate(self, i: int, x: np.ndarray):
-        return self._eval(self._reeb_tapes[i:i + 1], x)[..., 0]
+        return self._eval(self._tapes[i][-1:], x)[..., 0]
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
@@ -522,19 +535,15 @@ def check_integrability(
         )
 
     sys.chart.guard(states)
+    jets = sys._eval(tapes, states)
+    if not np.isfinite(jets).all():
+        raise NumericalFailure("check_integrability", "non-finite values")
+    jets = jets.reshape(len(states), n + 1, sys.dim + 2)
+
+    def sup(i, j):
+        return np.abs(_bracket(sys.chart, states, jets[:, i], jets[:, j])).max()
+
     with np.errstate(all="ignore"):
-        jets = sys._eval(tapes, states)
-        bad = ~np.isfinite(jets).all(axis=1)
-        if bad.any():
-            # Array mode skips domain checks: a scalar-mode replay of the
-            # first bad state raises the DomainError naming its node, if any.
-            sys._eval(tapes, states[bad.argmax()])
-            raise NumericalFailure("check_integrability", "non-finite values")
-        jets = jets.reshape(len(states), n + 1, sys.dim + 2)
-
-        def sup(i, j):
-            return np.abs(_bracket(sys.chart, states, jets[:, i], jets[:, j])).max()
-
         # [h_i, 1]: the d_eta term vanishes for a constant only after
         # contraction, so compute it honestly.
         max_reeb = max(sup(i, 0) for i in range(1, n + 1))

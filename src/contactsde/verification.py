@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import IndivisibleFactor, InvalidStep, MissingTangentData
+from .errors import IndivisibleFactor, InvalidStep, MissingTangentData, NumericalFailure
 from .flow import (
     AugmentedTrajectory,
     BrownianPath,
@@ -326,6 +326,8 @@ def monte_carlo(
     else:
         parts = [_mc_batch(b) for b in batches]
     values = np.concatenate(parts)
+    if not np.isfinite(values).all():
+        raise NumericalFailure("monte_carlo", "non-finite values")
 
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1))

@@ -266,10 +266,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert err.count("numerical failure") == 1
 
 
+_DIV_ZERO_Q = ("division by zero in BinOp(op='/', left=Const(value=1.0), "
+               "right=BinOp(op='-', left=Var(name='q{0}'), right=Var(name='q{0}')))")
+
+
 @pytest.mark.parametrize("integral, message", [
     ("log(q1)", "log of non-positive value in Func(fn='log', arg=Var(name='q1'))"),
-    ("1/(q1-q1)", "division by zero in BinOp(op='/', left=Const(value=1.0), "
-                  "right=BinOp(op='-', left=Var(name='q1'), right=Var(name='q1')))"),
+    ("1/(q1-q1)", _DIV_ZERO_Q.format(1)),
+    # Finite in array mode (1/inf = 0); a state alone raises.
+    ("1/(1/(q1-q1))", _DIV_ZERO_Q.format(1)),
 ])
 def test_check_integrability_domain_error(tmp_path, capsys, integral, message):
     cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=1e-3)
@@ -279,6 +284,28 @@ def test_check_integrability_domain_error(tmp_path, capsys, integral, message):
     )
     assert (code, out) == (3, "")
     assert err == f"numerical failure in check-integrability: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # Batches follow the single-state domain rule: each of these exited 0
+    # with a finite or non-finite report before.
+    (["monte-carlo", "--observable", "1/(1/(q2-q2))", "--paths", "64"],
+     "numerical failure in monte-carlo: " + _DIV_ZERO_Q.format(2)),
+    (["monte-carlo", "--observable", "log(q2)", "--paths", "64"],
+     "numerical failure in monte-carlo: log of non-positive value in "
+     "Func(fn='log', arg=Var(name='q2'))"),
+    # Overflow is no domain fault, but the statistics must stay finite.
+    (["monte-carlo", "--observable", "q1*1e300*1e300", "--paths", "64"],
+     "numerical failure in monte_carlo: non-finite values"),
+    # math.cos(inf) used to escape as a bare ValueError (exit 1).
+    (["bracket", "-f", "sin(q1*1e300*1e300)", "-g", "p1"],
+     "numerical failure in bracket: cos of infinite value in Func(fn='cos', "),
+], ids=["mc-inner-division", "mc-log", "mc-overflow", "bracket-trig-of-inf"])
+def test_domain_faults_exit_3(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path, system="dissipative-2d", T=1.0, dt=0.01)
+    code, out, err = run_cli(capsys, argv[0], "--config", cfg, *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_bad_scheme_and_bad_expression(tmp_path, capsys):

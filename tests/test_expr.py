@@ -248,6 +248,18 @@ def test_tape_domain_error_carries_node():
         tape([0.0])
 
 
+@pytest.mark.parametrize("source", ["sin(z*1e300*1e300)", "cos(z*1e300*1e300)"])
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_trig_of_infinity_is_a_domain_error_in_both_evaluators(source, z):
+    e = expr.parse(source, NAMES)
+    with pytest.raises(DomainError) as tree_err:
+        expr.evaluate(e, {"z": z})
+    with pytest.raises(DomainError) as tape_err:
+        expr.compile_tape(e, ["z"])([z])
+    assert str(tape_err.value) == str(tree_err.value)
+    assert str(tree_err.value).startswith(f"{source[:3]} of infinite value in Func(")
+
+
 def test_eval_accepts_tape():
     e = expr.parse("q1 + 2*z", NAMES)
     tape = expr.compile_tape(e, ["q1", "z"])

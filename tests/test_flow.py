@@ -5,6 +5,7 @@ import pytest
 
 from contactsde import catalog, flow, geometry as geo
 from contactsde.errors import (
+    DomainError,
     IndivisibleFactor,
     InvalidStep,
     MidpointDivergence,
@@ -277,3 +278,73 @@ def test_batch_matches_scalar_paths(system_id, scheme):
     assert np.array_equal(batch, finals)
     alone = flow.integrate_batch_final(system, x0[None], increments[:1], dt, scheme)
     assert np.array_equal(batch[:1], alone)
+
+
+def test_batch_raises_the_domain_error_of_its_first_faulting_row():
+    system = geo.HamiltonianSystem(geo.DarbouxChart(1), "p1^2/2 + log(q1)", ["p1"])
+    states = np.array([[1.0, 0.5, 0.0], [-1.0, 0.5, 0.0], [-2.0, 0.1, 0.0]])
+    path = flow.sample_brownian(1, 10, 1e-3, 5)
+    with pytest.raises(DomainError) as alone:
+        flow.integrate(system, states[1], path)
+    increments = np.broadcast_to(path.increments, (3, 1, 10))
+    with pytest.raises(DomainError) as batch:
+        flow.integrate_batch_final(system, states, increments, path.dt)
+    assert str(batch.value) == str(alone.value)
+    assert str(batch.value).startswith("log of non-positive value")
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per augmented stage
+# ---------------------------------------------------------------------------
+
+def _per_hamiltonian_fields(system):
+    """Augmented fields assembled one Hamiltonian at a time from the public
+    queries: the reference for the one-evaluation stage."""
+    dim, d = system.dim, system.d
+
+    def fields(y):
+        x, jac = y[:dim], y[dim:-1].reshape(dim, dim)
+        out = np.empty((d + 1, dim + dim * dim + 1))
+        for i in range(d + 1):
+            out[i, :dim] = system.vector_field(i, x)
+            out[i, dim:-1] = (system.vector_field_jacobian(i, x) @ jac).ravel()
+            out[i, -1] = -system.reeb_rate(i, x)
+        return out[0], np.ascontiguousarray(out[1:].T)
+
+    return fields
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
+def test_augmented_stage_matches_per_hamiltonian_reference(system_id, scheme):
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    dim = system.dim
+    x0 = np.array(entry.default_initial_state)
+    path = flow.sample_brownian(system.d, 60, _BATCH_DT[system_id], 7)
+    traj = flow.integrate_augmented(system, x0, path, scheme)
+    y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
+    ref = flow._run(_per_hamiltonian_fields(system), y0, path.increments, path.dt,
+                    scheme, "reference", True)
+    got = np.concatenate(
+        [traj.states, traj.jacobians.reshape(-1, dim * dim), traj.log_lambda[:, None]], axis=1
+    )
+    assert got.tobytes() == ref.tobytes()  # bit for bit, signs of zero included
+
+
+def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
+    system = catalog.sasaki_einstein_system()
+    calls = {"eval": 0, "guard": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(system, "_eval", counted("eval", system._eval))
+    monkeypatch.setattr(system.chart, "guard", counted("guard", system.chart.guard))
+    path = flow.sample_brownian(system.d, 5, 1e-4, 2)
+    flow.integrate_augmented(system, [1.0, 1.2, 0.3, -0.4, 0.25], path, "heun")
+    assert calls == {"eval": 10, "guard": 10}  # two Heun stages per step
+

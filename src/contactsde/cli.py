@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -222,7 +221,7 @@ def cmd_simulate(args) -> int:
         t = cfg.t0 + i * cfg.dt
         row = [f"{t:.17g}"]
         row += [f"{v:.17g}" for v in traj.states[i]]
-        row.append(f"{math.exp(traj.log_lambda[i]):.17g}")
+        row.append(f"{ver._conformal_factor(traj.log_lambda[i], 'simulate'):.17g}")
         lines.append(",".join(row) + "\n")
     text = "".join(lines)
     if args.out:
@@ -250,7 +249,7 @@ def cmd_verify_contact(args) -> int:
         "defect_sup": report.errors,
         "fitted_orders": report.orders,
         "max_defect_finest": report.errors[-1],
-        "lambda_final": float(math.exp(traj.log_lambda[-1])),
+        "lambda_final": ver._conformal_factor(traj.log_lambda[-1], "verify-contact"),
         "lambda_max_deviation": lam_dev,
         "strict_contactomorphism": bool(np.all(traj.log_lambda == 0.0)),
     }

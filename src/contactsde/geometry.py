@@ -17,6 +17,14 @@ Sasaki-Einstein chart (dimension 5, coordinates
            - sum_i 3/sin(theta_i) H_theta_i d/dphi_i
            + 3 (H + sum_i cot(theta_i) H_theta_i) d/dpsi
 
+Each chart states its contact structure once, as expressions over its
+coordinates: the components of eta, the structural upper entries of d_eta
+(``d_eta_upper_entries_exprs``) and its constant Reeb field.  A shared base
+class compiles that statement and derives every other form from it: the
+numeric ``eta``, ``d_eta``, ``d_eta_upper`` and ``reeb`` at a state or a
+batch, through the module's one tape evaluator ``_eval``, and the symbolic
+``reeb_derivative_expr``.  Each chart writes ``X_H`` out as above.
+
 The coordinate formulas above are normative.  Contracting them into the
 defining relations gives ``eta(X_H) = sigma H`` with a chart-dependent sign
 ``sigma`` (Darboux: -1, Sasaki-Einstein: +1); ``check_intrinsic_relations``
@@ -25,6 +33,7 @@ formula.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,11 +54,86 @@ __all__ = [
 SIN_GUARD = 1e-9  # reject Sasaki-Einstein states with |sin(theta_i)| below this
 
 
+def _eval(tapes, x: np.ndarray) -> np.ndarray:
+    """Values of ``tapes`` at ``x``: shape (len(tapes),) for one state,
+    (B, len(tapes)) for a batch.  One state runs the tapes on Python floats
+    (scalar mode, with domain checks); a batch runs them on its columns
+    (array mode).
+
+    One domain rule serves both: a batch raises the ``DomainError`` that its
+    first faulting row raises alone.  Array mode runs with numpy's
+    floating-point flags raising; on a flag the rows are replayed in scalar
+    mode, in order.  If no row raises (an overflow, say), the batch is
+    evaluated again with the flags ignored and its non-finite values are
+    left to the caller's screen."""
+    if x.ndim == 1:
+        values = x.tolist()
+        return np.array([t(values) for t in tapes])
+    columns = list(x.T)
+    out = np.empty((x.shape[0], len(tapes)))
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            for r, tape in enumerate(tapes):
+                out[:, r] = tape(columns)
+    except FloatingPointError:
+        for row in x:
+            _eval(tapes, row)
+        with np.errstate(all="ignore"):
+            for r, tape in enumerate(tapes):
+                out[:, r] = tape(columns)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------
 
-class DarbouxChart:
+class _ContactChart:
+    """Every form of a chart's contact structure, derived from the one
+    statement the chart makes of it: ``eta_exprs()``, the components of eta;
+    ``d_eta_upper_entries_exprs()``, the structural entries ``(a, b, expr)``
+    of d_eta with a < b, whose (b, a) entries are the exact negatives; and
+    ``reeb_field``, the constant Reeb field.  The numeric forms take a state
+    (dim,) or a batch (B, dim) and run compiled tapes through ``_eval``."""
+
+    def __init__(self):
+        layout = self.names
+        self._eta_tapes = tuple(expr.compile_tape(e, layout) for e in self.eta_exprs())
+        entries = self.d_eta_upper_entries_exprs()
+        self._d_eta_slots = tuple((a, b) for a, b, _ in entries)
+        self._d_eta_tapes = tuple(expr.compile_tape(e, layout) for _, _, e in entries)
+
+    def eta(self, x: np.ndarray) -> np.ndarray:
+        return _eval(self._eta_tapes, x)
+
+    def d_eta_upper(self, x: np.ndarray):
+        """Structural entries (a, b, value) of d_eta at ``x``."""
+        values = _eval(self._d_eta_tapes, x)
+        return [(a, b, values[..., k]) for k, (a, b) in enumerate(self._d_eta_slots)]
+
+    def d_eta(self, x: np.ndarray) -> np.ndarray:
+        m = np.zeros((*x.shape[:-1], self.dim, self.dim))
+        for a, b, value in self.d_eta_upper(x):
+            m[..., a, b] = value
+            m[..., b, a] = -value
+        return m
+
+    def reeb(self, x: np.ndarray) -> np.ndarray:
+        return np.array(self.reeb_field)
+
+    def reeb_derivative_expr(self, f: expr.Expr) -> expr.Expr:
+        """iota_R df, summed over the nonzero components of the Reeb field."""
+        return functools.reduce(expr.add, (
+            expr.mul(expr.const(r), expr.differentiate(f, name))
+            for name, r in zip(self.names, self.reeb_field) if r != 0.0
+        ))
+
+    def guard_batch(self, states: np.ndarray) -> None:
+        # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
+        self.guard(states)
+
+
+class DarbouxChart(_ContactChart):
     """Canonical chart: eta = dz - p dq, Reeb field d/dz, sigma = -1."""
 
     kind = "darboux"
@@ -65,35 +149,17 @@ class DarbouxChart:
             + [f"p{j}" for j in range(1, n + 1)]
             + ["z"]
         )
-        m = np.zeros((self.dim, self.dim))
-        for j in range(n):
-            m[j, n + j] = 1.0
-            m[n + j, j] = -1.0
-        m.setflags(write=False)
-        self._d_eta = m
+        self.reeb_field = (0.0,) * (2 * n) + (1.0,)
+        super().__init__()
 
-    def eta(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[: self.n] = -x[self.n: 2 * self.n]
-        out[-1] = 1.0
-        return out
+    def eta_exprs(self) -> list:
+        n = self.n
+        return ([expr.negate(expr.var(f"p{j}")) for j in range(1, n + 1)]
+                + [expr.const(0.0)] * n + [expr.const(1.0)])
 
-    def d_eta(self, x: np.ndarray) -> np.ndarray:
-        return self._d_eta
-
-    def d_eta_upper_entries_exprs(self):
-        """Structural entries (a, b, coefficient) of d_eta with a < b; the
-        (b, a) entries are the exact negatives."""
+    def d_eta_upper_entries_exprs(self) -> list:
         one = expr.const(1.0)
         return [(j, self.n + j, one) for j in range(self.n)]
-
-    def d_eta_upper(self, x: np.ndarray):
-        return [(j, self.n + j, 1.0) for j in range(self.n)]
-
-    def reeb(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[-1] = 1.0
-        return out
 
     def vector_field_exprs(self, h: expr.Expr) -> list:
         n = self.n
@@ -109,21 +175,14 @@ class DarbouxChart:
         comps.append(acc)
         return comps
 
-    def reeb_derivative_expr(self, f: expr.Expr) -> expr.Expr:
-        return expr.differentiate(f, "z")
-
     def guard(self, x: np.ndarray) -> None:
         pass
-
-    def guard_batch(self, states: np.ndarray) -> None:
-        # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
-        self.guard(states)
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-2.0, 2.0, size=(count, self.dim))
 
 
-class SasakiEinsteinChart:
+class SasakiEinsteinChart(_ContactChart):
     """Homogeneous toric chart on the five-dimensional space T^{1,1}."""
 
     kind = "sasaki-einstein"
@@ -131,34 +190,19 @@ class SasakiEinsteinChart:
     n = 2
     dim = 5
     names = ("theta1", "theta2", "phi1", "phi2", "psi")
+    reeb_field = (0.0, 0.0, 0.0, 0.0, 3.0)
 
-    def eta(self, x: np.ndarray) -> np.ndarray:
-        return np.array([0.0, 0.0, math.cos(x[0]) / 3.0, math.cos(x[1]) / 3.0, 1.0 / 3.0])
+    def eta_exprs(self) -> list:
+        three = expr.const(3.0)
+        return [expr.const(0.0), expr.const(0.0),
+                expr.div(expr.cos(expr.var("theta1")), three),
+                expr.div(expr.cos(expr.var("theta2")), three),
+                expr.const(1.0 / 3.0)]
 
-    def d_eta(self, x: np.ndarray) -> np.ndarray:
-        m = np.zeros((5, 5))
-        s1 = math.sin(x[0]) / 3.0
-        s2 = math.sin(x[1]) / 3.0
-        m[0, 2] = -s1
-        m[2, 0] = s1
-        m[1, 3] = -s2
-        m[3, 1] = s2
-        return m
-
-    def d_eta_upper_entries_exprs(self):
-        third = expr.const(1.0 / 3.0)
-        s1 = expr.mul(third, expr.sin(expr.var("theta1")))
-        s2 = expr.mul(third, expr.sin(expr.var("theta2")))
-        return [(0, 2, expr.negate(s1)), (1, 3, expr.negate(s2))]
-
-    def d_eta_upper(self, x: np.ndarray):
-        return [
-            (0, 2, -np.sin(x[..., 0]) / 3.0),
-            (1, 3, -np.sin(x[..., 1]) / 3.0),
-        ]
-
-    def reeb(self, x: np.ndarray) -> np.ndarray:
-        return np.array([0.0, 0.0, 0.0, 0.0, 3.0])
+    def d_eta_upper_entries_exprs(self) -> list:
+        three = expr.const(3.0)
+        return [(i, i + 2, expr.negate(expr.div(expr.sin(expr.var(f"theta{i + 1}")), three)))
+                for i in range(2)]
 
     def vector_field_exprs(self, h: expr.Expr) -> list:
         three = expr.const(3.0)
@@ -182,9 +226,6 @@ class SasakiEinsteinChart:
         comps.append(expr.mul(three, acc))
         return comps
 
-    def reeb_derivative_expr(self, f: expr.Expr) -> expr.Expr:
-        return expr.mul(expr.const(3.0), expr.differentiate(f, "psi"))
-
     def guard(self, x: np.ndarray) -> None:
         """Reject a state (5,) or a batch (B, 5) near sin(theta_i) = 0."""
         if x.ndim > 1:
@@ -194,10 +235,6 @@ class SasakiEinsteinChart:
             raise SingularChartPoint(
                 f"|sin(theta_i)| below {SIN_GUARD:g} at theta=({x[0]!r}, {x[1]!r})"
             )
-
-    def guard_batch(self, states: np.ndarray) -> None:
-        # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
-        self.guard(states)
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty((count, 5))
@@ -245,19 +282,10 @@ class HamiltonianSystem:
     def __init__(self, chart, h0, noise=(), constants=None):
         self.chart = chart
         self.constants = dict(constants or {})
-        names = list(chart.names) + list(self.constants)
         self.sources = tuple(
             h if isinstance(h, str) else expr.to_source(h) for h in (h0, *noise)
         )
-        prepared = []
-        for h in (h0, *noise):
-            tree = expr.parse(h, names) if isinstance(h, str) else h
-            prepared.append(expr.substitute(tree, self.constants))
-        for tree in prepared:
-            extra = expr.free_variables(tree) - set(chart.names)
-            if extra:
-                raise ConfigError(f"Hamiltonian references unknown names {sorted(extra)}")
-        self.hamiltonians = tuple(prepared)
+        self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
         layout = chart.names
         self._h_tapes = tuple(expr.compile_tape(h, layout) for h in prepared)
         self._grad_tapes = tuple(
@@ -317,33 +345,8 @@ class HamiltonianSystem:
     # -- evaluation at a state (dim,) or a batch (B, dim) --------------------
 
     def _eval(self, tapes, x: np.ndarray) -> np.ndarray:
-        """Values of ``tapes`` at ``x``: shape (len(tapes),) for one state,
-        (B, len(tapes)) for a batch.  One state runs the tapes on Python
-        floats (scalar mode, with domain checks); a batch runs them on its
-        columns (array mode).
-
-        One domain rule serves both: a batch raises the ``DomainError`` that
-        its first faulting row raises alone.  Array mode runs with numpy's
-        floating-point flags raising; on a flag the rows are replayed in
-        scalar mode, in order.  If no row raises (an overflow, say), the
-        batch is evaluated again with the flags ignored and its non-finite
-        values are left to the caller's screen."""
-        if x.ndim == 1:
-            values = x.tolist()
-            return np.array([t(values) for t in tapes])
-        columns = list(x.T)
-        out = np.empty((x.shape[0], len(tapes)))
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                for r, tape in enumerate(tapes):
-                    out[:, r] = tape(columns)
-        except FloatingPointError:
-            for row in x:
-                self._eval(tapes, row)
-            with np.errstate(all="ignore"):
-                for r, tape in enumerate(tapes):
-                    out[:, r] = tape(columns)
-        return out
+        """Values of ``tapes`` at ``x`` through the module's ``_eval``."""
+        return _eval(tapes, x)
 
     def hamiltonian(self, i: int, x: np.ndarray):
         return self._eval(self._h_tapes[i:i + 1], x)[..., 0]
@@ -429,7 +432,11 @@ def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
     x = np.asarray(x, dtype=float)
     sys.chart.guard(x)
     jf, jg = np.split(sys._eval(sys._jet(f) + sys._jet(g), x), 2)
-    return float(_bracket(sys.chart, x, jf, jg))
+    with np.errstate(all="ignore"):
+        value = float(_bracket(sys.chart, x, jf, jg))
+    if not math.isfinite(value):
+        raise NumericalFailure("jacobi_bracket", "non-finite values")
+    return value
 
 
 def jacobi_bracket_expr(sys: HamiltonianSystem, f, g) -> expr.Expr:
@@ -540,16 +547,19 @@ def check_integrability(
         raise NumericalFailure("check_integrability", "non-finite values")
     jets = jets.reshape(len(states), n + 1, sys.dim + 2)
 
-    def sup(i, j):
-        return np.abs(_bracket(sys.chart, states, jets[:, i], jets[:, j])).max()
+    def bracket(i, j):
+        return _bracket(sys.chart, states, jets[:, i], jets[:, j])
 
     with np.errstate(all="ignore"):
         # [h_i, 1]: the d_eta term vanishes for a constant only after
         # contraction, so compute it honestly.
-        max_reeb = max(sup(i, 0) for i in range(1, n + 1))
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        max_pair = max((sup(i, j) for i, j in pairs), default=0.0)
+        reeb = np.array([bracket(i, 0) for i in range(1, n + 1)])
+        pair = np.array([bracket(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
         min_sv = np.linalg.svd(jets[:, :, :sys.dim], compute_uv=False)[:, -1].min()
+    if not (np.isfinite(reeb).all() and np.isfinite(pair).all()):
+        raise NumericalFailure("check_integrability", "non-finite values")
+    max_reeb = np.abs(reeb).max()
+    max_pair = np.abs(pair).max(initial=0.0)
 
     passed = max_pair <= tol and max_reeb <= tol and min_sv >= independence_tol
     return IntegrabilityReport(

@@ -150,6 +150,15 @@ def _fitted_orders(errors: Sequence[float]) -> list:
 # Structure checks
 # ---------------------------------------------------------------------------
 
+def _conformal_factor(log_lambda: float, operation: str) -> float:
+    """lambda = exp(log_lambda); an overflow is a ``NumericalFailure`` of
+    ``operation``."""
+    try:
+        return math.exp(log_lambda)
+    except OverflowError:
+        raise NumericalFailure(operation, "conformal factor overflows") from None
+
+
 def contact_defect(traj: AugmentedTrajectory, chart) -> ContactDefectReport:
     """Residual eta(x_t) J_t - lambda_t eta(x_0) per time, with sup norms.
 
@@ -162,7 +171,8 @@ def contact_defect(traj: AugmentedTrajectory, chart) -> ContactDefectReport:
     residuals = np.empty((n, chart.dim))
     for i in range(n):
         eta_t = chart.eta(traj.states[i])
-        residuals[i] = eta_t @ traj.jacobians[i] - math.exp(traj.log_lambda[i]) * eta0
+        lam = _conformal_factor(traj.log_lambda[i], "contact_defect")
+        residuals[i] = eta_t @ traj.jacobians[i] - lam * eta0
     sups = np.max(np.abs(residuals), axis=1)
     return ContactDefectReport(
         times=traj.times.copy(),
@@ -181,7 +191,7 @@ def conformal_factor_check(traj: AugmentedTrajectory, closed_form) -> float:
     tape = expr.compile_tape(cf, ["t"])
     dev = 0.0
     for t, ll in zip(traj.times.tolist(), traj.log_lambda):
-        dev = max(dev, abs(math.exp(ll) - tape([t])))
+        dev = max(dev, abs(_conformal_factor(ll, "conformal_factor_check") - tape([t])))
     return dev
 
 

@@ -300,12 +300,35 @@ def test_check_integrability_domain_error(tmp_path, capsys, integral, message):
     # math.cos(inf) used to escape as a bare ValueError (exit 1).
     (["bracket", "-f", "sin(q1*1e300*1e300)", "-g", "p1"],
      "numerical failure in bracket: cos of infinite value in Func(fn='cos', "),
-], ids=["mc-inner-division", "mc-log", "mc-overflow", "bracket-trig-of-inf"])
+    # Finite jets whose bracket overflows: these printed Infinity, which is
+    # not strict JSON.
+    (["bracket", "-f", "q1*1e200", "-g", "p1*1e200"],
+     "numerical failure in jacobi_bracket: non-finite values"),
+    (["check-integrability", "--integral", "1", "--integral", "q1*1e200",
+      "--integral", "p1*1e200", "--samples", "5", "--seed", "1"],
+     "numerical failure in check_integrability: non-finite values"),
+], ids=["mc-inner-division", "mc-log", "mc-overflow", "bracket-trig-of-inf",
+        "bracket-overflow", "integrability-overflow"])
 def test_domain_faults_exit_3(tmp_path, capsys, argv, message):
     cfg = write_config(tmp_path, system="dissipative-2d", T=1.0, dt=0.01)
     code, out, err = run_cli(capsys, argv[0], "--config", cfg, *argv[1:])
     assert (code, out) == (3, "")
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, operation", [
+    ("simulate", "simulate"), ("verify-contact", "contact_defect"),
+], ids=["simulate", "verify-contact"])
+def test_conformal_factor_overflow_exit_3(tmp_path, capsys, command, operation):
+    # log(lambda) reaches 1000 at T = 1, where exp overflows a double.
+    cfg = write_config(
+        tmp_path,
+        system={"chart": "darboux", "n": 1, "h0": "-1000*z", "noise": [], "constants": {}},
+        T=1.0, dt=0.01, initial_state=[0.1, 0.2, 0.3],
+    )
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (3, "")
+    assert err == f"numerical failure in {operation}: conformal factor overflows\n"
 
 
 def test_bad_scheme_and_bad_expression(tmp_path, capsys):

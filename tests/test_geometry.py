@@ -97,6 +97,88 @@ def test_contact_nondegeneracy(chart):
         assert geo.contact_nondegeneracy(chart, x) > 1e-8
 
 
+def hand_forms(chart, x):
+    """eta, d_eta, d_eta's upper entries and the Reeb field written out by
+    hand, independently of the charts' stated expressions: math trig at a
+    state, numpy trig at a batch and in the upper entries."""
+    trig = math if x.ndim == 1 else np
+    eta = np.zeros(x.shape)
+    d_eta = np.zeros((*x.shape[:-1], chart.dim, chart.dim))
+    reeb = np.zeros(chart.dim)
+    if chart.kind == "darboux":
+        n = chart.n
+        eta[..., :n] = -x[..., n:2 * n]
+        eta[..., -1] = 1.0
+        for j in range(n):
+            d_eta[..., j, n + j] = 1.0
+            d_eta[..., n + j, j] = -1.0
+        upper = [(j, n + j, 1.0) for j in range(n)]
+        reeb[-1] = 1.0
+    else:
+        eta[..., 2] = trig.cos(x[..., 0]) / 3.0
+        eta[..., 3] = trig.cos(x[..., 1]) / 3.0
+        eta[..., 4] = 1.0 / 3.0
+        s1 = trig.sin(x[..., 0]) / 3.0
+        s2 = trig.sin(x[..., 1]) / 3.0
+        d_eta[..., 0, 2] = -s1
+        d_eta[..., 2, 0] = s1
+        d_eta[..., 1, 3] = -s2
+        d_eta[..., 3, 1] = s2
+        upper = [(0, 2, -np.sin(x[..., 0]) / 3.0), (1, 3, -np.sin(x[..., 1]) / 3.0)]
+        reeb[4] = 3.0
+    return eta, d_eta, upper, reeb
+
+
+CHARTS = [geo.DarbouxChart(1), geo.DarbouxChart(2), geo.SasakiEinsteinChart()]
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=["darboux1", "darboux2", "se"])
+def test_chart_forms_match_hand_formulas(chart):
+    states = geo.sample_states(chart, 50, seed=3)
+    for x in (*states, states):
+        eta, d_eta, upper, reeb = hand_forms(chart, x)
+        assert np.array_equal(chart.eta(x), eta)
+        assert np.array_equal(chart.d_eta(x), d_eta)
+        assert np.array_equal(chart.reeb(x), reeb)
+        derived = chart.d_eta_upper(x)
+        assert [(a, b) for a, b, _ in derived] == [(a, b) for a, b, _ in upper]
+        for (_, _, value), (_, _, ref) in zip(derived, upper):
+            assert np.array_equal(value, np.broadcast_to(ref, x.shape[:-1]))
+
+
+@pytest.mark.parametrize("chart, sources", [
+    (CHARTS[0], ["1", "z", "-q1", "p1^2/2 + q1*z", "exp(z)*sin(p1)"]),
+    (CHARTS[1], ["q1*p2 + z^2", "log(z)/p1"]),
+    (CHARTS[2], ["1", "psi", "cos(theta1)/3", "phi1*sin(psi)", "psi^2 - theta2"]),
+], ids=["darboux1", "darboux2", "se"])
+def test_reeb_derivative_expr_matches_hand_tree(chart, sources):
+    for source in sources:
+        f = expr.parse(source, chart.names)
+        if chart.kind == "darboux":
+            hand = expr.differentiate(f, "z")
+        else:
+            hand = expr.mul(expr.const(3.0), expr.differentiate(f, "psi"))
+        assert chart.reeb_derivative_expr(f) == hand
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=["darboux1", "darboux2", "se"])
+def test_stated_d_eta_is_the_exterior_derivative_of_eta(chart):
+    names = chart.names
+    eta = chart.eta_exprs()
+    stated = {(a, b): e for a, b, e in chart.d_eta_upper_entries_exprs()}
+    for x in geo.sample_states(chart, 20, seed=4):
+        ctx = dict(zip(names, map(float, x)))
+        for a in range(chart.dim):
+            for b in range(a + 1, chart.dim):
+                d_ab = expr.sub(expr.differentiate(eta[b], names[a]),
+                                expr.differentiate(eta[a], names[b]))
+                value = expr.evaluate(d_ab, ctx)
+                if (a, b) in stated:
+                    assert abs(expr.evaluate(stated[(a, b)], ctx) - value) <= 1e-15
+                else:
+                    assert value == 0.0
+
+
 def test_d_eta_antisymmetric():
     for chart in (geo.DarbouxChart(2), geo.SasakiEinsteinChart()):
         x = geo.sample_states(chart, 1, seed=1)[0]

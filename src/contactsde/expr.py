@@ -16,9 +16,12 @@ to a numeric constant at parse time (variable exponents are rejected), which
 keeps differentiation closed over the node types below.
 
 Compiled tapes (:func:`compile_tape`) do all of the package's numeric
-evaluation, on one state or on a batch.  The tree evaluator
-(:func:`evaluate`) is the reference oracle: a tape in scalar mode performs
-the same operations in the same order and agrees with it bit for bit.
+evaluation, on one state or on a batch.  Each tape runs as a generated
+straight-line Python function.  The tree evaluator (:func:`evaluate`) is the
+reference oracle: a tape in scalar mode performs the same operations in the
+same order and agrees with it bit for bit.  The tree evaluator alone holds
+the domain messages; a tape whose scalar evaluation faults hands its
+expression to it.
 
 Expression trees and compiled tapes are immutable and safe to share across
 threads; evaluation contexts are caller-owned.  The only simplifications ever
@@ -29,6 +32,7 @@ evaluation, not by shape.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -512,96 +516,86 @@ _BINOP_CODE = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}
 _FUNC_CODE = {"neg": OP_NEG, "sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "log": OP_LOG}
 
 
+_UNARY = {OP_NEG: "-{}", OP_SIN: "sin({})", OP_COS: "cos({})", OP_EXP: "exp({})", OP_LOG: "log({})"}
+_BINARY = {OP_ADD: "{} + {}", OP_SUB: "{} - {}", OP_MUL: "{} * {}", OP_DIV: "{} / {}", OP_POW: "pow({}, {})"}
+_SCALAR_FUNCTIONS = (math.pow, math.sin, math.cos, math.exp, math.log)
+_ARRAY_FUNCTIONS = (np.power, np.sin, np.cos, np.exp, np.log)
+
+
+def _source(code) -> str:
+    """Python text of ``make(pow, sin, cos, exp, log, c0, c1, ...)``, which
+    returns a function of ``values`` that runs ``code`` as straight-line
+    statements, one per operation, in postfix order.  Constants are
+    parameters, not literals, so the text depends only on the code's shape."""
+    stack, lines, n_const = [], [], 0
+    for k, (op, arg, _) in enumerate(code):
+        if op == OP_CONST:
+            stack.append(f"c{n_const}")
+            n_const += 1
+        elif op == OP_LOAD:
+            stack.append(f"values[{arg}]")
+        else:
+            if op in _UNARY:
+                rhs = _UNARY[op].format(stack.pop())
+            else:
+                right = stack.pop()
+                rhs = _BINARY[op].format(stack.pop(), right)
+            lines.append(f"        t{k} = {rhs}\n")
+            stack.append(f"t{k}")
+    params = "".join(f", c{i}" for i in range(n_const))
+    return (f"def make(pow, sin, cos, exp, log{params}):\n    def tape(values):\n"
+            + "".join(lines) + f"        return {stack[0]}\n    return tape\n")
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str):
+    namespace = {}
+    exec(compile(source, "<tape>", "exec"), namespace)
+    return namespace["make"]
+
+
 class EvalTape:
     """Flat postfix program compiled from an expression.
 
-    Evaluating the tape performs exactly the same floating-point operations
-    in exactly the same order as the tree evaluator, so scalar results agree
-    bit for bit.  Slot values may also be equal-length numpy arrays, in which
-    case the tape evaluates elementwise over the whole batch.  Array mode
-    makes no domain checks of its own: ``HamiltonianSystem._eval`` runs it
-    with numpy's floating-point flags raising and replays a faulting batch
-    in scalar mode, so its callers need not.
+    ``code`` is run as one generated straight-line Python function per mode;
+    their text is compiled once per distinct code shape.  Scalar mode
+    (slot values are Python floats; other scalars are converted) calls
+    ``math`` functions and performs exactly the same floating-point
+    operations in exactly the same order as the tree evaluator, so results
+    agree bit for bit.  Where Python raises (division by zero, a math domain
+    error, an overflow), the tape evaluates its expression with the tree
+    evaluator, which raises the ``DomainError`` that names the node: the tree
+    evaluator alone holds the domain messages.  When the first slot value is
+    a numpy array the tape runs in array mode, elementwise over the whole
+    batch with numpy ufuncs and float64 constants, and makes no domain
+    checks of its own: ``HamiltonianSystem._eval`` runs it with numpy's
+    floating-point flags raising and replays a faulting batch in scalar
+    mode, so its callers need not.  A tape pickles as ``(code, layout)``.
     """
 
-    __slots__ = ("code", "layout")
+    __slots__ = ("code", "layout", "_scalar", "_array")
 
     def __init__(self, code, layout):
         self.code = tuple(code)
         self.layout = tuple(layout)
+        make = _factory(_source(self.code))
+        consts = [arg for op, arg, _ in self.code if op == OP_CONST]
+        self._scalar = make(*_SCALAR_FUNCTIONS, *consts)
+        self._array = make(*_ARRAY_FUNCTIONS, *map(np.float64, consts))
 
     def __call__(self, values):
-        stack = []
-        push = stack.append
-        pop = stack.pop
-        for op, arg, node in self.code:
-            if op == OP_LOAD:
-                push(values[arg])
-            elif op == OP_CONST:
-                push(arg)
-            elif op == OP_ADD:
-                r = pop()
-                stack[-1] = stack[-1] + r
-            elif op == OP_SUB:
-                r = pop()
-                stack[-1] = stack[-1] - r
-            elif op == OP_MUL:
-                r = pop()
-                stack[-1] = stack[-1] * r
-            elif op == OP_DIV:
-                r = pop()
-                if isinstance(r, float):
-                    if r == 0.0:
-                        raise DomainError("division by zero", node)
-                stack[-1] = stack[-1] / r
-            elif op == OP_NEG:
-                stack[-1] = -stack[-1]
-            elif op == OP_SIN:
-                v = stack[-1]
-                if isinstance(v, float):
-                    try:
-                        stack[-1] = math.sin(v)
-                    except ValueError:
-                        raise DomainError("sin of infinite value", node) from None
-                else:
-                    stack[-1] = np.sin(v)
-            elif op == OP_COS:
-                v = stack[-1]
-                if isinstance(v, float):
-                    try:
-                        stack[-1] = math.cos(v)
-                    except ValueError:
-                        raise DomainError("cos of infinite value", node) from None
-                else:
-                    stack[-1] = np.cos(v)
-            elif op == OP_EXP:
-                v = stack[-1]
-                if isinstance(v, float):
-                    try:
-                        stack[-1] = math.exp(v)
-                    except OverflowError:
-                        raise DomainError("exp overflow", node) from None
-                else:
-                    stack[-1] = np.exp(v)
-            elif op == OP_LOG:
-                v = stack[-1]
-                if isinstance(v, float):
-                    if v <= 0.0:
-                        raise DomainError("log of non-positive value", node)
-                    stack[-1] = math.log(v)
-                else:
-                    stack[-1] = np.log(v)
-            else:  # OP_POW
-                r = pop()
-                v = stack[-1]
-                if isinstance(v, float):
-                    try:
-                        stack[-1] = math.pow(v, r)
-                    except (ValueError, OverflowError, ZeroDivisionError):
-                        raise DomainError("invalid power", node) from None
-                else:
-                    stack[-1] = v ** r
-        return stack[0]
+        if self.layout and type(values[0]) is not float:
+            if isinstance(values[0], np.ndarray):
+                return self._array(values)
+            values = [float(v) for v in values]
+        try:
+            return self._scalar(values)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            pass
+        return _eval_tree(self.code[-1][2], dict(zip(self.layout, values)))
+
+    def __reduce__(self):
+        return EvalTape, (self.code, self.layout)
 
     def __len__(self):
         return len(self.code)

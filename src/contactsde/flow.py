@@ -338,7 +338,13 @@ class AugmentedTrajectory:
 
     @property
     def conformal_factor(self) -> np.ndarray:
-        return np.exp(self.log_lambda)
+        """lambda = exp(log_lambda) per time; an overflow is a
+        ``NumericalFailure``."""
+        try:
+            with np.errstate(over="raise"):
+                return np.exp(self.log_lambda)
+        except FloatingPointError:
+            raise NumericalFailure("conformal_factor", "conformal factor overflows") from None
 
 
 def integrate_augmented(

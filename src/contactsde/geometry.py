@@ -468,7 +468,7 @@ def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
     Returns ``(flat_correction, scaled_correction)`` where the first is the
     residual of ``[f, gh] = [f,g]h + g[f,h] - [f,1]`` and the second of
     ``[f, gh] = [f,g]h + g[f,h] - g h [f,1]``.  Diagnostic only; no rule is
-    asserted.
+    asserted.  A non-finite bracket is a ``NumericalFailure``.
     """
     x = np.asarray(x, dtype=float)
     sys.chart.guard(x)
@@ -476,7 +476,11 @@ def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
     h = sys.prepare(h)
     funcs = (f, expr.mul(g, h), g, h, expr.const(1.0))
     jf, jgh, jg, jh, j1 = np.split(sys._eval(sum(map(sys._jet, funcs), ()), x), 5)
-    b_gh, b_g, b_h, b_1 = (float(_bracket(sys.chart, x, jf, j)) for j in (jgh, jg, jh, j1))
+    with np.errstate(all="ignore"):
+        brackets = [float(_bracket(sys.chart, x, jf, j)) for j in (jgh, jg, jh, j1)]
+    if not all(map(math.isfinite, brackets)):
+        raise NumericalFailure("weak_leibniz_diagnostic", "non-finite values")
+    b_gh, b_g, b_h, b_1 = brackets
     gv, hv = float(jg[-2]), float(jh[-2])
     flat = b_gh - (b_g * hv + gv * b_h - b_1)
     scaled = b_gh - (b_g * hv + gv * b_h - gv * hv * b_1)

@@ -200,6 +200,7 @@ def test_tape_single_push_for_constant():
     assert len(tape) == 1
     assert tape.code[0][0] == expr.OP_CONST
     assert tape([0.0] * len(NAMES)) == 1.0
+    assert expr.compile_tape(expr.Const(1.0), [])([]) == 1.0
 
 
 def test_tape_loads_and_divide():
@@ -225,7 +226,10 @@ def test_tape_matches_tree_bitwise(rng):
             values = [ctx[n] for n in names]
             try:
                 tree_val = expr.evaluate(e, ctx)
-            except DomainError:
+            except DomainError as tree_err:
+                with pytest.raises(DomainError) as tape_err:
+                    tape(values)
+                assert str(tape_err.value) == str(tree_err)
                 continue
             assert tape(values) == tree_val  # identical ops in identical order
             matched += 1
@@ -243,9 +247,15 @@ def test_tape_batch_matches_scalar(rng):
 
 
 def test_tape_domain_error_carries_node():
-    tape = expr.compile_tape(expr.parse("1/z", NAMES), ["z"])
-    with pytest.raises(DomainError):
+    e = expr.parse("1/z", NAMES)
+    tape = expr.compile_tape(e, ["z"])
+    expected = f"division by zero in {e!r}"
+    with pytest.raises(DomainError) as err:
         tape([0.0])
+    assert str(err.value) == expected
+    with pytest.raises(DomainError) as err:
+        expr.evaluate(tape, {"z": np.float64(0.0)})
+    assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("source", ["sin(z*1e300*1e300)", "cos(z*1e300*1e300)"])

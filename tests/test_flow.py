@@ -9,6 +9,7 @@ from contactsde.errors import (
     IndivisibleFactor,
     InvalidStep,
     MidpointDivergence,
+    NumericalFailure,
 )
 from contactsde.flow import _heun_step
 
@@ -253,6 +254,18 @@ def test_deterministic_conformal_factor_quadrature():
         devs.append(np.max(np.abs(np.exp(traj.log_lambda) - exact)))
     assert devs[0] <= 5e-7
     assert 3.0 <= devs[0] / devs[1] <= 5.0
+
+
+def test_conformal_factor_overflow_is_a_numerical_failure():
+    # log(lambda) reaches 1000 at T = 1, where exp overflows a double.
+    sysz = geo.HamiltonianSystem(geo.DarbouxChart(1), "-1000*z")
+    traj = flow.integrate_augmented(sysz, [0.1, 0.2, 0.3], flow.sample_brownian(0, 100, 0.01, 0))
+    with pytest.raises(NumericalFailure) as err:
+        traj.conformal_factor
+    assert (err.value.operation, str(err.value)) == ("conformal_factor", "conformal factor overflows")
+    head = flow.AugmentedTrajectory(
+        traj.times[:51], traj.states[:51], traj.jacobians[:51], traj.log_lambda[:51])
+    assert np.array_equal(head.conformal_factor, np.exp(head.log_lambda))
 
 
 # ---------------------------------------------------------------------------

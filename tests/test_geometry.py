@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from contactsde import expr, geometry as geo
 from contactsde.errors import (
     ConfigError,
+    DomainError,
     NumericalFailure,
     SingularChartPoint,
     UnknownIdentifier,
@@ -242,6 +244,32 @@ def test_hamiltonian_and_reeb_rate_take_a_batch(dissipative, sasaki_einstein):
                 assert np.array_equal(query(i, states), rows)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("1/0", "division by zero"),
+    ("log(0)", "log of non-positive value"),
+    ("exp(1000)", "exp overflow"),
+    ("(-8)^(1/3)", "invalid power"),
+    ("sin(1e400)", "sin of infinite value"),
+    ("1/(q1-q1)", "division by zero"),
+])
+def test_domain_fault_names_its_node_for_a_state_and_a_batch(fault, message):
+    system = geo.HamiltonianSystem(geo.DarbouxChart(1), f"q1 + {fault}")
+    expected = f"{message} in {expr.parse(fault, ['q1'])!r}"
+    states = np.array([[0.5, 0.1, 0.2], [0.7, -0.3, 0.4]])
+    for x in (states[0], states):
+        with pytest.raises(DomainError) as err:
+            system.hamiltonian(0, x)
+        assert str(err.value) == expected
+
+
+def test_system_pickle_round_trip(sasaki_einstein):
+    clone = pickle.loads(pickle.dumps(sasaki_einstein))
+    states = geo.sample_states(sasaki_einstein.chart, 4, seed=2)
+    for x in (states[0], states):
+        for ours, theirs in zip(sasaki_einstein.drift_diffusion(x), clone.drift_diffusion(x)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
 def test_system_jacobian_matches_fd(dissipative, sasaki_einstein, rng):
     for system in (dissipative, sasaki_einstein):
         chart = system.chart
@@ -378,6 +406,13 @@ def test_weak_leibniz_diagnostic(darboux1, rng):
         assert abs(scaled) <= 1e-9
         saw_flat_fail = saw_flat_fail or abs(flat) > 1e-3
     assert saw_flat_fail  # the unscaled correction is not the product rule
+
+
+def test_weak_leibniz_diagnostic_screens_its_brackets(dissipative):
+    x = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
+    with pytest.raises(NumericalFailure) as err:
+        geo.weak_leibniz_diagnostic(dissipative, "q1*1e200", "p1*1e200", "1", x)
+    assert (err.value.operation, str(err.value)) == ("weak_leibniz_diagnostic", "non-finite values")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ Catalog ids:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -86,6 +87,9 @@ class CatalogEntry:
         unknown = set(overrides) - set(params)
         if unknown:
             raise ConfigError(f"unknown parameters for {self.id!r}: {sorted(unknown)}")
+        for name, value in overrides.items():
+            if isinstance(params[name], float) and not isinstance(value, numbers.Real):
+                raise ConfigError(f"parameter {name!r} must be a number, got {value!r}")
         params.update(overrides)
         return self.build(**params)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -77,17 +77,18 @@ class RunConfig:
     def to_dict(self) -> dict:
         # workers is an execution detail, deliberately left out: reports must
         # be byte-identical for any worker count.
-        return {
-            "system": self.system,
-            "t0": self.t0,
-            "T": self.T,
-            "dt": self.dt,
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "initial_state": self.initial_state,
-            "params": self.params,
-            "conformal_factor": self.conformal_factor,
-        }
+        data = asdict(self)
+        del data["workers"]
+        return data
+
+
+def _number(data: dict, name: str, kind, default):
+    """Config field ``name`` converted by ``kind``; ``default`` if absent."""
+    value = data.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 def load_config(path: Optional[str], args) -> RunConfig:
@@ -100,22 +101,17 @@ def load_config(path: Optional[str], args) -> RunConfig:
             raise ConfigError(f"cannot read config: {e}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
-    known = {
-        "system", "t0", "T", "dt", "scheme", "seed", "initial_state",
-        "params", "workers", "conformal_factor",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(system=data.get("system", "dissipative-2d"))
     for name in ("t0", "T", "dt"):
-        if name in data:
-            setattr(cfg, name, float(data[name]))
+        setattr(cfg, name, _number(data, name, float, getattr(cfg, name)))
     cfg.scheme = data.get("scheme", cfg.scheme)
-    cfg.seed = int(data.get("seed", cfg.seed))
+    cfg.seed = _number(data, "seed", int, cfg.seed)
     cfg.initial_state = data.get("initial_state")
     cfg.params = dict(data.get("params", {}))
-    cfg.workers = int(data.get("workers", 1))
+    cfg.workers = _number(data, "workers", int, 1)
     cfg.conformal_factor = data.get("conformal_factor")
 
     if getattr(args, "seed", None) is not None:
@@ -153,10 +149,13 @@ def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
         raise ConfigError("system must be a catalog id or an inline object")
     inline = dict(cfg.system)
     chart = geo.chart_by_id(inline.get("chart"), inline.get("n"))
+    noise = inline.get("noise", [])
+    if not isinstance(noise, list) or not all(isinstance(h, str) for h in noise):
+        raise ConfigError(f"noise must be a list of expressions, got {noise!r}")
     system = geo.HamiltonianSystem(
         chart,
         inline.get("h0", "0"),
-        inline.get("noise", []),
+        noise,
         constants=inline.get("constants", {}),
     )
     if cfg.initial_state is None:
@@ -164,12 +163,23 @@ def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
     return system
 
 
-def n_steps_for(cfg: RunConfig) -> int:
-    return _n_steps(cfg.T - cfg.t0, cfg.dt)
+def path_setup(args) -> tuple:
+    """``(cfg, system, x0, path)`` of a command that integrates the seeded
+    Brownian path of its configured grid."""
+    cfg = load_config(args.config, args)
+    system = resolve_system(cfg)
+    n = _n_steps(cfg.T - cfg.t0, cfg.dt)
+    x0 = initial_state(cfg, system)
+    return cfg, system, x0, sample_brownian(system.d, n, cfg.dt, cfg.seed, t0=cfg.t0)
 
 
 def initial_state(cfg: RunConfig, system: geo.HamiltonianSystem) -> np.ndarray:
-    x0 = np.asarray(cfg.initial_state, dtype=float)
+    try:
+        x0 = np.asarray(cfg.initial_state, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"initial_state must be a list of numbers, got {cfg.initial_state!r}"
+        ) from None
     if x0.shape != (system.dim,):
         raise ConfigError(
             f"initial_state must have length {system.dim}, got {x0.shape}"
@@ -209,15 +219,11 @@ def cmd_list_systems(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args)
-    system = resolve_system(cfg)
-    n = n_steps_for(cfg)
-    x0 = initial_state(cfg, system)
-    path = sample_brownian(system.d, n, cfg.dt, cfg.seed, t0=cfg.t0)
+    cfg, system, x0, path = path_setup(args)
     traj = integrate_augmented(system, x0, path, cfg.scheme)
     header = "t," + ",".join(system.chart.names) + ",lambda\n"
     lines = [header]
-    for i in range(n + 1):
+    for i in range(path.n_steps + 1):
         t = cfg.t0 + i * cfg.dt
         row = [f"{t:.17g}"]
         row += [f"{v:.17g}" for v in traj.states[i]]
@@ -234,11 +240,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_contact(args) -> int:
-    cfg = load_config(args.config, args)
-    system = resolve_system(cfg)
-    n = n_steps_for(cfg)
-    x0 = initial_state(cfg, system)
-    finest = sample_brownian(system.d, n, cfg.dt, cfg.seed, t0=cfg.t0)
+    cfg, system, x0, finest = path_setup(args)
     report, traj = ver._defect_ladder(system, x0, finest, cfg.scheme, args.levels)
     lam_dev = None
     if cfg.conformal_factor is not None:
@@ -313,11 +315,7 @@ def cmd_monte_carlo(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = load_config(args.config, args)
-    system = resolve_system(cfg)
-    n = n_steps_for(cfg)
-    x0 = initial_state(cfg, system)
-    finest = sample_brownian(system.d, n, cfg.dt, cfg.seed, t0=cfg.t0)
+    cfg, system, x0, finest = path_setup(args)
     report = ver.convergence_study(system, x0, finest, cfg.scheme, args.levels)
     payload = {"config": cfg.to_dict()}
     payload.update(report.to_dict())

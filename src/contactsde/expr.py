@@ -16,12 +16,13 @@ to a numeric constant at parse time (variable exponents are rejected), which
 keeps differentiation closed over the node types below.
 
 Compiled tapes (:func:`compile_tape`) do all of the package's numeric
-evaluation, on one state or on a batch.  Each tape runs as a generated
-straight-line Python function.  The tree evaluator (:func:`evaluate`) is the
-reference oracle: a tape in scalar mode performs the same operations in the
-same order and agrees with it bit for bit.  The tree evaluator alone holds
-the domain messages; a tape whose scalar evaluation faults hands its
-expression to it.
+evaluation, on one state or on a batch.  A tape compiles one expression or a
+set of them into one generated straight-line Python function that computes
+each distinct subterm once.  The tree evaluator (:func:`evaluate`) is the
+reference oracle: a tape in scalar mode performs the same operations on
+every root and agrees with it bit for bit.  The tree evaluator alone holds
+the domain messages; a tape whose scalar evaluation faults hands its roots
+to it in order.
 
 Expression trees and compiled tapes are immutable and safe to share across
 threads; evaluation contexts are caller-owned.  The only simplifications ever
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -499,52 +501,51 @@ def to_source(e: Expr) -> str:
 # Compiled evaluation tapes
 # ---------------------------------------------------------------------------
 
-OP_CONST = 0
-OP_LOAD = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_POW = 6
-OP_NEG = 7
-OP_SIN = 8
-OP_COS = 9
-OP_EXP = 10
-OP_LOG = 11
-
-_BINOP_CODE = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "^": OP_POW}
-_FUNC_CODE = {"neg": OP_NEG, "sin": OP_SIN, "cos": OP_COS, "exp": OP_EXP, "log": OP_LOG}
-
-
-_UNARY = {OP_NEG: "-{}", OP_SIN: "sin({})", OP_COS: "cos({})", OP_EXP: "exp({})", OP_LOG: "log({})"}
-_BINARY = {OP_ADD: "{} + {}", OP_SUB: "{} - {}", OP_MUL: "{} * {}", OP_DIV: "{} / {}", OP_POW: "pow({}, {})"}
+_FORMATS = {
+    "+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "pow({}, {})",
+    "neg": "-{}", "sin": "sin({})", "cos": "cos({})", "exp": "exp({})", "log": "log({})",
+}
 _SCALAR_FUNCTIONS = (math.pow, math.sin, math.cos, math.exp, math.log)
 _ARRAY_FUNCTIONS = (np.power, np.sin, np.cos, np.exp, np.log)
 
 
-def _source(code) -> str:
-    """Python text of ``make(pow, sin, cos, exp, log, c0, c1, ...)``, which
-    returns a function of ``values`` that runs ``code`` as straight-line
-    statements, one per operation, in postfix order.  Constants are
-    parameters, not literals, so the text depends only on the code's shape."""
-    stack, lines, n_const = [], [], 0
-    for k, (op, arg, _) in enumerate(code):
-        if op == OP_CONST:
-            stack.append(f"c{n_const}")
-            n_const += 1
-        elif op == OP_LOAD:
-            stack.append(f"values[{arg}]")
+def _source(exprs, layout) -> tuple:
+    """``(text, constants, operations)`` of ``make(pow, sin, cos, exp, log,
+    c0, c1, ...)``, which returns a function of ``values`` computing each
+    distinct subterm of ``exprs`` once, in tree-evaluator order.  Constants
+    are parameters, not literals (``1e400`` parses to ``inf``), so the text
+    depends only on the shape of ``exprs``."""
+    slots = {name: f"values[{i}]" for i, name in enumerate(layout)}
+    names, consts, lines = {}, [], []
+
+    def walk(node):
+        if isinstance(node, Var):
+            if node.name not in slots:
+                raise UnknownIdentifier(node.name)
+            return slots[node.name]
+        if isinstance(node, Const):
+            # Keyed by bits: 0.0 == -0.0, yet 0.0 - x and -0.0 - x differ at x = 0.
+            key = struct.pack("<d", node.value)
+        elif isinstance(node, BinOp):
+            key = (node.op, walk(node.left), walk(node.right))
         else:
-            if op in _UNARY:
-                rhs = _UNARY[op].format(stack.pop())
+            key = (node.fn, walk(node.arg))
+        if key not in names:
+            if isinstance(node, Const):
+                names[key] = f"c{len(consts)}"
+                consts.append(node.value)
             else:
-                right = stack.pop()
-                rhs = _BINARY[op].format(stack.pop(), right)
-            lines.append(f"        t{k} = {rhs}\n")
-            stack.append(f"t{k}")
-    params = "".join(f", c{i}" for i in range(n_const))
-    return (f"def make(pow, sin, cos, exp, log{params}):\n    def tape(values):\n"
-            + "".join(lines) + f"        return {stack[0]}\n    return tape\n")
+                names[key] = f"t{len(lines)}"
+                lines.append(f"        {names[key]} = {_FORMATS[key[0]].format(*key[1:])}\n")
+        return names[key]
+
+    many = isinstance(exprs, tuple)
+    results = [walk(root) for root in (exprs if many else (exprs,))]
+    value = "(" + "".join(f"{r}, " for r in results) + ")" if many else results[0]
+    params = "".join(f", c{i}" for i in range(len(consts)))
+    text = (f"def make(pow, sin, cos, exp, log{params}):\n    def tape(values):\n"
+            + "".join(lines) + f"        return {value}\n    return tape\n")
+    return text, consts, len(lines)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -555,31 +556,31 @@ def _factory(source: str):
 
 
 class EvalTape:
-    """Flat postfix program compiled from an expression.
+    """``exprs``, one expression or a tuple of them (a tape set), run as one
+    generated straight-line Python function, compiled once per distinct
+    shape.  A call returns the value, or the tuple of values in order;
+    ``len(tape)`` counts the distinct operations the set runs.
 
-    ``code`` is run as one generated straight-line Python function per mode;
-    their text is compiled once per distinct code shape.  Scalar mode
-    (slot values are Python floats; other scalars are converted) calls
-    ``math`` functions and performs exactly the same floating-point
-    operations in exactly the same order as the tree evaluator, so results
-    agree bit for bit.  Where Python raises (division by zero, a math domain
-    error, an overflow), the tape evaluates its expression with the tree
-    evaluator, which raises the ``DomainError`` that names the node: the tree
-    evaluator alone holds the domain messages.  When the first slot value is
-    a numpy array the tape runs in array mode, elementwise over the whole
-    batch with numpy ufuncs and float64 constants, and makes no domain
-    checks of its own: ``HamiltonianSystem._eval`` runs it with numpy's
-    floating-point flags raising and replays a faulting batch in scalar
-    mode, so its callers need not.  A tape pickles as ``(code, layout)``.
+    Scalar mode (slot values are Python floats; other scalars are converted)
+    calls ``math`` functions and performs, for every root, exactly the
+    operations of the tree evaluator, so results agree bit for bit.  Where
+    Python raises (division by zero, a math domain error, an overflow), the
+    tree evaluator, which alone holds the domain messages, evaluates the
+    roots in order, so the first faulting root raises its ``DomainError``.
+    When the first slot value is a numpy array the tape runs in array mode,
+    elementwise over the batch with numpy ufuncs and float64 constants, and
+    makes no domain checks of its own: ``HamiltonianSystem._eval`` runs it
+    with numpy's floating-point flags raising and replays a faulting batch
+    in scalar mode.  A tape pickles as ``(exprs, layout)``.
     """
 
-    __slots__ = ("code", "layout", "_scalar", "_array")
+    __slots__ = ("exprs", "layout", "_size", "_scalar", "_array")
 
-    def __init__(self, code, layout):
-        self.code = tuple(code)
+    def __init__(self, exprs, layout):
+        self.exprs = exprs if isinstance(exprs, (Const, Var, BinOp, Func)) else tuple(exprs)
         self.layout = tuple(layout)
-        make = _factory(_source(self.code))
-        consts = [arg for op, arg, _ in self.code if op == OP_CONST]
+        text, consts, self._size = _source(self.exprs, self.layout)
+        make = _factory(text)
         self._scalar = make(*_SCALAR_FUNCTIONS, *consts)
         self._array = make(*_ARRAY_FUNCTIONS, *map(np.float64, consts))
 
@@ -592,41 +593,26 @@ class EvalTape:
             return self._scalar(values)
         except (ZeroDivisionError, ValueError, OverflowError):
             pass
-        return _eval_tree(self.code[-1][2], dict(zip(self.layout, values)))
+        ctx = dict(zip(self.layout, values))
+        if isinstance(self.exprs, tuple):
+            return tuple(_eval_tree(root, ctx) for root in self.exprs)
+        return _eval_tree(self.exprs, ctx)
 
     def __reduce__(self):
-        return EvalTape, (self.code, self.layout)
+        return EvalTape, (self.exprs, self.layout)
 
     def __len__(self):
-        return len(self.code)
+        return self._size
 
     def __repr__(self):
-        return f"EvalTape({len(self.code)} instructions, layout={self.layout})"
+        return f"EvalTape({self._size} operations, layout={self.layout})"
 
 
-def compile_tape(e: Expr, layout: Sequence[str]) -> EvalTape:
-    """Compile ``e`` into an :class:`EvalTape` over the given slot layout.
+def compile_tape(e, layout: Sequence[str]) -> EvalTape:
+    """Compile ``e``, one expression or a sequence of them, into an
+    :class:`EvalTape` over the given slot layout.
 
     Raises :class:`UnknownIdentifier` if a free variable is missing from
     ``layout``.
     """
-    slots = {name: i for i, name in enumerate(layout)}
-    code = []
-
-    def walk(node):
-        if isinstance(node, Const):
-            code.append((OP_CONST, node.value, node))
-        elif isinstance(node, Var):
-            if node.name not in slots:
-                raise UnknownIdentifier(node.name)
-            code.append((OP_LOAD, slots[node.name], node))
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-            code.append((_BINOP_CODE[node.op], None, node))
-        else:
-            walk(node.arg)
-            code.append((_FUNC_CODE[node.fn], None, node))
-
-    walk(e)
-    return EvalTape(code, layout)
+    return EvalTape(e, layout)

@@ -34,9 +34,9 @@ Both schemes are applied unchanged to the augmented system carrying the flow
 Jacobian J (the linearization dJ = DX J) and log of the conformal factor
 (d log_lambda = -R(H_0) dt - sum_k R(H_k) o dB).  Co-integrating J with the
 same internal stages makes J exactly the derivative of the discrete flow map.
-Its stage guards the state once, evaluates the (X, DX, R) tapes of all d+1
-Hamiltonians in one ``HamiltonianSystem._eval`` call and applies every DX to
-J in one stacked product.
+Its stage guards the state once, evaluates the (X, DX, R) tape set of all
+d+1 Hamiltonians in one ``HamiltonianSystem._eval`` call and applies every DX
+to J in one stacked product.
 
 ``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
 no stage evaluates a blown-up state.  A domain fault in a batch raises the
@@ -129,6 +129,14 @@ def _n_steps(span: float, dt: float) -> int:
     return n
 
 
+def _channels(channels: Sequence[int], d: int) -> tuple:
+    """``channels`` as a tuple, each a noise channel in 0..d-1."""
+    channels = tuple(channels)
+    if not all(0 <= k < d for k in channels):
+        raise InvalidStep(f"noise channels must lie in 0..{d - 1}, got {list(channels)}")
+    return channels
+
+
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
     """A seeded grid of Brownian increments shared across schemes and
@@ -154,7 +162,7 @@ class BrownianPath:
         """Copy of the path with the given (0-indexed) noise channels zeroed.
         Diagnostic helper for isolating the effect of single noise terms."""
         inc = self.increments.copy()
-        for k in channels:
+        for k in _channels(channels, self.d):
             inc[k, :] = 0.0
         inc.setflags(write=False)
         return replace(self, increments=inc)
@@ -367,7 +375,7 @@ def integrate_augmented(
     def fields(y):
         x, jac = y[:dim], y[dim:-1].reshape(dim, dim)
         sys.chart.guard(x)
-        out = sys._eval(sys._augmented_tapes, x).reshape(d + 1, -1)
+        out = sys._eval(sys._augmented_tape, x).reshape(d + 1, -1)
         out[:, dim:-1] = (out[:, dim:-1].reshape(d + 1, dim, dim) @ jac).reshape(d + 1, -1)
         out[:, -1] = -out[:, -1]
         # A C-contiguous diffusion block keeps the bits of the matmul in _apply.

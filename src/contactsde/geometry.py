@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,11 +54,11 @@ __all__ = [
 SIN_GUARD = 1e-9  # reject Sasaki-Einstein states with |sin(theta_i)| below this
 
 
-def _eval(tapes, x: np.ndarray) -> np.ndarray:
-    """Values of ``tapes`` at ``x``: shape (len(tapes),) for one state,
-    (B, len(tapes)) for a batch.  One state runs the tapes on Python floats
-    (scalar mode, with domain checks); a batch runs them on its columns
-    (array mode).
+def _eval(tape, x: np.ndarray) -> np.ndarray:
+    """Values of the tape set ``tape`` (n expressions) at ``x``, in one tape
+    call: shape (n,) for one state, (B, n) for a batch.  One state runs the
+    tape on Python floats (scalar mode, with domain checks); a batch runs it
+    on its columns (array mode).
 
     One domain rule serves both: a batch raises the ``DomainError`` that its
     first faulting row raises alone.  Array mode runs with numpy's
@@ -67,20 +67,20 @@ def _eval(tapes, x: np.ndarray) -> np.ndarray:
     evaluated again with the flags ignored and its non-finite values are
     left to the caller's screen."""
     if x.ndim == 1:
-        values = x.tolist()
-        return np.array([t(values) for t in tapes])
+        return np.array(tape(x.tolist()))
     columns = list(x.T)
-    out = np.empty((x.shape[0], len(tapes)))
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            for r, tape in enumerate(tapes):
-                out[:, r] = tape(columns)
+            values = tape(columns)
     except FloatingPointError:
         for row in x:
-            _eval(tapes, row)
+            tape(row.tolist())
         with np.errstate(all="ignore"):
-            for r, tape in enumerate(tapes):
-                out[:, r] = tape(columns)
+            values = tape(columns)
+    # A value that reads no coordinate is a float64 scalar; assignment broadcasts it.
+    out = np.empty((x.shape[0], len(values)))
+    for r, value in enumerate(values):
+        out[:, r] = value
     return out
 
 
@@ -94,21 +94,20 @@ class _ContactChart:
     ``d_eta_upper_entries_exprs()``, the structural entries ``(a, b, expr)``
     of d_eta with a < b, whose (b, a) entries are the exact negatives; and
     ``reeb_field``, the constant Reeb field.  The numeric forms take a state
-    (dim,) or a batch (B, dim) and run compiled tapes through ``_eval``."""
+    (dim,) or a batch (B, dim) and run compiled tape sets through ``_eval``."""
 
     def __init__(self):
-        layout = self.names
-        self._eta_tapes = tuple(expr.compile_tape(e, layout) for e in self.eta_exprs())
         entries = self.d_eta_upper_entries_exprs()
+        self._eta_tape = expr.compile_tape(self.eta_exprs(), self.names)
         self._d_eta_slots = tuple((a, b) for a, b, _ in entries)
-        self._d_eta_tapes = tuple(expr.compile_tape(e, layout) for _, _, e in entries)
+        self._d_eta_tape = expr.compile_tape([e for _, _, e in entries], self.names)
 
     def eta(self, x: np.ndarray) -> np.ndarray:
-        return _eval(self._eta_tapes, x)
+        return _eval(self._eta_tape, x)
 
     def d_eta_upper(self, x: np.ndarray):
         """Structural entries (a, b, value) of d_eta at ``x``."""
-        values = _eval(self._d_eta_tapes, x)
+        values = _eval(self._d_eta_tape, x)
         return [(a, b, values[..., k]) for k, (a, b) in enumerate(self._d_eta_slots)]
 
     def d_eta(self, x: np.ndarray) -> np.ndarray:
@@ -251,6 +250,8 @@ def chart_by_id(kind: str, n: int | None = None):
     if kind == "darboux":
         if n is None:
             raise ConfigError("chart 'darboux' requires n")
+        if not isinstance(n, int) or n < 1:
+            raise ConfigError(f"chart 'darboux' needs an integer n >= 1, got {n!r}")
         return DarbouxChart(n)
     if kind == "sasaki-einstein":
         return SasakiEinsteinChart()
@@ -263,16 +264,17 @@ def chart_by_id(kind: str, n: int | None = None):
 
 class HamiltonianSystem:
     """A chart together with a drift Hamiltonian H_0, noise Hamiltonians
-    H_1..H_d, and precompiled values, gradients and augmented fields of every
-    H_i: one tape store ``_tapes[i]`` of ``(X_H, DX_H, R(H))``, which the
-    field queries slice and the augmented integrator runs whole.
+    H_1..H_d, and one precompiled tape set per query, holding exactly the
+    expressions it returns: the value, gradient, ``X_H``, ``DX_H`` and
+    ``R(H)`` of every H_i, the diffusion columns, and the augmented set
+    ``(X_H, DX_H, R(H))`` of every H_i, which the augmented stage runs whole.
 
     The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
     ``drift_diffusion``) take one state ``(dim,)`` or a batch ``(B, dim)``
-    and give a result with the same leading axes; all go through one
-    evaluator, ``_eval``, as do the jets (``_jet``) behind the brackets.
-    ``_eval`` holds the domain rule for both shapes.
+    and give a result with the same leading axes; each set is one call of
+    one evaluator, ``_eval``, as are the jets (``_jets``) behind the
+    brackets.  ``_eval`` holds the domain rule for both shapes.
 
     Constants are substituted at build time, so every compiled tape reads
     only chart coordinates.  Instances are immutable after construction and
@@ -281,33 +283,40 @@ class HamiltonianSystem:
 
     def __init__(self, chart, h0, noise=(), constants=None):
         self.chart = chart
-        self.constants = dict(constants or {})
+        try:
+            self.constants = {name: float(v) for name, v in dict(constants or {}).items()}
+        except (TypeError, ValueError):
+            raise ConfigError(f"constants must be numbers, got {constants!r}") from None
         self.sources = tuple(
             h if isinstance(h, str) else expr.to_source(h) for h in (h0, *noise)
         )
         self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
         layout = chart.names
-        self._h_tapes = tuple(expr.compile_tape(h, layout) for h in prepared)
-        self._grad_tapes = tuple(
-            tuple(expr.compile_tape(expr.differentiate(h, c), layout) for c in layout)
-            for h in prepared
-        )
-        self.vector_field_exprs = tuple(
+        self.vector_field_exprs = fields = tuple(
             tuple(chart.vector_field_exprs(h)) for h in prepared
         )
-        # Per H: X_H, DX_H row-major (dim, dim), R(H), in augmented-state order.
-        self._tapes = tuple(
-            tuple(expr.compile_tape(e, layout) for e in (
-                *comps,
-                *(expr.differentiate(c, name) for c in comps for name in layout),
-                chart.reeb_derivative_expr(h),
-            ))
-            for h, comps in zip(prepared, self.vector_field_exprs)
+        # DX_H row-major (dim, dim).
+        jacobians = tuple(
+            tuple(expr.differentiate(c, name) for c in comps for name in layout)
+            for comps in fields
         )
-        self._augmented_tapes = sum(self._tapes, ())
+        rates = tuple(chart.reeb_derivative_expr(h) for h in prepared)
+        self._h_tapes = tuple(expr.compile_tape([h], layout) for h in prepared)
+        self._grad_tapes = tuple(
+            expr.compile_tape([expr.differentiate(h, c) for c in layout], layout)
+            for h in prepared
+        )
+        self._field_tapes = tuple(expr.compile_tape(comps, layout) for comps in fields)
+        self._jacobian_tapes = tuple(expr.compile_tape(dx, layout) for dx in jacobians)
+        self._reeb_tapes = tuple(expr.compile_tape([rate], layout) for rate in rates)
+        # Per H: X_H, DX_H, R(H), in augmented-state order.
+        self._augmented_tape = expr.compile_tape(
+            [e for comps, dx, rate in zip(fields, jacobians, rates) for e in (*comps, *dx, rate)],
+            layout,
+        )
         # Diffusion row-major (dim, d).
-        self._diffusion_tapes = tuple(
-            self._tapes[k][r] for r in range(chart.dim) for k in range(1, len(prepared))
+        self._diffusion_tape = expr.compile_tape(
+            [comps[r] for r in range(chart.dim) for comps in fields[1:]], layout
         )
 
     # -- basic queries ------------------------------------------------------
@@ -334,46 +343,46 @@ class HamiltonianSystem:
             raise ConfigError(f"expression references unknown names {sorted(extra)}")
         return tree
 
-    def _jet(self, f) -> tuple:
-        """Tapes of ``(X_f components..., f, R(f))`` over the chart
-        coordinates; ``_eval`` of a jet gives dim + 2 values per state."""
-        f = self.prepare(f)
+    def _jets(self, funcs) -> expr.EvalTape:
+        """One tape set of the jets ``(X_f components..., f, R(f))`` of each
+        of ``funcs`` in order, over the chart coordinates; ``_eval`` of it
+        gives len(funcs) * (dim + 2) values per state."""
         chart = self.chart
-        parts = (*chart.vector_field_exprs(f), f, chart.reeb_derivative_expr(f))
-        return tuple(expr.compile_tape(e, chart.names) for e in parts)
+        parts = []
+        for f in map(self.prepare, funcs):
+            parts += (*chart.vector_field_exprs(f), f, chart.reeb_derivative_expr(f))
+        return expr.compile_tape(parts, chart.names)
 
     # -- evaluation at a state (dim,) or a batch (B, dim) --------------------
 
-    def _eval(self, tapes, x: np.ndarray) -> np.ndarray:
-        """Values of ``tapes`` at ``x`` through the module's ``_eval``."""
-        return _eval(tapes, x)
+    _eval = staticmethod(_eval)
 
     def hamiltonian(self, i: int, x: np.ndarray):
-        return self._eval(self._h_tapes[i:i + 1], x)[..., 0]
+        return self._eval(self._h_tapes[i], x)[..., 0]
 
     def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         return self._eval(self._grad_tapes[i], x)
 
     def vector_field(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._tapes[i][:self.dim], x)
+        return self._eval(self._field_tapes[i], x)
 
     def vector_field_jacobian(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._tapes[i][self.dim:-1], x).reshape(*x.shape[:-1], self.dim, self.dim)
+        return self._eval(self._jacobian_tapes[i], x).reshape(*x.shape[:-1], self.dim, self.dim)
 
     def reeb_rate(self, i: int, x: np.ndarray):
-        return self._eval(self._tapes[i][-1:], x)[..., 0]
+        return self._eval(self._reeb_tapes[i], x)[..., 0]
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._diffusion_tapes, x).reshape(*x.shape[:-1], self.dim, self.d)
+        return self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d)
 
     def drift_diffusion(self, x: np.ndarray):
         """Drift vector X_{H_0}(x) and diffusion columns X_{H_k}(x); the state
         is guarded once, by ``vector_field``."""
         return (self.vector_field(0, x),
-                self._eval(self._diffusion_tapes, x).reshape(*x.shape[:-1], self.dim, self.d))
+                self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
 
     # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.
     def drift_batch(self, states: np.ndarray) -> np.ndarray:
@@ -431,7 +440,7 @@ def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     sys.chart.guard(x)
-    jf, jg = np.split(sys._eval(sys._jet(f) + sys._jet(g), x), 2)
+    jf, jg = sys._eval(sys._jets((f, g)), x).reshape(2, -1)
     with np.errstate(all="ignore"):
         value = float(_bracket(sys.chart, x, jf, jg))
     if not math.isfinite(value):
@@ -459,7 +468,9 @@ def jacobi_bracket_expr(sys: HamiltonianSystem, f, g) -> expr.Expr:
 
 def reeb_derivative(sys: HamiltonianSystem, f, x) -> float:
     """Derivative of ``f`` along the Reeb field at ``x`` (iota_R df)."""
-    return float(sys._eval(sys._jet(f)[-1:], np.asarray(x, dtype=float))[0])
+    rate = sys.chart.reeb_derivative_expr(sys.prepare(f))
+    tape = expr.compile_tape([rate], sys.chart.names)
+    return float(sys._eval(tape, np.asarray(x, dtype=float))[0])
 
 
 def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
@@ -475,7 +486,7 @@ def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
     g = sys.prepare(g)
     h = sys.prepare(h)
     funcs = (f, expr.mul(g, h), g, h, expr.const(1.0))
-    jf, jgh, jg, jh, j1 = np.split(sys._eval(sum(map(sys._jet, funcs), ()), x), 5)
+    jf, jgh, jg, jh, j1 = sys._eval(sys._jets(funcs), x).reshape(5, -1)
     with np.errstate(all="ignore"):
         brackets = [float(_bracket(sys.chart, x, jf, j)) for j in (jgh, jg, jh, j1)]
     if not all(map(math.isfinite, brackets)):
@@ -501,16 +512,7 @@ class IntegrabilityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_integrals": self.n_integrals,
-            "n_samples": self.n_samples,
-            "max_pairwise_bracket": self.max_pairwise_bracket,
-            "max_reeb_bracket": self.max_reeb_bracket,
-            "min_singular_value": self.min_singular_value,
-            "bracket_tol": self.bracket_tol,
-            "independence_tol": self.independence_tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "IntegrabilityReport":
@@ -536,7 +538,7 @@ def check_integrability(
         raise WrongIntegralCount(
             f"expected {n + 1} integrals for a {sys.dim}-dimensional chart, got {len(integrals)}"
         )
-    tapes = sum(map(sys._jet, integrals), ())
+    tape = sys._jets(integrals)
     if sys.prepare(integrals[0]) != expr.Const(1.0):
         raise WrongIntegralCount("the first integral must be the constant 1")
     states = np.asarray(sample_states, dtype=float)
@@ -546,7 +548,7 @@ def check_integrability(
         )
 
     sys.chart.guard(states)
-    jets = sys._eval(tapes, states)
+    jets = sys._eval(tape, states)
     if not np.isfinite(jets).all():
         raise NumericalFailure("check_integrability", "non-finite values")
     jets = jets.reshape(len(states), n + 1, sys.dim + 2)

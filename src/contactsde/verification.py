@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .flow import (
     integrate,
     integrate_augmented,
     integrate_batch_final,
+    _channels,
     _increments,
     _initial_state,
     _n_steps,
@@ -117,13 +118,7 @@ class EnsembleStats:
     stderr: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "observable": self.observable,
-            "mean": self.mean,
-            "variance": self.variance,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleStats":
@@ -277,7 +272,7 @@ def _defect_ladder(
 
 def _mc_batch(args) -> np.ndarray:
     (sys, x0, dt, n_steps, master_seed, start, count, scheme,
-     observable_source, zero_channels) = args
+     observable, zero_channels) = args
     d = sys.d
     increments = np.empty((count, d, n_steps))
     for i in range(count):
@@ -286,8 +281,7 @@ def _mc_batch(args) -> np.ndarray:
         increments[:, k, :] = 0.0
     initial = np.tile(np.asarray(x0, dtype=float), (count, 1))
     finals = integrate_batch_final(sys, initial, increments, dt, scheme)
-    tape = expr.compile_tape(sys.prepare(observable_source), sys.chart.names)
-    return sys._eval((tape,), finals)[:, 0]
+    return sys._eval(observable, finals)[:, 0]
 
 
 def monte_carlo(
@@ -309,7 +303,8 @@ def monte_carlo(
 
     Paths are processed in fixed-size batches ordered by stream index, so the
     result is bit-identical for any worker count.  ``zero_channels`` is a
-    diagnostic knob that switches off individual noise channels (0-indexed).
+    diagnostic knob that switches off individual noise channels (0-indexed,
+    each in 0..d-1); ``batch_size`` must be at least 1.
     """
     if n_paths < 2:
         raise InvalidStep("n_paths must be >= 2")
@@ -317,8 +312,11 @@ def monte_carlo(
     if span <= 0.0:
         raise InvalidStep("T must exceed t0")
     n_steps = _n_steps(span, dt)
+    if batch_size < 1:
+        raise InvalidStep(f"batch_size must be >= 1, got {batch_size!r}")
+    zero_channels = _channels(zero_channels, sys.d)
     observable_source = observable if isinstance(observable, str) else expr.to_source(observable)
-    sys.prepare(observable_source)  # validate early
+    tape = expr.compile_tape([sys.prepare(observable_source)], sys.chart.names)
 
     batches = []
     start = 0
@@ -326,7 +324,7 @@ def monte_carlo(
         count = min(batch_size, n_paths - start)
         batches.append(
             (sys, x0, float(dt), n_steps, master_seed, start, count, scheme,
-             observable_source, tuple(zero_channels))
+             tape, zero_channels)
         )
         start += count
 

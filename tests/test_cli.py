@@ -340,3 +340,32 @@ def test_bad_scheme_and_bad_expression(tmp_path, capsys):
         capsys, "monte-carlo", "--config", cfg, "--observable", "z +", "--paths", "4"
     )
     assert code == 2
+
+
+_INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"system": "dissipative-2d", "T": "abc"}, "T must be a number, got 'abc'"),
+    ({"system": "dissipative-2d", "seed": None}, "seed must be a number, got None"),
+    ({"system": "dissipative-2d", "initial_state": "abc"},
+     "initial_state must be a list of numbers, got 'abc'"),
+    ({"system": "dissipative-2d", "params": {"m": "x"}}, "parameter 'm' must be a number, got 'x'"),
+    ({"system": dict(_INLINE, n=0), "initial_state": [0.1]},
+     "chart 'darboux' needs an integer n >= 1, got 0"),
+    ({"system": dict(_INLINE, h0="m*z", constants={"m": "abc"}), "initial_state": [0.1, 0.2, 0.3]},
+     "constants must be numbers, got {'m': 'abc'}"),
+], ids=["T", "seed", "initial_state", "params", "n", "constants"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
+    cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
+    code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("noise", ["12", ["z", 1], {"h": "z"}])
+def test_inline_noise_must_be_a_list_of_expressions(tmp_path, capsys, noise):
+    cfg = write_config(tmp_path, system=dict(_INLINE, noise=noise), T=0.1, dt=0.01,
+                       initial_state=[0.1, 0.2, 0.3])
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"config error: noise must be a list of expressions, got {noise!r}\n"

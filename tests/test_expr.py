@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactsde import expr
+from contactsde import catalog, expr
 from contactsde.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 NAMES = ["q1", "q2", "p1", "p2", "z", "m", "gamma", "theta1", "phi1"]
@@ -197,16 +197,14 @@ def test_eval_unbound_variable():
 
 def test_tape_single_push_for_constant():
     tape = expr.compile_tape(expr.Const(1.0), NAMES)
-    assert len(tape) == 1
-    assert tape.code[0][0] == expr.OP_CONST
+    assert len(tape) == 0  # a constant is a parameter, not an operation
     assert tape([0.0] * len(NAMES)) == 1.0
     assert expr.compile_tape(expr.Const(1.0), [])([]) == 1.0
 
 
 def test_tape_loads_and_divide():
     tape = expr.compile_tape(expr.parse("p1/m", NAMES), ["q1", "p1", "z", "m"])
-    ops = [c[0] for c in tape.code]
-    assert ops == [expr.OP_LOAD, expr.OP_LOAD, expr.OP_DIV]
+    assert len(tape) == 1  # loads are not operations; the division is
     assert tape([0.0, 3.0, 0.0, 2.0]) == 1.5
 
 
@@ -268,6 +266,77 @@ def test_trig_of_infinity_is_a_domain_error_in_both_evaluators(source, z):
         expr.compile_tape(e, ["z"])([z])
     assert str(tape_err.value) == str(tree_err.value)
     assert str(tree_err.value).startswith(f"{source[:3]} of infinite value in Func(")
+
+
+def test_tape_set_matches_one_expression_tapes_bitwise(rng):
+    names = ["x", "y", "w"]
+    batch = rng.uniform(-2, 2, size=(3, 16))
+    for _ in range(20):
+        base = [_random_expr(rng, names, 4) for _ in range(3)]
+        # Derivatives, a product of two roots and a repeated root share subterms.
+        exprs = [*base, *(expr.differentiate(e, n) for e in base for n in names),
+                 expr.mul(base[0], base[1]), base[0]]
+        tape = expr.compile_tape(exprs, names)
+        singles = [expr.compile_tape(e, names) for e in exprs]
+        assert len(tape) <= sum(map(len, singles))
+        for k in range(batch.shape[1]):
+            values = [float(v) for v in batch[:, k]]
+            got = tape(values)
+            assert type(got) is tuple and len(got) == len(exprs)
+            assert np.array(got).tobytes() == np.array([t(values) for t in singles]).tobytes()
+        columns = list(batch)
+        for got, single in zip(tape(columns), singles):
+            assert np.asarray(got).tobytes() == np.asarray(single(columns)).tobytes()
+
+
+def test_tape_set_keys_constants_by_bits():
+    # Const(0.0) == Const(-0.0), but 0.0 - x and -0.0 - x differ at x = 0.
+    x = expr.Var("x")
+    tape = expr.compile_tape(
+        [expr.BinOp("-", expr.Const(0.0), x), expr.BinOp("-", expr.Const(-0.0), x)], ["x"])
+    assert len(tape) == 2
+    got = tape([0.0])
+    assert got == (0.0, -0.0)
+    assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
+    assert [np.signbit(v).tolist() for v in tape([np.zeros(2)])] == [[False, False], [True, True]]
+
+
+@pytest.mark.parametrize("sources, z", [
+    (["z + 1", "1/z + log(z)", "log(z)"], 0.0),
+    (["z + 1", "log(z)", "1/z + log(z)"], 0.0),
+    (["exp(1000*z)", "1/(z - 1)"], 1.0),
+    (["1/(z - 1)", "exp(1000*z)"], 1.0),
+])
+def test_tape_set_raises_the_domain_error_of_its_first_faulting_root(sources, z):
+    roots = [expr.parse(source, NAMES) for source in sources]
+    with pytest.raises(DomainError) as tree_err:
+        for root in roots:
+            expr.evaluate(root, {"z": z})
+    with pytest.raises(DomainError) as tape_err:
+        expr.compile_tape(roots, ["z"])([z])
+    assert str(tape_err.value) == str(tree_err.value)
+    assert tape_err.value.node == tree_err.value.node
+
+
+def test_tape_set_pickle_round_trip():
+    import pickle
+
+    roots = [expr.parse(s, NAMES) for s in ("sin(q1)*p1", "1", "p1", "sin(q1)*p1 - q1/(2 + p1^2)")]
+    for e in (roots, roots[3]):
+        tape = expr.compile_tape(e, ["q1", "p1"])
+        back = pickle.loads(pickle.dumps(tape))
+        assert (back.exprs, back.layout, len(back)) == (tape.exprs, tape.layout, len(tape))
+        assert back([0.3, -1.2]) == tape([0.3, -1.2])
+    with pytest.raises(DomainError, match="division by zero"):
+        pickle.loads(pickle.dumps(expr.compile_tape([expr.parse("1/q1", NAMES)], ["q1"])))([0.0])
+
+
+@pytest.mark.parametrize("system_id, bound", [("sasaki-einstein-t11", 64), ("dissipative-2d", 42)])
+def test_augmented_tape_set_computes_shared_subterms_once(system_id, bound):
+    system = catalog.get_entry(system_id).system()
+    tape = system._augmented_tape
+    assert len(tape.exprs) == (system.d + 1) * (system.dim * (system.dim + 1) + 1)
+    assert len(tape) <= bound
 
 
 def test_eval_accepts_tape():

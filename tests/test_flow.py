@@ -35,6 +35,9 @@ def test_brownian_zero_channels_and_immutability():
     assert np.array_equal(z.increments[1], a.increments[1])
     with pytest.raises(ValueError):
         a.increments[0, 0] = 1.0
+    for bad in ([-1], [2], [0, 2]):
+        with pytest.raises(InvalidStep):
+            a.with_zeroed_channels(bad)
 
 
 def test_brownian_deterministic_case():

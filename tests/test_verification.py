@@ -219,6 +219,11 @@ def test_monte_carlo_validation(dissipative):
     with pytest.raises(InvalidStep):  # the CLI's tolerance, 1e-12 relative
         ver.monte_carlo(dissipative, x0, T=1.0, dt=1e-3 * (1 + 1e-11), n_paths=4,
                         master_seed=0, observable="z")
+    for bad in ({"batch_size": 0}, {"batch_size": -1},
+                {"zero_channels": (-1,)}, {"zero_channels": (1,)}):
+        with pytest.raises(InvalidStep):
+            ver.monte_carlo(dissipative, x0, T=0.1, dt=0.01, n_paths=4, master_seed=0,
+                            observable="z", **bad)
 
 
 def test_ensemble_stats_roundtrip():

@@ -110,9 +110,14 @@ def load_config(path: Optional[str], args) -> RunConfig:
     cfg.scheme = data.get("scheme", cfg.scheme)
     cfg.seed = _number(data, "seed", int, cfg.seed)
     cfg.initial_state = data.get("initial_state")
-    cfg.params = dict(data.get("params", {}))
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
+    cfg.params = dict(params)
     cfg.workers = _number(data, "workers", int, 1)
     cfg.conformal_factor = data.get("conformal_factor")
+    if cfg.conformal_factor is not None and not isinstance(cfg.conformal_factor, str):
+        raise ConfigError(f"conformal_factor must be an expression, got {cfg.conformal_factor!r}")
 
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
@@ -149,12 +154,15 @@ def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
         raise ConfigError("system must be a catalog id or an inline object")
     inline = dict(cfg.system)
     chart = geo.chart_by_id(inline.get("chart"), inline.get("n"))
+    h0 = inline.get("h0", "0")
+    if not isinstance(h0, str):
+        raise ConfigError(f"h0 must be an expression, got {h0!r}")
     noise = inline.get("noise", [])
     if not isinstance(noise, list) or not all(isinstance(h, str) for h in noise):
         raise ConfigError(f"noise must be a list of expressions, got {noise!r}")
     system = geo.HamiltonianSystem(
         chart,
-        inline.get("h0", "0"),
+        h0,
         noise,
         constants=inline.get("constants", {}),
     )

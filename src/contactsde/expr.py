@@ -569,7 +569,7 @@ class EvalTape:
     roots in order, so the first faulting root raises its ``DomainError``.
     When the first slot value is a numpy array the tape runs in array mode,
     elementwise over the batch with numpy ufuncs and float64 constants, and
-    makes no domain checks of its own: ``HamiltonianSystem._eval`` runs it
+    makes no domain checks of its own: ``geometry._values`` runs it
     with numpy's floating-point flags raising and replays a faulting batch
     in scalar mode.  A tape pickles as ``(exprs, layout)``.
     """

@@ -23,20 +23,33 @@ Schemes
               path: each path keeps the sweep at which its own update met
               ``max|dy| <= 1e-13 * max(1, max|y|)``.
 
-One stepping core serves single paths and batches.  A state has any number
-of leading axes (a single path is ``(m,)``, a batch of paths is ``(B, m)``),
-so one path gives the same bits alone or as any row of a batch.  Each stage
-makes one ``fields(y) -> (drift, diffusion)`` call; for the state system
-that is ``HamiltonianSystem.drift_diffusion``, which runs the scalar tapes
-(with domain checks) on one path and the array tapes on a batch.
+One stepping core serves single paths and batches: one stepper per scheme
+and one loop, ``_run``, drive a stage through two calls.  ``fields(y)``
+evaluates the drift and diffusion at a state, a single path ``(m,)`` or a
+batch of paths ``(B, m)``; ``advance`` applies them, as ``y + a dt + g dw``
+or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, each
+sum of fields taken entry by entry before it is applied.
+
+The state system's stage works from the structure of its roots, which
+``HamiltonianSystem`` derives from its compiled drift and diffusion sets at
+build time.  A root that is a constant is used as a number and never
+evaluated; constant zeros are skipped; one tape call computes the rest,
+with the chart guard and ``_values``' domain rule.  Row r of the diffusion
+is applied over its structural nonzeros only (the roots that are not a
+constant 0.0 or -0.0), summed left to right in ascending channel order,
+``((g_r,k1 dw_k1 + g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix
+product's summation order.  The same kernel runs a single path on Python
+floats and a batch on numpy columns, which round alike, so one path gives
+the same bits alone or as any row of a batch.
 
 Both schemes are applied unchanged to the augmented system carrying the flow
 Jacobian J (the linearization dJ = DX J) and log of the conformal factor
 (d log_lambda = -R(H_0) dt - sum_k R(H_k) o dB).  Co-integrating J with the
 same internal stages makes J exactly the derivative of the discrete flow map.
 Its stage guards the state once, evaluates the (X, DX, R) tape set of all
-d+1 Hamiltonians in one ``HamiltonianSystem._eval`` call and applies every DX
-to J in one stacked product.
+d+1 Hamiltonians in one ``HamiltonianSystem._eval`` call, applies every DX
+to J in one stacked product and applies its dense diffusion columns by
+matrix product.
 
 ``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
 no stage evaluates a blown-up state.  A domain fault in a batch raises the
@@ -202,19 +215,79 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 
 
 # ---------------------------------------------------------------------------
-# One-step maps and the stepping loop (generic over leading path axes)
+# One-step maps and the stepping loop (a single path (m,) or a batch (B, m))
 # ---------------------------------------------------------------------------
 
-def _apply(g, dw):
-    """Diffusion columns ``g`` (..., m, d) applied to increments ``dw`` (..., d)."""
-    return (g @ dw[..., None])[..., 0]
+class _StateStage:
+    """The state system's stage, applied from the structure of its roots.
+
+    ``fields(y)`` guards ``y`` and gives ``HamiltonianSystem._state_values``:
+    a root that is a constant stays a number, and one tape call computes the
+    rest.  ``advance`` applies them row by row.  A drift that is a constant
+    is added as a scalar; a constant zero, in the drift or the diffusion, is
+    skipped.  Row r of the diffusion is summed over its structural nonzeros
+    only, left to right in ascending channel order.  A single path runs on
+    Python floats, which round as numpy's elementwise float64 operations do,
+    so a path gives the same bits alone or as any row of a batch."""
+
+    def __init__(self, sys: HamiltonianSystem):
+        self.fields = sys._state_values
+        self._rows = sys._state_rows
+
+    def advance(self, y, dw, dt, k0, k1=None):
+        """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
+        trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, with each sum
+        of fields taken entry by entry before it is applied."""
+        if k1 is None:
+            k, h = k0, 1.0
+        else:
+            k, h = [u + v for u, v in zip(k0, k1)], 0.5
+        single = y.ndim == 1
+        ys, ws = (y.tolist(), dw.tolist()) if single else (y.T, dw.T)
+        h_dt = h * dt
+        out = []
+        for r, (a, row) in enumerate(self._rows):
+            v = ys[r]
+            if a is not None:
+                v = v + h_dt * k[a]
+            noise = None
+            for c, i in row:
+                term = k[i] * ws[c]
+                noise = term if noise is None else noise + term
+            if noise is not None:
+                v = v + (noise if k1 is None else h * noise)
+            out.append(v)
+        if single:
+            return np.array(out)
+        # Rows of an (m, B) array: the (B, m) result's columns are contiguous,
+        # which the next stage's tape and this kernel read.
+        rows = np.empty((len(out), y.shape[0]))
+        for r, v in enumerate(out):
+            rows[r] = v
+        return rows.T
 
 
-def _heun_step(fields: Callable, y, dw, dt):
-    a0, g0 = fields(y)
-    y_pred = y + a0 * dt + _apply(g0, dw)
-    a1, g1 = fields(y_pred)
-    return y + 0.5 * dt * (a0 + a1) + 0.5 * _apply(g0 + g1, dw)
+class _DenseStage:
+    """A stage whose ``fields(y)`` gives the drift (..., m) and the diffusion
+    columns (..., m, d) as arrays, which ``advance`` applies as one stacked
+    product: the augmented system's stage, whose J rows are dense."""
+
+    def __init__(self, fields: Callable):
+        self.fields = fields
+
+    @staticmethod
+    def advance(y, dw, dt, k0, k1=None):
+        """As ``_StateStage.advance``, with the diffusion applied by matmul."""
+        a, g = k0
+        if k1 is not None:
+            return y + 0.5 * dt * (a + k1[0]) + 0.5 * ((g + k1[1]) @ dw[..., None])[..., 0]
+        return y + a * dt + (g @ dw[..., None])[..., 0]
+
+
+def _heun_step(stage, y, dw, dt):
+    k0 = stage.fields(y)
+    k1 = stage.fields(stage.advance(y, dw, dt, k0))
+    return stage.advance(y, dw, dt, k0, k1)
 
 
 def _sup(a):
@@ -224,10 +297,9 @@ def _sup(a):
     return rows.T.copy().max(axis=0).reshape(a.shape[:-1])
 
 
-def _midpoint_step(fields, y, dw, dt, tol=1e-13, max_iter=50):
+def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
     def image(z):
-        a, g = fields(z)
-        return y + a * dt + _apply(g, dw)
+        return stage.advance(y, dw, dt, stage.fields(z))
 
     y_new = image(y)
     done = np.zeros(y.shape[:-1], dtype=bool)
@@ -254,12 +326,13 @@ def _stepper(scheme: str):
         raise InvalidStep(f"unknown scheme {scheme!r}; expected one of {SCHEMES}") from None
 
 
-def _run(fields, y, increments, dt, scheme: str, operation: str, keep: bool):
-    """Step ``y`` over the grid of ``increments`` (..., d, n_steps), whose
-    leading axes match those of ``y``.  Returns the (n_steps + 1, *y.shape)
-    history if ``keep``, else the final value.  Raises ``NumericalFailure``
-    at the first non-finite state, the initial one included, so no stage
-    ever evaluates the fields of a blown-up state."""
+def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
+    """Step ``y`` with ``stage`` over the grid of ``increments`` (..., d,
+    n_steps), whose leading axes match those of ``y``.  Returns the
+    (n_steps + 1, *y.shape) history if ``keep``, else the final value.
+    Raises ``NumericalFailure`` at the first non-finite state, the initial
+    one included, so no stage ever evaluates the fields of a blown-up state.
+    Each step's increments are gathered once into contiguous memory."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[-1]
     if keep:
@@ -271,7 +344,7 @@ def _run(fields, y, increments, dt, scheme: str, operation: str, keep: bool):
             if keep:
                 history[j] = y
             if j < n_steps:
-                y = stepper(fields, y, increments[..., j], dt)
+                y = stepper(stage, y, np.ascontiguousarray(increments[..., j]), dt)
     return history if keep else y
 
 
@@ -298,7 +371,7 @@ def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.n
     """Advance the state by one step of the chosen Stratonovich scheme."""
     x = np.asarray(x, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    return _run(sys.drift_diffusion, x, dw[..., None], float(dt), scheme, "step", False)
+    return _run(_StateStage(sys), x, dw[..., None], float(dt), scheme, "step", False)
 
 
 @dataclass(eq=False)
@@ -316,7 +389,7 @@ class Trajectory:
 def integrate(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun") -> Trajectory:
     """Integrate the stochastic contact system over the grid of ``path``."""
     x0 = _initial_state(sys, x0, path)
-    states = _run(sys.drift_diffusion, x0, path.increments, path.dt, scheme, "integrate", True)
+    states = _run(_StateStage(sys), x0, path.increments, path.dt, scheme, "integrate", True)
     return Trajectory(times=path.times(), states=states)
 
 
@@ -378,11 +451,12 @@ def integrate_augmented(
         out = sys._eval(sys._augmented_tape, x).reshape(d + 1, -1)
         out[:, dim:-1] = (out[:, dim:-1].reshape(d + 1, dim, dim) @ jac).reshape(d + 1, -1)
         out[:, -1] = -out[:, -1]
-        # A C-contiguous diffusion block keeps the bits of the matmul in _apply.
+        # numpy's matmul sums in a layout-dependent order; a C-contiguous
+        # diffusion block keeps the augmented stage's bits.
         return out[0], np.ascontiguousarray(out[1:].T)
 
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    ys = _run(fields, y0, path.increments, path.dt, scheme, "integrate_augmented", True)
+    ys = _run(_DenseStage(fields), y0, path.increments, path.dt, scheme, "integrate_augmented", True)
     return AugmentedTrajectory(
         times=path.times(), states=ys[:, :dim],
         jacobians=ys[:, dim:-1].reshape(-1, dim, dim), log_lambda=ys[:, -1],
@@ -406,5 +480,5 @@ def integrate_batch_final(
     Only the final state is kept; intermediate states are discarded.
     """
     states = np.asarray(initial_states, dtype=float)
-    return _run(sys.drift_diffusion, states, increments, dt, scheme,
+    return _run(_StateStage(sys), states, increments, dt, scheme,
                 "integrate_batch_final", False)

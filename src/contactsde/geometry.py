@@ -34,6 +34,7 @@ formula.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -54,11 +55,11 @@ __all__ = [
 SIN_GUARD = 1e-9  # reject Sasaki-Einstein states with |sin(theta_i)| below this
 
 
-def _eval(tape, x: np.ndarray) -> np.ndarray:
-    """Values of the tape set ``tape`` (n expressions) at ``x``, in one tape
-    call: shape (n,) for one state, (B, n) for a batch.  One state runs the
-    tape on Python floats (scalar mode, with domain checks); a batch runs it
-    on its columns (array mode).
+def _values(tape, x: np.ndarray) -> tuple:
+    """The values of the tape set ``tape`` at ``x``, as one tape call returns
+    them: Python floats for one state (dim,), run in scalar mode with domain
+    checks; for a batch (B, dim), one array per value that reads a
+    coordinate, run in array mode on the batch's columns.
 
     One domain rule serves both: a batch raises the ``DomainError`` that its
     first faulting row raises alone.  Array mode runs with numpy's
@@ -67,16 +68,24 @@ def _eval(tape, x: np.ndarray) -> np.ndarray:
     evaluated again with the flags ignored and its non-finite values are
     left to the caller's screen."""
     if x.ndim == 1:
-        return np.array(tape(x.tolist()))
+        return tape(x.tolist())
     columns = list(x.T)
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            values = tape(columns)
+            return tape(columns)
     except FloatingPointError:
         for row in x:
             tape(row.tolist())
         with np.errstate(all="ignore"):
-            values = tape(columns)
+            return tape(columns)
+
+
+def _eval(tape, x: np.ndarray) -> np.ndarray:
+    """``_values`` of the tape set ``tape`` (n expressions) at ``x`` as one
+    array: shape (n,) for one state, (B, n) for a batch."""
+    values = _values(tape, x)
+    if x.ndim == 1:
+        return np.array(values)
     # A value that reads no coordinate is a float64 scalar; assignment broadcasts it.
     out = np.empty((x.shape[0], len(values)))
     for r, value in enumerate(values):
@@ -268,13 +277,16 @@ class HamiltonianSystem:
     expressions it returns: the value, gradient, ``X_H``, ``DX_H`` and
     ``R(H)`` of every H_i, the diffusion columns, and the augmented set
     ``(X_H, DX_H, R(H))`` of every H_i, which the augmented stage runs whole.
+    The state stage's set holds only the drift and diffusion roots that are
+    not constants; ``_state_rows`` records where each row's values are.
 
     The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
     ``drift_diffusion``) take one state ``(dim,)`` or a batch ``(B, dim)``
     and give a result with the same leading axes; each set is one call of
     one evaluator, ``_eval``, as are the jets (``_jets``) behind the
-    brackets.  ``_eval`` holds the domain rule for both shapes.
+    brackets.  ``_eval`` assembles the values of ``_values``, which holds
+    the domain rule for both shapes.
 
     Constants are substituted at build time, so every compiled tape reads
     only chart coordinates.  Instances are immutable after construction and
@@ -317,6 +329,28 @@ class HamiltonianSystem:
         # Diffusion row-major (dim, d).
         self._diffusion_tape = expr.compile_tape(
             [comps[r] for r in range(chart.dim) for comps in fields[1:]], layout
+        )
+        # The state stage's roots, X_{H_0} then the diffusion row-major.  A
+        # constant root is kept as a number; one tape set computes the rest.
+        # Row r of ``_state_rows`` is ``(drift slot, ((k, slot), ...))`` over
+        # the channels k of its structural nonzeros, ascending; a slot indexes
+        # ``_state_values``, and a constant zero (0.0 or -0.0) has none.
+        roots = (*fields[0], *self._diffusion_tape.exprs)
+        constants = [e.value for e in roots if isinstance(e, expr.Const) and e.value != 0.0]
+        varying = [e for e in roots if not isinstance(e, expr.Const)]
+        self._state_constants = tuple(constants)
+        self._state_tape = expr.compile_tape(varying, layout)
+        hoisted, computed = itertools.count(), itertools.count(len(constants))
+        slots = [
+            next(computed) if not isinstance(e, expr.Const)
+            else next(hoisted) if e.value != 0.0 else None
+            for e in roots
+        ]
+        dim, d = chart.dim, len(fields) - 1
+        self._state_rows = tuple(
+            (slots[r], tuple((k, s) for k, s in enumerate(slots[dim + r * d: dim + (r + 1) * d])
+                             if s is not None))
+            for r in range(dim)
         )
 
     # -- basic queries ------------------------------------------------------
@@ -383,6 +417,12 @@ class HamiltonianSystem:
         is guarded once, by ``vector_field``."""
         return (self.vector_field(0, x),
                 self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
+
+    def _state_values(self, x: np.ndarray) -> tuple:
+        """The state stage's values at a guarded state (dim,) or batch (B,
+        dim): the nonzero constant roots, then the ``_values`` of the tape."""
+        self.chart.guard(x)
+        return self._state_constants + _values(self._state_tape, x)
 
     # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.
     def drift_batch(self, states: np.ndarray) -> np.ndarray:

@@ -46,6 +46,22 @@ def test_criterion_1_conformal_factor_dissipative():
            f"lambda={lam!r}, |dev|={dev:.3e}")
 
 
+def test_criterion_1_negative_control_flipped_reeb_rate():
+    # Criterion 1's trajectory with log_lambda negated, which is R(H) with its
+    # sign flipped, gives lambda = e^{t/2} against the closed form e^{-t/2}:
+    # the check must miss by e - 1/e at T = 2, where the unflipped one passes.
+    entry = catalog.get_entry("dissipative-2d")
+    closed_form = entry.conformal_factor_source(entry.default_params, 0.0)
+    system = catalog.dissipative_system()
+    path = flow.sample_brownian(system.d, 2000, 1e-3, master_seed=7)
+    traj = flow.integrate_augmented(system, [1.0, 0.0, 2.0, 0.0, 0.0], path)
+    flipped = flow.AugmentedTrajectory(traj.times, traj.states, traj.jacobians, -traj.log_lambda)
+    dev = ver.conformal_factor_check(traj, closed_form)
+    miss = ver.conformal_factor_check(flipped, closed_form)
+    assert dev <= 1e-12
+    assert abs(miss - 2.0 * math.sinh(1.0)) <= 1e-9, f"miss {miss!r}"
+
+
 def test_criterion_2_defect_convergence_dissipative():
     system = catalog.dissipative_system()
     finest = flow.sample_brownian(system.d, 1000, 1e-3, master_seed=2024)
@@ -259,6 +275,21 @@ def test_criterion_8_monte_carlo_variance_oracle():
     record(8, "Var[z_T] matches the linear-equation oracle within 3 stderr",
            dev <= 3.0 * stderr_var,
            f"var={stats.variance:.6e} theory={theory:.6e} dev={dev:.2e} 3se={3*stderr_var:.2e}")
+
+
+def test_criterion_8_negative_control_dropped_channel():
+    # Criterion 8's streams with the one noise channel switched off: every
+    # path reaches the same z_T, so the sample variance is 0 and misses the
+    # oracle by sqrt((n - 1) / 2) = 70.7 standard errors, where 3 pass.
+    system = catalog.dissipative_system()
+    eps, gamma, horizon, n_paths = 0.1, 0.5, 1.0, 10_000
+    stats = ver.monte_carlo(system, [1.0, 0.0, 2.0, 0.0, 0.0], T=horizon, dt=1e-3,
+                            n_paths=n_paths, master_seed=0, observable="z",
+                            zero_channels=(0,))
+    theory = eps**2 * (1.0 - math.exp(-2.0 * gamma * horizon)) / (2.0 * gamma)
+    stderr_var = theory * math.sqrt(2.0 / (n_paths - 1))
+    misses = abs(stats.variance - theory) / stderr_var
+    assert abs(misses - math.sqrt((n_paths - 1) / 2.0)) <= 1e-9, f"missed by {misses!r} stderr"
 
 
 def test_criterion_9_strong_order_scalar_sde():

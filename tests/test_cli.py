@@ -355,7 +355,13 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
      "chart 'darboux' needs an integer n >= 1, got 0"),
     ({"system": dict(_INLINE, h0="m*z", constants={"m": "abc"}), "initial_state": [0.1, 0.2, 0.3]},
      "constants must be numbers, got {'m': 'abc'}"),
-], ids=["T", "seed", "initial_state", "params", "n", "constants"])
+    ({"system": "dissipative-2d", "params": "abc"}, "params must be an object, got 'abc'"),
+    ({"system": dict(_INLINE, h0=5), "initial_state": [0.1, 0.2, 0.3]},
+     "h0 must be an expression, got 5"),
+    ({"system": "dissipative-2d", "conformal_factor": 5},
+     "conformal_factor must be an expression, got 5"),
+], ids=["T", "seed", "initial_state", "params", "n", "constants",
+        "params_not_object", "h0", "conformal_factor"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
     cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
     code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)

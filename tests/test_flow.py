@@ -11,7 +11,7 @@ from contactsde.errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from contactsde.flow import _heun_step
+from contactsde.flow import _DenseStage, _heun_step
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_heun_step_is_second_order_taylor_on_linear_drift():
     x = np.array([1.0, -0.5])
     dt = 0.01
     taylor = x + dt * (a_mat @ x) + 0.5 * dt * dt * (a_mat @ a_mat @ x)
-    heun = _heun_step(lambda y: (a_mat @ y, np.zeros((2, 0))), x, np.zeros(0), dt)
+    heun = _heun_step(_DenseStage(lambda y: (a_mat @ y, np.zeros((2, 0)))), x, np.zeros(0), dt)
     assert np.max(np.abs(heun - taylor)) <= 1e-15
 
 
@@ -294,6 +294,9 @@ def test_batch_matches_scalar_paths(system_id, scheme):
     assert np.array_equal(batch, finals)
     alone = flow.integrate_batch_final(system, x0[None], increments[:1], dt, scheme)
     assert np.array_equal(batch[:1], alone)
+    reversed_three = flow.integrate_batch_final(
+        system, np.tile(x0, (3, 1)), increments[2::-1], dt, scheme)
+    assert np.array_equal(reversed_three, finals[2::-1])
 
 
 def test_batch_raises_the_domain_error_of_its_first_faulting_row():
@@ -307,6 +310,64 @@ def test_batch_raises_the_domain_error_of_its_first_faulting_row():
         flow.integrate_batch_final(system, states, increments, path.dt)
     assert str(batch.value) == str(alone.value)
     assert str(batch.value).startswith("log of non-positive value")
+
+
+# ---------------------------------------------------------------------------
+# the state stage's structure and summation order
+# ---------------------------------------------------------------------------
+
+def _channels_by_row(system):
+    return [tuple(k for k, _ in row) for _, row in system._state_rows]
+
+
+def test_state_stage_structural_pattern(sasaki_einstein, dissipative):
+    # SE: the drift is all constants, 8 diffusion roots vary, the theta and
+    # phi rows read one channel each and the psi row all five.
+    assert len(sasaki_einstein._state_tape.exprs) == 8
+    assert _channels_by_row(sasaki_einstein) == [(3,), (4,), (1,), (2,), (0, 1, 2, 3, 4)]
+    assert sasaki_einstein._state_constants == (3.0, 3.0)  # psi drift, psi row channel 0
+    # dissipative-2d: the drift varies, the diffusion is constant and only z is noisy.
+    assert len(dissipative._state_tape.exprs) == 5
+    assert _channels_by_row(dissipative) == [(), (), (), (), (0,)]
+    assert dissipative._state_constants == (0.1,)
+
+
+def _ordered_heun(system, x, dw, dt):
+    """One Heun step of one state in Python floats from the public dense
+    queries: the drift added in full, row r's diffusion summed left to right
+    over the channels where it is nonzero."""
+    def fields(state):
+        a, g = system.drift_diffusion(np.array(state))
+        return a.tolist(), g.tolist()
+
+    def advance(a, g, h):
+        out = []
+        for r, x_r in enumerate(x):
+            v = x_r + (h * dt) * a[r]
+            noise = None
+            for g_rk, w_k in zip(g[r], dw):
+                if g_rk != 0.0:
+                    noise = g_rk * w_k if noise is None else noise + g_rk * w_k
+            out.append(v if noise is None else v + h * noise)
+        return out
+
+    a0, g0 = fields(x)
+    a1, g1 = fields(advance(a0, g0, 1.0))
+    a = [u + v for u, v in zip(a0, a1)]
+    g = [[u + v for u, v in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
+    return advance(a, g, 0.5)
+
+
+@pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
+def test_state_stage_sums_each_row_left_to_right(system_id):
+    system = catalog.get_entry(system_id).system()
+    states = geo.sample_states(system.chart, 128, seed=3)
+    dw = np.random.default_rng(4).normal(0.0, 0.03, size=(128, system.d))
+    dt = 1e-3
+    expected = np.array([_ordered_heun(system, x.tolist(), w.tolist(), dt)
+                         for x, w in zip(states, dw)])
+    assert flow.step(system, states[0], dw[0], dt).tobytes() == expected[0].tobytes()
+    assert flow.step(system, states, dw, dt).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +401,7 @@ def test_augmented_stage_matches_per_hamiltonian_reference(system_id, scheme):
     path = flow.sample_brownian(system.d, 60, _BATCH_DT[system_id], 7)
     traj = flow.integrate_augmented(system, x0, path, scheme)
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    ref = flow._run(_per_hamiltonian_fields(system), y0, path.increments, path.dt,
+    ref = flow._run(_DenseStage(_per_hamiltonian_fields(system)), y0, path.increments, path.dt,
                     scheme, "reference", True)
     got = np.concatenate(
         [traj.states, traj.jacobians.reshape(-1, dim * dim), traj.log_lambda[:, None]], axis=1

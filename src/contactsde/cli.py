@@ -44,7 +44,7 @@ from .errors import (
     UnknownIdentifier,
     WrongIntegralCount,
 )
-from .flow import SCHEMES, _n_steps, integrate_augmented, sample_brownian
+from .flow import SCHEMES, _conformal_factor, _n_steps, integrate_augmented, sample_brownian
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -235,7 +235,7 @@ def cmd_simulate(args) -> int:
         t = cfg.t0 + i * cfg.dt
         row = [f"{t:.17g}"]
         row += [f"{v:.17g}" for v in traj.states[i]]
-        row.append(f"{ver._conformal_factor(traj.log_lambda[i], 'simulate'):.17g}")
+        row.append(f"{_conformal_factor(traj.log_lambda[i], 'simulate'):.17g}")
         lines.append(",".join(row) + "\n")
     text = "".join(lines)
     if args.out:
@@ -259,7 +259,7 @@ def cmd_verify_contact(args) -> int:
         "defect_sup": report.errors,
         "fitted_orders": report.orders,
         "max_defect_finest": report.errors[-1],
-        "lambda_final": ver._conformal_factor(traj.log_lambda[-1], "verify-contact"),
+        "lambda_final": _conformal_factor(traj.log_lambda[-1], "verify-contact"),
         "lambda_max_deviation": lam_dev,
         "strict_contactomorphism": bool(np.all(traj.log_lambda == 0.0)),
     }

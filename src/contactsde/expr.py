@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 __all__ = [
-    "Const", "Var", "BinOp", "Func", "Expr",
+    "Const", "Var", "BinOp", "Func", "Expr", "NODE_TYPES",
     "const", "var", "add", "sub", "mul", "div", "power", "negate",
     "sin", "cos", "exp", "log",
     "parse", "differentiate", "evaluate", "substitute", "free_variables",
@@ -78,6 +78,7 @@ class Func:
 
 
 Expr = Union[Const, Var, BinOp, Func]
+NODE_TYPES = (Const, Var, BinOp, Func)
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
@@ -577,7 +578,7 @@ class EvalTape:
     __slots__ = ("exprs", "layout", "_size", "_scalar", "_array")
 
     def __init__(self, exprs, layout):
-        self.exprs = exprs if isinstance(exprs, (Const, Var, BinOp, Func)) else tuple(exprs)
+        self.exprs = exprs if isinstance(exprs, NODE_TYPES) else tuple(exprs)
         self.layout = tuple(layout)
         text, consts, self._size = _source(self.exprs, self.layout)
         make = _factory(text)

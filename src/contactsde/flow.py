@@ -23,33 +23,34 @@ Schemes
               path: each path keeps the sweep at which its own update met
               ``max|dy| <= 1e-13 * max(1, max|y|)``.
 
-One stepping core serves single paths and batches: one stepper per scheme
-and one loop, ``_run``, drive a stage through two calls.  ``fields(y)``
-evaluates the drift and diffusion at a state, a single path ``(m,)`` or a
-batch of paths ``(B, m)``; ``advance`` applies them, as ``y + a dt + g dw``
-or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, each
-sum of fields taken entry by entry before it is applied.
+One stepping core serves single paths and batches of the state system and
+the augmented one: one stepper per scheme and one loop, ``_run``, drive a
+stage through two calls.  ``fields(y)`` evaluates the drift and diffusion
+at a state, a single path ``(m,)`` or a batch of paths ``(B, m)``;
+``advance`` applies them, as ``y + a dt + g dw`` or as Heun's trapezoid
+``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, each sum of fields taken entry
+by entry before it is applied.
 
-The state system's stage works from the structure of its roots, which
-``HamiltonianSystem`` derives from its compiled drift and diffusion sets at
-build time.  A root that is a constant is used as a number and never
-evaluated; constant zeros are skipped; one tape call computes the rest,
-with the chart guard and ``_values``' domain rule.  Row r of the diffusion
-is applied over its structural nonzeros only (the roots that are not a
-constant 0.0 or -0.0), summed left to right in ascending channel order,
-``((g_r,k1 dw_k1 + g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix
-product's summation order.  The same kernel runs a single path on Python
-floats and a batch on numpy columns, which round alike, so one path gives
-the same bits alone or as any row of a batch.
+The one stage class works from the structure of a system's roots, which
+``HamiltonianSystem`` derives from their expressions at build time.  A
+constant root is used as a number and never evaluated; constant zeros are
+skipped; one chart guard and one tape call compute the rest, under
+``_values``' domain rule.  Row r of the diffusion is applied over its
+structural nonzeros only (the roots that are not a constant 0.0 or -0.0),
+summed left to right in ascending channel order, ``((g_r,k1 dw_k1 +
+g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix product's
+summation order.  A single path runs on Python floats and a batch on numpy
+columns, which round alike, so a path gives the same bits alone or in any
+batch.
 
-Both schemes are applied unchanged to the augmented system carrying the flow
-Jacobian J (the linearization dJ = DX J) and log of the conformal factor
-(d log_lambda = -R(H_0) dt - sum_k R(H_k) o dB).  Co-integrating J with the
-same internal stages makes J exactly the derivative of the discrete flow map.
-Its stage guards the state once, evaluates the (X, DX, R) tape set of all
-d+1 Hamiltonians in one ``HamiltonianSystem._eval`` call, applies every DX
-to J in one stacked product and applies its dense diffusion columns by
-matrix product.
+The augmented system carries, with the state, the flow Jacobian J (dJ =
+DX J) and the log of the conformal factor (d log_lambda = -R(H_0) dt -
+sum_k R(H_k) o dB).  Its roots per Hamiltonian are X_H, each entry of DX_H J
+summed left to right in ascending c, and -R(H), as expressions over x, J
+and log_lambda, so constant folding drops the structural zeros of DX_H.
+Co-integrating J with the same internal stages makes J exactly the
+derivative of the discrete flow map, and under Heun the states are
+bit-equal to ``integrate``'s.
 
 ``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
 no stage evaluates a blown-up state.  A domain fault in a batch raises the
@@ -57,9 +58,10 @@ no stage evaluates a blown-up state.  A domain fault in a batch raises the
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -218,21 +220,16 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # One-step maps and the stepping loop (a single path (m,) or a batch (B, m))
 # ---------------------------------------------------------------------------
 
-class _StateStage:
-    """The state system's stage, applied from the structure of its roots.
+class _Stage:
+    """The stage of one of ``sys``'s root sets (``geometry._stage_roots``),
+    the state system's or the augmented system's, applied from its structure
+    as set out above: ``fields(y)`` is ``HamiltonianSystem._stage_values``,
+    and ``advance`` applies each row's constants, skips its constant zeros
+    and sums its diffusion left to right in ascending channel order."""
 
-    ``fields(y)`` guards ``y`` and gives ``HamiltonianSystem._state_values``:
-    a root that is a constant stays a number, and one tape call computes the
-    rest.  ``advance`` applies them row by row.  A drift that is a constant
-    is added as a scalar; a constant zero, in the drift or the diffusion, is
-    skipped.  Row r of the diffusion is summed over its structural nonzeros
-    only, left to right in ascending channel order.  A single path runs on
-    Python floats, which round as numpy's elementwise float64 operations do,
-    so a path gives the same bits alone or as any row of a batch."""
-
-    def __init__(self, sys: HamiltonianSystem):
-        self.fields = sys._state_values
-        self._rows = sys._state_rows
+    def __init__(self, sys: HamiltonianSystem, roots):
+        self.fields = functools.partial(sys._stage_values, roots)
+        self._rows = roots.rows
 
     def advance(self, y, dw, dt, k0, k1=None):
         """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
@@ -265,23 +262,6 @@ class _StateStage:
         for r, v in enumerate(out):
             rows[r] = v
         return rows.T
-
-
-class _DenseStage:
-    """A stage whose ``fields(y)`` gives the drift (..., m) and the diffusion
-    columns (..., m, d) as arrays, which ``advance`` applies as one stacked
-    product: the augmented system's stage, whose J rows are dense."""
-
-    def __init__(self, fields: Callable):
-        self.fields = fields
-
-    @staticmethod
-    def advance(y, dw, dt, k0, k1=None):
-        """As ``_StateStage.advance``, with the diffusion applied by matmul."""
-        a, g = k0
-        if k1 is not None:
-            return y + 0.5 * dt * (a + k1[0]) + 0.5 * ((g + k1[1]) @ dw[..., None])[..., 0]
-        return y + a * dt + (g @ dw[..., None])[..., 0]
 
 
 def _heun_step(stage, y, dw, dt):
@@ -371,7 +351,8 @@ def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.n
     """Advance the state by one step of the chosen Stratonovich scheme."""
     x = np.asarray(x, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    return _run(_StateStage(sys), x, dw[..., None], float(dt), scheme, "step", False)
+    stage = _Stage(sys, sys._state_roots)
+    return _run(stage, x, dw[..., None], float(dt), scheme, "step", False)
 
 
 @dataclass(eq=False)
@@ -389,7 +370,8 @@ class Trajectory:
 def integrate(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun") -> Trajectory:
     """Integrate the stochastic contact system over the grid of ``path``."""
     x0 = _initial_state(sys, x0, path)
-    states = _run(_StateStage(sys), x0, path.increments, path.dt, scheme, "integrate", True)
+    states = _run(_Stage(sys, sys._state_roots), x0, path.increments, path.dt, scheme,
+                  "integrate", True)
     return Trajectory(times=path.times(), states=states)
 
 
@@ -419,13 +401,18 @@ class AugmentedTrajectory:
 
     @property
     def conformal_factor(self) -> np.ndarray:
-        """lambda = exp(log_lambda) per time; an overflow is a
-        ``NumericalFailure``."""
-        try:
-            with np.errstate(over="raise"):
-                return np.exp(self.log_lambda)
-        except FloatingPointError:
-            raise NumericalFailure("conformal_factor", "conformal factor overflows") from None
+        """lambda = exp(log_lambda) per time, by ``_conformal_factor``."""
+        return np.array([_conformal_factor(v, "conformal_factor")
+                         for v in self.log_lambda.tolist()])
+
+
+def _conformal_factor(log_lambda: float, operation: str) -> float:
+    """lambda = math.exp(log_lambda); an overflow is a ``NumericalFailure``
+    of ``operation``."""
+    try:
+        return math.exp(log_lambda)
+    except OverflowError:
+        raise NumericalFailure(operation, "conformal factor overflows") from None
 
 
 def integrate_augmented(
@@ -443,20 +430,9 @@ def integrate_augmented(
     """
     x0 = _initial_state(sys, x0, path)
     dim = sys.dim
-    d = sys.d
-
-    def fields(y):
-        x, jac = y[:dim], y[dim:-1].reshape(dim, dim)
-        sys.chart.guard(x)
-        out = sys._eval(sys._augmented_tape, x).reshape(d + 1, -1)
-        out[:, dim:-1] = (out[:, dim:-1].reshape(d + 1, dim, dim) @ jac).reshape(d + 1, -1)
-        out[:, -1] = -out[:, -1]
-        # numpy's matmul sums in a layout-dependent order; a C-contiguous
-        # diffusion block keeps the augmented stage's bits.
-        return out[0], np.ascontiguousarray(out[1:].T)
-
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    ys = _run(_DenseStage(fields), y0, path.increments, path.dt, scheme, "integrate_augmented", True)
+    ys = _run(_Stage(sys, sys._augmented_roots), y0, path.increments, path.dt, scheme,
+              "integrate_augmented", True)
     return AugmentedTrajectory(
         times=path.times(), states=ys[:, :dim],
         jacobians=ys[:, dim:-1].reshape(-1, dim, dim), log_lambda=ys[:, -1],
@@ -480,5 +456,5 @@ def integrate_batch_final(
     Only the final state is kept; intermediate states are discarded.
     """
     states = np.asarray(initial_states, dtype=float)
-    return _run(_StateStage(sys), states, increments, dt, scheme,
+    return _run(_Stage(sys, sys._state_roots), states, increments, dt, scheme,
                 "integrate_batch_final", False)

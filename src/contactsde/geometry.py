@@ -33,6 +33,7 @@ formula.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -91,6 +92,32 @@ def _eval(tape, x: np.ndarray) -> np.ndarray:
     for r, value in enumerate(values):
         out[:, r] = value
     return out
+
+
+_StageRoots = collections.namedtuple("_StageRoots", "constants tape rows")
+
+
+def _stage_roots(drift, diffusion, d: int, layout) -> _StageRoots:
+    """A stage's roots, ``drift`` (m,) then ``diffusion`` row-major (m, d),
+    split by structure over ``layout``.  ``HamiltonianSystem._stage_values``
+    gives them as the nonzero ``constants``, kept as numbers, then the values
+    of ``tape``, which computes the rest.  Row r of ``rows`` is ``(drift
+    slot, ((k, slot), ...))`` over the channels k of its structural nonzeros,
+    ascending; a slot indexes those values, and a constant zero (0.0 or
+    -0.0) has none."""
+    roots = (*drift, *diffusion)
+    constants = tuple(e.value for e in roots if isinstance(e, expr.Const) and e.value != 0.0)
+    tape = expr.compile_tape([e for e in roots if not isinstance(e, expr.Const)], layout)
+    hoisted, computed = itertools.count(), itertools.count(len(constants))
+    slots = [
+        next(computed) if not isinstance(e, expr.Const)
+        else next(hoisted) if e.value != 0.0 else None
+        for e in roots
+    ]
+    noise = slots[len(drift):]
+    rows = tuple((a, tuple((k, s) for k, s in enumerate(noise[r * d:(r + 1) * d]) if s is not None))
+                 for r, a in enumerate(slots[:len(drift)]))
+    return _StageRoots(constants, tape, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +302,11 @@ class HamiltonianSystem:
     """A chart together with a drift Hamiltonian H_0, noise Hamiltonians
     H_1..H_d, and one precompiled tape set per query, holding exactly the
     expressions it returns: the value, gradient, ``X_H``, ``DX_H`` and
-    ``R(H)`` of every H_i, the diffusion columns, and the augmented set
-    ``(X_H, DX_H, R(H))`` of every H_i, which the augmented stage runs whole.
-    The state stage's set holds only the drift and diffusion roots that are
-    not constants; ``_state_rows`` records where each row's values are.
+    ``R(H)`` of every H_i, and the diffusion columns; and the roots of the
+    two systems that ``flow`` steps, split by ``_stage_roots``: the state's
+    (``_state_roots``) and the augmented state's (``_augmented_roots``, over
+    x, J row-major and log_lambda, whose roots per H_i are ``X_{H_i}``,
+    ``DX_{H_i} J`` and ``-R(H_i)``).
 
     The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
@@ -289,8 +317,9 @@ class HamiltonianSystem:
     the domain rule for both shapes.
 
     Constants are substituted at build time, so every compiled tape reads
-    only chart coordinates.  Instances are immutable after construction and
-    safe to share between threads or pickle to worker processes.
+    only chart coordinates (the augmented one also J, in slots ``J[c,b]``,
+    which no parsed name can equal).  Instances are immutable after
+    construction and safe to share between threads or pickle to workers.
     """
 
     def __init__(self, chart, h0, noise=(), constants=None):
@@ -299,10 +328,10 @@ class HamiltonianSystem:
             self.constants = {name: float(v) for name, v in dict(constants or {}).items()}
         except (TypeError, ValueError):
             raise ConfigError(f"constants must be numbers, got {constants!r}") from None
+        self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
         self.sources = tuple(
             h if isinstance(h, str) else expr.to_source(h) for h in (h0, *noise)
         )
-        self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
         layout = chart.names
         self.vector_field_exprs = fields = tuple(
             tuple(chart.vector_field_exprs(h)) for h in prepared
@@ -321,36 +350,25 @@ class HamiltonianSystem:
         self._field_tapes = tuple(expr.compile_tape(comps, layout) for comps in fields)
         self._jacobian_tapes = tuple(expr.compile_tape(dx, layout) for dx in jacobians)
         self._reeb_tapes = tuple(expr.compile_tape([rate], layout) for rate in rates)
-        # Per H: X_H, DX_H, R(H), in augmented-state order.
-        self._augmented_tape = expr.compile_tape(
-            [e for comps, dx, rate in zip(fields, jacobians, rates) for e in (*comps, *dx, rate)],
-            layout,
-        )
         # Diffusion row-major (dim, d).
         self._diffusion_tape = expr.compile_tape(
             [comps[r] for r in range(chart.dim) for comps in fields[1:]], layout
         )
-        # The state stage's roots, X_{H_0} then the diffusion row-major.  A
-        # constant root is kept as a number; one tape set computes the rest.
-        # Row r of ``_state_rows`` is ``(drift slot, ((k, slot), ...))`` over
-        # the channels k of its structural nonzeros, ascending; a slot indexes
-        # ``_state_values``, and a constant zero (0.0 or -0.0) has none.
-        roots = (*fields[0], *self._diffusion_tape.exprs)
-        constants = [e.value for e in roots if isinstance(e, expr.Const) and e.value != 0.0]
-        varying = [e for e in roots if not isinstance(e, expr.Const)]
-        self._state_constants = tuple(constants)
-        self._state_tape = expr.compile_tape(varying, layout)
-        hoisted, computed = itertools.count(), itertools.count(len(constants))
-        slots = [
-            next(computed) if not isinstance(e, expr.Const)
-            else next(hoisted) if e.value != 0.0 else None
-            for e in roots
-        ]
         dim, d = chart.dim, len(fields) - 1
-        self._state_rows = tuple(
-            (slots[r], tuple((k, s) for k, s in enumerate(slots[dim + r * d: dim + (r + 1) * d])
-                             if s is not None))
-            for r in range(dim)
+        self._state_roots = _stage_roots(fields[0], self._diffusion_tape.exprs, d, layout)
+        # The augmented state is x, J row-major, then log_lambda.  Its roots
+        # per H are X_H, DX_H J with each entry summed in ascending c, and -R(H).
+        jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
+        augmented = [(
+            *comps,
+            *(functools.reduce(expr.add, (expr.mul(dx[a * dim + c], jac[c * dim + b])
+                                          for c in range(dim)))
+              for a in range(dim) for b in range(dim)),
+            expr.negate(rate),
+        ) for comps, dx, rate in zip(fields, jacobians, rates)]
+        self._augmented_roots = _stage_roots(
+            augmented[0], [e for row in zip(*augmented[1:]) for e in row], d,
+            (*layout, *(v.name for v in jac), "log(lambda)"),
         )
 
     # -- basic queries ------------------------------------------------------
@@ -368,7 +386,10 @@ class HamiltonianSystem:
 
     def prepare(self, f) -> expr.Expr:
         """Parse (if needed) and close an expression over this system's
-        constants, leaving only chart coordinates free."""
+        constants, leaving only chart coordinates free.  Anything but a
+        string or an expression tree is a ``ConfigError``."""
+        if not isinstance(f, (str, *expr.NODE_TYPES)):
+            raise ConfigError(f"expected an expression, got {f!r}")
         names = list(self.chart.names) + list(self.constants)
         tree = expr.parse(f, names) if isinstance(f, str) else f
         tree = expr.substitute(tree, self.constants)
@@ -418,11 +439,12 @@ class HamiltonianSystem:
         return (self.vector_field(0, x),
                 self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
 
-    def _state_values(self, x: np.ndarray) -> tuple:
-        """The state stage's values at a guarded state (dim,) or batch (B,
-        dim): the nonzero constant roots, then the ``_values`` of the tape."""
-        self.chart.guard(x)
-        return self._state_constants + _values(self._state_tape, x)
+    def _stage_values(self, roots: _StageRoots, y: np.ndarray) -> tuple:
+        """The values of a stage's ``roots`` at its state (m,) or batch (B,
+        m), whose chart coordinates are guarded: the nonzero constants, then
+        the ``_values`` of the tape."""
+        self.chart.guard(y[..., :self.dim])
+        return roots.constants + _values(roots.tape, y)
 
     # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.
     def drift_batch(self, states: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import IndivisibleFactor, InvalidStep, MissingTangentData, NumericalFailure
+from .errors import (
+    ConfigError, IndivisibleFactor, InvalidStep, MissingTangentData, NumericalFailure,
+)
 from .flow import (
     AugmentedTrajectory,
     BrownianPath,
@@ -30,6 +32,7 @@ from .flow import (
     integrate_augmented,
     integrate_batch_final,
     _channels,
+    _conformal_factor,
     _increments,
     _initial_state,
     _n_steps,
@@ -145,15 +148,6 @@ def _fitted_orders(errors: Sequence[float]) -> list:
 # Structure checks
 # ---------------------------------------------------------------------------
 
-def _conformal_factor(log_lambda: float, operation: str) -> float:
-    """lambda = exp(log_lambda); an overflow is a ``NumericalFailure`` of
-    ``operation``."""
-    try:
-        return math.exp(log_lambda)
-    except OverflowError:
-        raise NumericalFailure(operation, "conformal factor overflows") from None
-
-
 def contact_defect(traj: AugmentedTrajectory, chart) -> ContactDefectReport:
     """Residual eta(x_t) J_t - lambda_t eta(x_0) per time, with sup norms.
 
@@ -182,6 +176,8 @@ def conformal_factor_check(traj: AugmentedTrajectory, closed_form) -> float:
 
     ``closed_form`` is an expression in the single variable ``t``.
     """
+    if not isinstance(closed_form, (str, *expr.NODE_TYPES)):
+        raise ConfigError(f"closed_form must be an expression, got {closed_form!r}")
     cf = expr.parse(closed_form, ["t"]) if isinstance(closed_form, str) else closed_form
     tape = expr.compile_tape(cf, ["t"])
     dev = 0.0
@@ -315,8 +311,8 @@ def monte_carlo(
     if batch_size < 1:
         raise InvalidStep(f"batch_size must be >= 1, got {batch_size!r}")
     zero_channels = _channels(zero_channels, sys.d)
+    tape = expr.compile_tape([sys.prepare(observable)], sys.chart.names)
     observable_source = observable if isinstance(observable, str) else expr.to_source(observable)
-    tape = expr.compile_tape([sys.prepare(observable_source)], sys.chart.names)
 
     batches = []
     start = 0

@@ -331,12 +331,26 @@ def test_tape_set_pickle_round_trip():
         pickle.loads(pickle.dumps(expr.compile_tape([expr.parse("1/q1", NAMES)], ["q1"])))([0.0])
 
 
+_AUGMENTED_STAGE_BOUND = {"sasaki-einstein-t11": 104, "dissipative-2d": 117}
+
+
 @pytest.mark.parametrize("system_id, bound", [("sasaki-einstein-t11", 64), ("dissipative-2d", 42)])
 def test_augmented_tape_set_computes_shared_subterms_once(system_id, bound):
+    # The set (X_H, DX_H, R(H)) of every H compiled whole, as the augmented
+    # stage once ran it, and the augmented stage's own tape of the roots
+    # that are not constants, in which DX_H J is summed over the structural
+    # nonzeros of DX_H.
     system = catalog.get_entry(system_id).system()
-    tape = system._augmented_tape
+    names = system.chart.names
+    roots = [
+        e for h, comps in zip(system.hamiltonians, system.vector_field_exprs)
+        for e in (*comps, *(expr.differentiate(c, name) for c in comps for name in names),
+                  system.chart.reeb_derivative_expr(h))
+    ]
+    tape = expr.compile_tape(roots, names)
     assert len(tape.exprs) == (system.d + 1) * (system.dim * (system.dim + 1) + 1)
     assert len(tape) <= bound
+    assert len(system._augmented_roots.tape) <= _AUGMENTED_STAGE_BOUND[system_id]
 
 
 def test_eval_accepts_tape():

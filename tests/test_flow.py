@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contactsde import catalog, flow, geometry as geo
+from contactsde import catalog, expr, flow, geometry as geo
 from contactsde.errors import (
     DomainError,
     IndivisibleFactor,
@@ -11,7 +11,7 @@ from contactsde.errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from contactsde.flow import _DenseStage, _heun_step
+from contactsde.flow import _heun_step
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,15 @@ def test_heun_step_is_second_order_taylor_on_linear_drift():
     x = np.array([1.0, -0.5])
     dt = 0.01
     taylor = x + dt * (a_mat @ x) + 0.5 * dt * dt * (a_mat @ a_mat @ x)
-    heun = _heun_step(_DenseStage(lambda y: (a_mat @ y, np.zeros((2, 0)))), x, np.zeros(0), dt)
+
+    class LinearDrift:  # a noiseless stage with drift a_mat y
+        fields = staticmethod(lambda y: a_mat @ y)
+
+        @staticmethod
+        def advance(y, dw, dt, k0, k1=None):
+            return y + dt * k0 if k1 is None else y + 0.5 * dt * (k0 + k1)
+
+    heun = _heun_step(LinearDrift, x, np.zeros(0), dt)
     assert np.max(np.abs(heun - taylor)) <= 1e-15
 
 
@@ -268,7 +276,7 @@ def test_conformal_factor_overflow_is_a_numerical_failure():
     assert (err.value.operation, str(err.value)) == ("conformal_factor", "conformal factor overflows")
     head = flow.AugmentedTrajectory(
         traj.times[:51], traj.states[:51], traj.jacobians[:51], traj.log_lambda[:51])
-    assert np.array_equal(head.conformal_factor, np.exp(head.log_lambda))
+    assert head.conformal_factor.tolist() == [math.exp(v) for v in head.log_lambda.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +325,19 @@ def test_batch_raises_the_domain_error_of_its_first_faulting_row():
 # ---------------------------------------------------------------------------
 
 def _channels_by_row(system):
-    return [tuple(k for k, _ in row) for _, row in system._state_rows]
+    return [tuple(k for k, _ in row) for _, row in system._state_roots.rows]
 
 
 def test_state_stage_structural_pattern(sasaki_einstein, dissipative):
     # SE: the drift is all constants, 8 diffusion roots vary, the theta and
     # phi rows read one channel each and the psi row all five.
-    assert len(sasaki_einstein._state_tape.exprs) == 8
+    assert len(sasaki_einstein._state_roots.tape.exprs) == 8
     assert _channels_by_row(sasaki_einstein) == [(3,), (4,), (1,), (2,), (0, 1, 2, 3, 4)]
-    assert sasaki_einstein._state_constants == (3.0, 3.0)  # psi drift, psi row channel 0
+    assert sasaki_einstein._state_roots.constants == (3.0, 3.0)  # psi drift, psi row channel 0
     # dissipative-2d: the drift varies, the diffusion is constant and only z is noisy.
-    assert len(dissipative._state_tape.exprs) == 5
+    assert len(dissipative._state_roots.tape.exprs) == 5
     assert _channels_by_row(dissipative) == [(), (), (), (), (0,)]
-    assert dissipative._state_constants == (0.1,)
+    assert dissipative._state_roots.constants == (0.1,)
 
 
 def _ordered_heun(system, x, dw, dt):
@@ -371,24 +379,72 @@ def test_state_stage_sums_each_row_left_to_right(system_id):
 
 
 # ---------------------------------------------------------------------------
-# one evaluation per augmented stage
+# the augmented system on the same structural stage
 # ---------------------------------------------------------------------------
 
-def _per_hamiltonian_fields(system):
-    """Augmented fields assembled one Hamiltonian at a time from the public
-    queries: the reference for the one-evaluation stage."""
-    dim, d = system.dim, system.d
+def _structural(e):
+    return not (isinstance(e, expr.Const) and e.value == 0.0)
 
-    def fields(y):
-        x, jac = y[:dim], y[dim:-1].reshape(dim, dim)
-        out = np.empty((d + 1, dim + dim * dim + 1))
-        for i in range(d + 1):
-            out[i, :dim] = system.vector_field(i, x)
-            out[i, dim:-1] = (system.vector_field_jacobian(i, x) @ jac).ravel()
-            out[i, -1] = -system.reeb_rate(i, x)
-        return out[0], np.ascontiguousarray(out[1:].T)
 
-    return fields
+class _PerHamiltonianStage:
+    """The augmented stage assembled one Hamiltonian at a time from the
+    public queries, in Python floats: the reference for the structural
+    stage.  Each (DX J)_ab entry and each diffusion row is summed left to
+    right over its structural nonzeros, read off the expression trees."""
+
+    def __init__(self, system):
+        self.system = system
+        dim, names = system.dim, system.chart.names
+        # Per H_i and row a, the columns c whose DX_ac is not a constant zero.
+        self.dx_columns = [
+            [[c for c in range(dim) if _structural(expr.differentiate(comps[a], names[c]))]
+             for a in range(dim)]
+            for comps in system.vector_field_exprs
+        ]
+        self.nonzero = [
+            [*map(_structural, comps), *(bool(cols) for cols in dx_cols for _ in range(dim)),
+             _structural(system.chart.reeb_derivative_expr(h))]
+            for comps, dx_cols, h in zip(system.vector_field_exprs, self.dx_columns,
+                                         system.hamiltonians)
+        ]
+
+    def fields(self, y):
+        system, dim = self.system, self.system.dim
+        y = y.tolist()
+        x, jac = np.array(y[:dim]), y[dim:-1]
+        out = []
+        for i, dx_cols in enumerate(self.dx_columns):
+            dx = system.vector_field_jacobian(i, x).tolist()
+            dj = []
+            for a in range(dim):
+                for b in range(dim):
+                    acc = 0.0
+                    for n, c in enumerate(dx_cols[a]):
+                        term = dx[a][c] * jac[c * dim + b]
+                        acc = term if n == 0 else acc + term
+                    dj.append(acc)
+            out.append([*system.vector_field(i, x).tolist(), *dj, -float(system.reeb_rate(i, x))])
+        return out
+
+    def advance(self, y, dw, dt, k0, k1=None):
+        if k1 is None:
+            k, h = k0, 1.0
+        else:
+            k, h = [[u + v for u, v in zip(f0, f1)] for f0, f1 in zip(k0, k1)], 0.5
+        drift, nonzero = k[0], self.nonzero
+        out = []
+        for r, v in enumerate(y.tolist()):
+            if nonzero[0][r]:
+                v = v + (h * dt) * drift[r]
+            noise = None
+            for ch, w in enumerate(dw.tolist(), start=1):
+                if nonzero[ch][r]:
+                    term = k[ch][r] * w
+                    noise = term if noise is None else noise + term
+            if noise is not None:
+                v = v + (noise if k1 is None else h * noise)
+            out.append(v)
+        return np.array(out)
 
 
 @pytest.mark.parametrize("scheme", flow.SCHEMES)
@@ -401,7 +457,7 @@ def test_augmented_stage_matches_per_hamiltonian_reference(system_id, scheme):
     path = flow.sample_brownian(system.d, 60, _BATCH_DT[system_id], 7)
     traj = flow.integrate_augmented(system, x0, path, scheme)
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    ref = flow._run(_DenseStage(_per_hamiltonian_fields(system)), y0, path.increments, path.dt,
+    ref = flow._run(_PerHamiltonianStage(system), y0, path.increments, path.dt,
                     scheme, "reference", True)
     got = np.concatenate(
         [traj.states, traj.jacobians.reshape(-1, dim * dim), traj.log_lambda[:, None]], axis=1
@@ -409,9 +465,35 @@ def test_augmented_stage_matches_per_hamiltonian_reference(system_id, scheme):
     assert got.tobytes() == ref.tobytes()  # bit for bit, signs of zero included
 
 
+@pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
+def test_heun_augmented_states_equal_state_integration(system_id):
+    # The augmented stage applies the state rows exactly as the state stage does.
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    x0 = np.array(entry.default_initial_state)
+    path = flow.sample_brownian(system.d, 200, _BATCH_DT[system_id], 1)
+    aug = flow.integrate_augmented(system, x0, path, "heun")
+    assert aug.states.tobytes() == flow.integrate(system, x0, path, "heun").states.tobytes()
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+def test_augmented_stage_batch_matches_single_paths(scheme):
+    system = catalog.sasaki_einstein_system()
+    x0 = np.array(catalog.get_entry("sasaki-einstein-t11").default_initial_state)
+    paths = [flow.sample_brownian(system.d, 40, 1e-5, 5, stream_index=s) for s in range(3)]
+    stage = flow._Stage(system, system._augmented_roots)
+    y0 = np.concatenate([x0, np.eye(system.dim).ravel(), [0.0]])
+    batch = flow._run(stage, np.tile(y0, (3, 1)), np.stack([p.increments for p in paths]),
+                      1e-5, scheme, "batch", False)
+    for row, path in zip(batch, paths):
+        traj = flow.integrate_augmented(system, x0, path, scheme)
+        alone = np.concatenate([traj.states[-1], traj.jacobians[-1].ravel(), traj.log_lambda[-1:]])
+        assert row.tobytes() == alone.tobytes()
+
+
 def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
     system = catalog.sasaki_einstein_system()
-    calls = {"eval": 0, "guard": 0}
+    calls = {"tape": 0, "guard": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -419,9 +501,8 @@ def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(system, "_eval", counted("eval", system._eval))
+    monkeypatch.setattr(expr.EvalTape, "__call__", counted("tape", expr.EvalTape.__call__))
     monkeypatch.setattr(system.chart, "guard", counted("guard", system.chart.guard))
     path = flow.sample_brownian(system.d, 5, 1e-4, 2)
     flow.integrate_augmented(system, [1.0, 1.2, 0.3, -0.4, 0.25], path, "heun")
-    assert calls == {"eval": 10, "guard": 10}  # two Heun stages per step
-
+    assert calls == {"tape": 10, "guard": 10}  # two Heun stages per step

@@ -7,6 +7,7 @@ import pytest
 
 from contactsde import flow, geometry as geo, verification as ver
 from contactsde.errors import (
+    ConfigError,
     IndivisibleFactor,
     InvalidStep,
     MissingTangentData,
@@ -230,3 +231,25 @@ def test_ensemble_stats_roundtrip():
     stats = ver.EnsembleStats(10, "z", 0.5, 0.25, 0.158)
     clone = ver.EnsembleStats.from_dict(json.loads(json.dumps(stats.to_dict())))
     assert clone.to_dict() == stats.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# input validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entry_point", [
+    "system_h0", "system_noise", "monte_carlo", "reeb_derivative", "conformal_factor_check",
+])
+def test_a_non_expression_is_a_config_error(entry_point, darboux1):
+    x0 = [0.1, 0.2, 0.3]
+    traj = flow.integrate_augmented(darboux1, x0, flow.sample_brownian(0, 2, 0.1, 0))
+    calls = {
+        "system_h0": lambda: geo.HamiltonianSystem(geo.DarbouxChart(1), 5),
+        "system_noise": lambda: geo.HamiltonianSystem(geo.DarbouxChart(1), "q1", [7]),
+        "monte_carlo": lambda: ver.monte_carlo(darboux1, x0, T=0.1, dt=0.05, n_paths=2,
+                                               master_seed=0, observable=5),
+        "reeb_derivative": lambda: geo.reeb_derivative(darboux1, 5, x0),
+        "conformal_factor_check": lambda: ver.conformal_factor_check(traj, 5),
+    }
+    with pytest.raises(ConfigError, match=r"got [57]$"):
+        calls[entry_point]()

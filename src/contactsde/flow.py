@@ -26,10 +26,11 @@ Schemes
 One stepping core serves single paths and batches of the state system and
 the augmented one: one stepper per scheme and one loop, ``_run``, drive a
 stage through two calls.  ``fields(y)`` evaluates the drift and diffusion
-at a state, a single path ``(m,)`` or a batch of paths ``(B, m)``;
-``advance`` applies them, as ``y + a dt + g dw`` or as Heun's trapezoid
-``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, each sum of fields taken entry
-by entry before it is applied.
+at a state, a single path ``(m,)`` or a batch of paths ``(m, B)``, one row
+per coordinate and the paths on the last axis; ``advance`` applies them,
+as ``y + a dt + g dw`` or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) +
+0.5 (g0 + g1) dw``, each sum of fields taken entry by entry before it is
+applied.
 
 The one stage class works from the structure of a system's roots, which
 ``HamiltonianSystem`` derives from their expressions at build time.  A
@@ -40,8 +41,9 @@ structural nonzeros only (the roots that are not a constant 0.0 or -0.0),
 summed left to right in ascending channel order, ``((g_r,k1 dw_k1 +
 g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix product's
 summation order.  A single path runs on Python floats and a batch on numpy
-columns, which round alike, so a path gives the same bits alone or in any
-batch.
+rows, which round alike, so a path gives the same bits alone or in any
+batch.  ``step`` and ``integrate_batch_final`` take and return a batch as
+``(B, m)``, one row per path, and convert it once.
 
 The augmented system carries, with the state, the flow Jacobian J (dJ =
 DX J) and the log of the conformal factor (d log_lambda = -R(H_0) dt -
@@ -217,7 +219,7 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 
 
 # ---------------------------------------------------------------------------
-# One-step maps and the stepping loop (a single path (m,) or a batch (B, m))
+# One-step maps and the stepping loop (a single path (m,) or a batch (m, B))
 # ---------------------------------------------------------------------------
 
 class _Stage:
@@ -225,7 +227,8 @@ class _Stage:
     the state system's or the augmented system's, applied from its structure
     as set out above: ``fields(y)`` is ``HamiltonianSystem._stage_values``,
     and ``advance`` applies each row's constants, skips its constant zeros
-    and sums its diffusion left to right in ascending channel order."""
+    and sums its diffusion left to right in ascending channel order, for a
+    state (m,) and increments (d,) or a batch (m, B) and increments (d, B)."""
 
     def __init__(self, sys: HamiltonianSystem, roots):
         self.fields = functools.partial(sys._stage_values, roots)
@@ -239,8 +242,7 @@ class _Stage:
             k, h = k0, 1.0
         else:
             k, h = [u + v for u, v in zip(k0, k1)], 0.5
-        single = y.ndim == 1
-        ys, ws = (y.tolist(), dw.tolist()) if single else (y.T, dw.T)
+        ys, ws = (y.tolist(), dw.tolist()) if y.ndim == 1 else (y, dw)
         h_dt = h * dt
         out = []
         for r, (a, row) in enumerate(self._rows):
@@ -254,14 +256,7 @@ class _Stage:
             if noise is not None:
                 v = v + (noise if k1 is None else h * noise)
             out.append(v)
-        if single:
-            return np.array(out)
-        # Rows of an (m, B) array: the (B, m) result's columns are contiguous,
-        # which the next stage's tape and this kernel read.
-        rows = np.empty((len(out), y.shape[0]))
-        for r, v in enumerate(out):
-            rows[r] = v
-        return rows.T
+        return np.array(out)
 
 
 def _heun_step(stage, y, dw, dt):
@@ -271,10 +266,8 @@ def _heun_step(stage, y, dw, dt):
 
 
 def _sup(a):
-    """max|a| over the last axis: one value per path."""
-    rows = np.abs(a).reshape(-1, a.shape[-1])
-    # numpy reduces a transposed copy much faster than a short last axis.
-    return rows.T.copy().max(axis=0).reshape(a.shape[:-1])
+    """max|a| over the first axis: one value per path."""
+    return np.abs(a).max(axis=0)
 
 
 def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
@@ -282,12 +275,12 @@ def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
         return stage.advance(y, dw, dt, stage.fields(z))
 
     y_new = image(y)
-    done = np.zeros(y.shape[:-1], dtype=bool)
+    done = np.zeros(y.shape[1:], dtype=bool)
     for _ in range(max_iter):
         y_next = image(0.5 * (y + y_new))
         err = _sup(y_next - y_new)
         # A path that has met its own test keeps that sweep's value.
-        y_new = np.where(done[..., None], y_new, y_next)
+        y_new = np.where(done, y_new, y_next)
         done |= err <= tol * np.maximum(1.0, _sup(y_new))
         if done.all():
             return y_new
@@ -307,14 +300,14 @@ def _stepper(scheme: str):
 
 
 def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
-    """Step ``y`` with ``stage`` over the grid of ``increments`` (..., d,
-    n_steps), whose leading axes match those of ``y``.  Returns the
+    """Step ``y``, (m,) or (m, B), with ``stage`` over the grid of
+    ``increments``, (d, n_steps) or (d, n_steps, B) to match.  Returns the
     (n_steps + 1, *y.shape) history if ``keep``, else the final value.
     Raises ``NumericalFailure`` at the first non-finite state, the initial
     one included, so no stage ever evaluates the fields of a blown-up state.
     Each step's increments are gathered once into contiguous memory."""
     stepper = _stepper(scheme)
-    n_steps = increments.shape[-1]
+    n_steps = increments.shape[1]
     if keep:
         history = np.empty((n_steps + 1, *y.shape))
     with np.errstate(all="ignore"):
@@ -324,15 +317,23 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
             if keep:
                 history[j] = y
             if j < n_steps:
-                y = stepper(stage, y, np.ascontiguousarray(increments[..., j]), dt)
+                y = stepper(stage, y, np.ascontiguousarray(increments[:, j]), dt)
     return history if keep else y
 
 
-def _initial_state(sys: HamiltonianSystem, x0, path: BrownianPath) -> np.ndarray:
-    if path.d != sys.d:
-        raise InvalidStep(f"path has {path.d} noise channels, system expects {sys.d}")
+def _initial_state(sys: HamiltonianSystem, x0, d: int, dt: float, paths=()) -> np.ndarray:
+    """``x0`` as floats, one state (dim,) or, given ``paths = (B,)``, a batch
+    (B, dim), checked to be stepped on ``sys`` by ``d`` noise channels at
+    step ``dt`` > 0; anything else is an ``InvalidStep``."""
+    if d != sys.d:
+        raise InvalidStep(f"path has {d} noise channels, system expects {sys.d}")
+    if not dt > 0.0:
+        raise InvalidStep(f"dt must be positive, got {dt!r}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.dim,):
+    if x0.shape[:-1] != paths:
+        raise InvalidStep(
+            f"initial states have shape {x0.shape}, increments need {(*paths, sys.dim)}")
+    if x0.shape[-1:] != (sys.dim,):
         raise InvalidStep(f"initial state must have length {sys.dim}")
     return x0
 
@@ -348,11 +349,15 @@ def drift_diffusion(sys: HamiltonianSystem, x) -> tuple:
 
 
 def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.ndarray:
-    """Advance the state by one step of the chosen Stratonovich scheme."""
-    x = np.asarray(x, dtype=float)
+    """Advance a state (dim,) with increments (d,), or a batch of states (B,
+    dim) with increments (B, d), by one step of the chosen Stratonovich
+    scheme; the result has the shape of ``x``."""
     dw = np.asarray(dw, dtype=float)
-    stage = _Stage(sys, sys._state_roots)
-    return _run(stage, x, dw[..., None], float(dt), scheme, "step", False)
+    if dw.ndim not in (1, 2):
+        raise InvalidStep(f"increments must be (d,) or (B, d), got shape {dw.shape}")
+    x = _initial_state(sys, x, dw.shape[-1], dt, dw.shape[:-1])
+    return _run(_Stage(sys, sys._state_roots), np.ascontiguousarray(x.T), dw.T[:, None],
+                float(dt), scheme, "step", False).T
 
 
 @dataclass(eq=False)
@@ -369,7 +374,7 @@ class Trajectory:
 
 def integrate(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun") -> Trajectory:
     """Integrate the stochastic contact system over the grid of ``path``."""
-    x0 = _initial_state(sys, x0, path)
+    x0 = _initial_state(sys, x0, path.d, path.dt)
     states = _run(_Stage(sys, sys._state_roots), x0, path.increments, path.dt, scheme,
                   "integrate", True)
     return Trajectory(times=path.times(), states=states)
@@ -428,7 +433,7 @@ def integrate_augmented(
 
     applied with the same increments and scheme as the state itself.
     """
-    x0 = _initial_state(sys, x0, path)
+    x0 = _initial_state(sys, x0, path.d, path.dt)
     dim = sys.dim
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
     ys = _run(_Stage(sys, sys._augmented_roots), y0, path.increments, path.dt, scheme,
@@ -455,6 +460,9 @@ def integrate_batch_final(
     ``initial_states`` is (B, dim) and ``increments`` is (B, d, n_steps).
     Only the final state is kept; intermediate states are discarded.
     """
-    states = np.asarray(initial_states, dtype=float)
-    return _run(_Stage(sys, sys._state_roots), states, increments, dt, scheme,
-                "integrate_batch_final", False)
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 3:
+        raise InvalidStep(f"increments must be (B, d, n_steps), got shape {increments.shape}")
+    states = _initial_state(sys, initial_states, increments.shape[1], dt, increments.shape[:1])
+    return _run(_Stage(sys, sys._state_roots), np.ascontiguousarray(states.T),
+                np.moveaxis(increments, 0, -1), dt, scheme, "integrate_batch_final", False).T

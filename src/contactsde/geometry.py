@@ -58,33 +58,33 @@ SIN_GUARD = 1e-9  # reject Sasaki-Einstein states with |sin(theta_i)| below this
 
 def _values(tape, x: np.ndarray) -> tuple:
     """The values of the tape set ``tape`` at ``x``, as one tape call returns
-    them: Python floats for one state (dim,), run in scalar mode with domain
-    checks; for a batch (B, dim), one array per value that reads a
-    coordinate, run in array mode on the batch's columns.
+    them: Python floats for one state (n,), run in scalar mode with domain
+    checks; for a batch (n, B), one row per slot and one column per path,
+    one array per value that reads a slot, run in array mode on the rows.
 
     One domain rule serves both: a batch raises the ``DomainError`` that its
-    first faulting row raises alone.  Array mode runs with numpy's
-    floating-point flags raising; on a flag the rows are replayed in scalar
-    mode, in order.  If no row raises (an overflow, say), the batch is
+    first faulting path raises alone.  Array mode runs with numpy's
+    floating-point flags raising; on a flag the paths are replayed in scalar
+    mode, in order.  If no path raises (an overflow, say), the batch is
     evaluated again with the flags ignored and its non-finite values are
     left to the caller's screen."""
     if x.ndim == 1:
         return tape(x.tolist())
-    columns = list(x.T)
+    rows = list(x)
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            return tape(columns)
+            return tape(rows)
     except FloatingPointError:
-        for row in x:
-            tape(row.tolist())
+        for path in x.T:
+            tape(path.tolist())
         with np.errstate(all="ignore"):
-            return tape(columns)
+            return tape(rows)
 
 
 def _eval(tape, x: np.ndarray) -> np.ndarray:
     """``_values`` of the tape set ``tape`` (n expressions) at ``x`` as one
-    array: shape (n,) for one state, (B, n) for a batch."""
-    values = _values(tape, x)
+    array: shape (n,) for one state, (B, n) for a batch (B, dim)."""
+    values = _values(tape, x.T)
     if x.ndim == 1:
         return np.array(values)
     # A value that reads no coordinate is a float64 scalar; assignment broadcasts it.
@@ -316,7 +316,8 @@ class HamiltonianSystem:
     brackets.  ``_eval`` assembles the values of ``_values``, which holds
     the domain rule for both shapes.
 
-    Constants are substituted at build time, so every compiled tape reads
+    Constants, which may name neither a chart coordinate nor a function,
+    are substituted at build time, so every compiled tape reads
     only chart coordinates (the augmented one also J, in slots ``J[c,b]``,
     which no parsed name can equal).  Instances are immutable after
     construction and safe to share between threads or pickle to workers.
@@ -328,6 +329,11 @@ class HamiltonianSystem:
             self.constants = {name: float(v) for name, v in dict(constants or {}).items()}
         except (TypeError, ValueError):
             raise ConfigError(f"constants must be numbers, got {constants!r}") from None
+        shadowed = sorted(set(self.constants) & {*chart.names, *expr.FUNCTIONS})
+        if shadowed:
+            raise ConfigError(f"constants shadow chart coordinates or functions: {shadowed}")
+        if not isinstance(noise, (list, tuple)):
+            raise ConfigError(f"noise must be a list of expressions, got {noise!r}")
         self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
         self.sources = tuple(
             h if isinstance(h, str) else expr.to_source(h) for h in (h0, *noise)
@@ -440,10 +446,10 @@ class HamiltonianSystem:
                 self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
 
     def _stage_values(self, roots: _StageRoots, y: np.ndarray) -> tuple:
-        """The values of a stage's ``roots`` at its state (m,) or batch (B,
-        m), whose chart coordinates are guarded: the nonzero constants, then
+        """The values of a stage's ``roots`` at its state (m,) or batch (m,
+        B), whose chart coordinates are guarded: the nonzero constants, then
         the ``_values`` of the tape."""
-        self.chart.guard(y[..., :self.dim])
+        self.chart.guard(y[:self.dim].T)
         return roots.constants + _values(roots.tape, y)
 
     # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.

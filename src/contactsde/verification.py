@@ -194,7 +194,7 @@ def finite_difference_jacobian(
     Independent oracle for the co-integrated tangent flow."""
     if h <= 0.0:
         raise InvalidStep("h must be positive")
-    x0 = _initial_state(sys, x0, path)
+    x0 = _initial_state(sys, x0, path.d, path.dt)
     dim = x0.size
     starts = np.tile(x0, (2, dim, 1))
     cols = np.arange(dim)

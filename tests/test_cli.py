@@ -360,8 +360,12 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
      "h0 must be an expression, got 5"),
     ({"system": "dissipative-2d", "conformal_factor": 5},
      "conformal_factor must be an expression, got 5"),
+    ({"system": dict(_INLINE, constants={"q1": 2.0}), "initial_state": [0.1, 0.2, 0.3]},
+     "constants shadow chart coordinates or functions: ['q1']"),
+    ({"system": dict(_INLINE, constants={"sin": 2.0}), "initial_state": [0.1, 0.2, 0.3]},
+     "constants shadow chart coordinates or functions: ['sin']"),
 ], ids=["T", "seed", "initial_state", "params", "n", "constants",
-        "params_not_object", "h0", "conformal_factor"])
+        "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
     cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
     code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)

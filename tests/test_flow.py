@@ -299,12 +299,17 @@ def test_batch_matches_scalar_paths(system_id, scheme):
     increments = np.stack([p.increments for p in paths])
     finals = np.array([flow.integrate(system, x0, p, scheme).final_state for p in paths])
     batch = flow.integrate_batch_final(system, np.tile(x0, (n_paths, 1)), increments, dt, scheme)
-    assert np.array_equal(batch, finals)
+    assert batch.tobytes() == finals.tobytes()
     alone = flow.integrate_batch_final(system, x0[None], increments[:1], dt, scheme)
-    assert np.array_equal(batch[:1], alone)
+    assert batch[:1].tobytes() == alone.tobytes()
     reversed_three = flow.integrate_batch_final(
         system, np.tile(x0, (3, 1)), increments[2::-1], dt, scheme)
-    assert np.array_equal(reversed_three, finals[2::-1])
+    assert reversed_three.tobytes() == finals[2::-1].tobytes()
+    # One path's increments shared by stride 0, as finite_difference_jacobian passes them.
+    shared = flow.integrate_batch_final(
+        system, np.tile(x0, (3, 1)), np.broadcast_to(increments[4], (3, *increments.shape[1:])),
+        dt, scheme)
+    assert shared.tobytes() == np.tile(finals[4], (3, 1)).tobytes()
 
 
 def test_batch_raises_the_domain_error_of_its_first_faulting_row():
@@ -318,6 +323,42 @@ def test_batch_raises_the_domain_error_of_its_first_faulting_row():
         flow.integrate_batch_final(system, states, increments, path.dt)
     assert str(batch.value) == str(alone.value)
     assert str(batch.value).startswith("log of non-positive value")
+
+
+_DT = 1e-3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((2, 2, 10)), _DT),
+     "path has 2 noise channels, system expects 1"),
+    (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((3, 1, 10)), _DT),
+     "initial states have shape (2, 5), increments need (3, 5)"),
+    (lambda s: flow.integrate_batch_final(s, np.zeros((2, 4)), np.zeros((2, 1, 10)), _DT),
+     "initial state must have length 5"),
+    (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((2, 1, 10)), -_DT),
+     "dt must be positive, got -0.001"),
+    (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((1, 10)), _DT),
+     "increments must be (B, d, n_steps), got shape (1, 10)"),
+    (lambda s: flow.step(s, np.zeros(5), np.zeros(3), _DT),
+     "path has 3 noise channels, system expects 1"),
+    (lambda s: flow.step(s, np.zeros(4), np.zeros(1), _DT),
+     "initial state must have length 5"),
+    (lambda s: flow.step(s, np.zeros(5), np.zeros(1), -_DT),
+     "dt must be positive, got -0.001"),
+    (lambda s: flow.step(s, np.zeros((2, 5)), np.zeros((3, 1)), _DT),
+     "initial states have shape (2, 5), increments need (3, 5)"),
+    (lambda s: flow.step(s, np.zeros((2, 5)), np.zeros(1), _DT),
+     "initial states have shape (2, 5), increments need (5,)"),
+    (lambda s: flow.step(s, np.zeros(5), 0.0, _DT),
+     "increments must be (d,) or (B, d), got shape ()"),
+], ids=["batch_channels", "batch_size", "batch_length", "batch_dt", "batch_rank",
+        "step_channels", "step_length", "step_dt", "step_batch_size", "step_shared_dw",
+        "step_rank"])
+def test_stepping_entry_points_validate_their_inputs(dissipative, call, message):
+    # dissipative-2d has dim 5 and one noise channel.
+    with pytest.raises(InvalidStep) as err:
+        call(dissipative)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +524,12 @@ def test_augmented_stage_batch_matches_single_paths(scheme):
     paths = [flow.sample_brownian(system.d, 40, 1e-5, 5, stream_index=s) for s in range(3)]
     stage = flow._Stage(system, system._augmented_roots)
     y0 = np.concatenate([x0, np.eye(system.dim).ravel(), [0.0]])
-    batch = flow._run(stage, np.tile(y0, (3, 1)), np.stack([p.increments for p in paths]),
+    # Inside flow a batch carries its paths on the last axis: (n_aug, B)
+    # states and (d, n_steps, B) increments.
+    batch = flow._run(stage, np.tile(y0[:, None], (1, 3)),
+                      np.stack([p.increments for p in paths], axis=-1),
                       1e-5, scheme, "batch", False)
-    for row, path in zip(batch, paths):
+    for row, path in zip(batch.T, paths):
         traj = flow.integrate_augmented(system, x0, path, scheme)
         alone = np.concatenate([traj.states[-1], traj.jacobians[-1].ravel(), traj.log_lambda[-1:]])
         assert row.tobytes() == alone.tobytes()

@@ -296,6 +296,18 @@ def test_system_rejects_undeclared_names():
         geo.HamiltonianSystem(geo.DarbouxChart(1), stray)
 
 
+@pytest.mark.parametrize("noise, constants, message", [
+    (5, None, "noise must be a list of expressions, got 5"),
+    ("p1", None, "noise must be a list of expressions, got 'p1'"),
+    ((), {"q1": 2.0}, "constants shadow chart coordinates or functions: ['q1']"),
+    ((), {"sin": 2.0, "z": 1.0}, "constants shadow chart coordinates or functions: ['sin', 'z']"),
+], ids=["noise_int", "noise_str", "coordinate", "function"])
+def test_system_rejects_malformed_noise_and_shadowing_constants(noise, constants, message):
+    with pytest.raises(ConfigError) as err:
+        geo.HamiltonianSystem(geo.DarbouxChart(1), "q1", noise, constants)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # intrinsic relations
 # ---------------------------------------------------------------------------

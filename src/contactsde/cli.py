@@ -130,9 +130,9 @@ def load_config(path: Optional[str], args) -> RunConfig:
 
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
-    if cfg.T <= cfg.t0:
+    if not cfg.T > cfg.t0:
         raise ConfigError("T must exceed t0")
-    if cfg.dt <= 0.0:
+    if not cfg.dt > 0.0:
         raise ConfigError("dt must be positive")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", default=None, help="path to a JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--dt", type=float, default=None, help="override step size")

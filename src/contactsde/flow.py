@@ -29,30 +29,16 @@ stage through two calls.  ``fields(y)`` evaluates the drift and diffusion
 at a state, a single path ``(m,)`` or a batch of paths ``(m, B)``, one row
 per coordinate and the paths on the last axis; ``advance`` applies them,
 as ``y + a dt + g dw`` or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) +
-0.5 (g0 + g1) dw``, each sum of fields taken entry by entry before it is
-applied.
-
-The one stage class works from the structure of a system's roots, which
-``HamiltonianSystem`` derives from their expressions at build time.  A
-constant root is used as a number and never evaluated; constant zeros are
-skipped; one chart guard and one tape call compute the rest, under
-``_values``' domain rule.  Row r of the diffusion is applied over its
-structural nonzeros only (the roots that are not a constant 0.0 or -0.0),
-summed left to right in ascending channel order, ``((g_r,k1 dw_k1 +
-g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix product's
-summation order.  A single path runs on Python floats and a batch on numpy
-rows, which round alike, so a path gives the same bits alone or in any
-batch.  ``step`` and ``integrate_batch_final`` take and return a batch as
-``(B, m)``, one row per path, and convert it once.
+0.5 (g0 + g1) dw``.  The stages are ``geometry._Stage`` objects, which each
+``HamiltonianSystem`` builds once and which alone know their structure and
+summation order.  ``step`` and ``integrate_batch_final`` take and return a
+batch as ``(B, m)``, one row per path, and convert it once.
 
 The augmented system carries, with the state, the flow Jacobian J (dJ =
 DX J) and the log of the conformal factor (d log_lambda = -R(H_0) dt -
-sum_k R(H_k) o dB).  Its roots per Hamiltonian are X_H, each entry of DX_H J
-summed left to right in ascending c, and -R(H), as expressions over x, J
-and log_lambda, so constant folding drops the structural zeros of DX_H.
-Co-integrating J with the same internal stages makes J exactly the
-derivative of the discrete flow map, and under Heun the states are
-bit-equal to ``integrate``'s.
+sum_k R(H_k) o dB).  Co-integrating J with the same internal stages makes J
+exactly the derivative of the discrete flow map, and under Heun the states
+are bit-equal to ``integrate``'s.
 
 ``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
 no stage evaluates a blown-up state.  A domain fault in a batch raises the
@@ -60,7 +46,6 @@ no stage evaluates a blown-up state.  A domain fault in a batch raises the
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -139,7 +124,9 @@ def _increments(d: int, n_steps: int, dt: float, master_seed: int, stream_index:
 
 def _n_steps(span: float, dt: float) -> int:
     """Number of steps of size ``dt`` in ``span``, which ``dt`` must divide
-    to relative tolerance 1e-12."""
+    to relative tolerance 1e-12; both must be finite and ``dt`` > 0."""
+    if not (math.isfinite(span) and math.isfinite(dt) and dt > 0.0):
+        raise InvalidStep(f"need a finite T - t0 and a finite dt > 0, got {span!r} and {dt!r}")
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-12 * max(1.0, abs(span)):
         raise InvalidStep(f"dt {dt!r} does not divide T - t0 = {span!r}")
@@ -193,8 +180,8 @@ def sample_brownian(
 
     ``d = 0`` yields an empty increment matrix (the deterministic case).
     """
-    if dt <= 0.0:
-        raise InvalidStep(f"dt must be positive, got {dt!r}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise InvalidStep(f"dt must be finite and positive, got {dt!r}")
     if n_steps < 0 or d < 0:
         raise InvalidStep("n_steps and d must be nonnegative")
     inc = _increments(d, n_steps, dt, master_seed, stream_index)
@@ -221,43 +208,6 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # ---------------------------------------------------------------------------
 # One-step maps and the stepping loop (a single path (m,) or a batch (m, B))
 # ---------------------------------------------------------------------------
-
-class _Stage:
-    """The stage of one of ``sys``'s root sets (``geometry._stage_roots``),
-    the state system's or the augmented system's, applied from its structure
-    as set out above: ``fields(y)`` is ``HamiltonianSystem._stage_values``,
-    and ``advance`` applies each row's constants, skips its constant zeros
-    and sums its diffusion left to right in ascending channel order, for a
-    state (m,) and increments (d,) or a batch (m, B) and increments (d, B)."""
-
-    def __init__(self, sys: HamiltonianSystem, roots):
-        self.fields = functools.partial(sys._stage_values, roots)
-        self._rows = roots.rows
-
-    def advance(self, y, dw, dt, k0, k1=None):
-        """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
-        trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, with each sum
-        of fields taken entry by entry before it is applied."""
-        if k1 is None:
-            k, h = k0, 1.0
-        else:
-            k, h = [u + v for u, v in zip(k0, k1)], 0.5
-        ys, ws = (y.tolist(), dw.tolist()) if y.ndim == 1 else (y, dw)
-        h_dt = h * dt
-        out = []
-        for r, (a, row) in enumerate(self._rows):
-            v = ys[r]
-            if a is not None:
-                v = v + h_dt * k[a]
-            noise = None
-            for c, i in row:
-                term = k[i] * ws[c]
-                noise = term if noise is None else noise + term
-            if noise is not None:
-                v = v + (noise if k1 is None else h * noise)
-            out.append(v)
-        return np.array(out)
-
 
 def _heun_step(stage, y, dw, dt):
     k0 = stage.fields(y)
@@ -356,7 +306,7 @@ def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.n
     if dw.ndim not in (1, 2):
         raise InvalidStep(f"increments must be (d,) or (B, d), got shape {dw.shape}")
     x = _initial_state(sys, x, dw.shape[-1], dt, dw.shape[:-1])
-    return _run(_Stage(sys, sys._state_roots), np.ascontiguousarray(x.T), dw.T[:, None],
+    return _run(sys._state_stage, np.ascontiguousarray(x.T), dw.T[:, None],
                 float(dt), scheme, "step", False).T
 
 
@@ -375,7 +325,7 @@ class Trajectory:
 def integrate(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun") -> Trajectory:
     """Integrate the stochastic contact system over the grid of ``path``."""
     x0 = _initial_state(sys, x0, path.d, path.dt)
-    states = _run(_Stage(sys, sys._state_roots), x0, path.increments, path.dt, scheme,
+    states = _run(sys._state_stage, x0, path.increments, path.dt, scheme,
                   "integrate", True)
     return Trajectory(times=path.times(), states=states)
 
@@ -436,7 +386,7 @@ def integrate_augmented(
     x0 = _initial_state(sys, x0, path.d, path.dt)
     dim = sys.dim
     y0 = np.concatenate([x0, np.eye(dim).ravel(), [0.0]])
-    ys = _run(_Stage(sys, sys._augmented_roots), y0, path.increments, path.dt, scheme,
+    ys = _run(sys._augmented_stage, y0, path.increments, path.dt, scheme,
               "integrate_augmented", True)
     return AugmentedTrajectory(
         times=path.times(), states=ys[:, :dim],
@@ -464,5 +414,5 @@ def integrate_batch_final(
     if increments.ndim != 3:
         raise InvalidStep(f"increments must be (B, d, n_steps), got shape {increments.shape}")
     states = _initial_state(sys, initial_states, increments.shape[1], dt, increments.shape[:1])
-    return _run(_Stage(sys, sys._state_roots), np.ascontiguousarray(states.T),
+    return _run(sys._state_stage, np.ascontiguousarray(states.T),
                 np.moveaxis(increments, 0, -1), dt, scheme, "integrate_batch_final", False).T

@@ -30,10 +30,24 @@ defining relations gives ``eta(X_H) = sigma H`` with a chart-dependent sign
 ``sigma`` (Darboux: -1, Sasaki-Einstein: +1); ``check_intrinsic_relations``
 reports residuals with respect to that convention and does not "fix" either
 formula.
+
+The systems that ``flow`` steps, the state and the state augmented with its
+flow Jacobian J and log_lambda, are each one ``_Stage``, built once per
+``HamiltonianSystem`` from the structure of its roots' expressions.  A
+constant root is used as a number and never evaluated; constant zeros are
+skipped; one chart guard and one tape call compute the rest, under
+``_values``' domain rule.  Row r of the diffusion is applied over its
+structural nonzeros only (the roots that are not a constant 0.0 or -0.0),
+summed left to right in ascending channel order, ``((g_r,k1 dw_k1 +
+g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix product's summation
+order.  A single path runs on Python floats and a batch on numpy rows, which
+round alike, so a path gives the same bits alone or in any batch.  The
+augmented roots per Hamiltonian are X_H, each entry of DX_H J summed left to
+right in ascending c, and -R(H), as expressions over x, J and log_lambda, so
+constant folding drops the structural zeros of DX_H.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -94,30 +108,66 @@ def _eval(tape, x: np.ndarray) -> np.ndarray:
     return out
 
 
-_StageRoots = collections.namedtuple("_StageRoots", "constants tape rows")
+class _Stage:
+    """One system that ``flow`` steps, the state's or the augmented state's,
+    held by its structure.  Its roots, ``drift`` (m,) then ``diffusion``
+    row-major (m, d), are split over ``layout`` into the nonzero
+    ``constants``, kept as numbers, and one tape set, ``tape``, of the rest.
+    Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the channels
+    k of its structural nonzeros, ascending; a slot indexes the values that
+    ``fields`` returns, and a constant zero (0.0 or -0.0) has none.  No other
+    module of the package reads that format: ``flow`` drives a stage through
+    ``fields`` and ``advance`` only."""
 
+    def __init__(self, chart, drift, diffusion, d: int, layout):
+        self.chart = chart
+        roots = (*drift, *diffusion)
+        self.constants = tuple(e.value for e in roots
+                               if isinstance(e, expr.Const) and e.value != 0.0)
+        self.tape = expr.compile_tape([e for e in roots if not isinstance(e, expr.Const)], layout)
+        hoisted, computed = itertools.count(), itertools.count(len(self.constants))
+        slots = [
+            next(computed) if not isinstance(e, expr.Const)
+            else next(hoisted) if e.value != 0.0 else None
+            for e in roots
+        ]
+        noise = slots[len(drift):]
+        self.rows = tuple(
+            (a, tuple((k, s) for k, s in enumerate(noise[r * d:(r + 1) * d]) if s is not None))
+            for r, a in enumerate(slots[:len(drift)])
+        )
 
-def _stage_roots(drift, diffusion, d: int, layout) -> _StageRoots:
-    """A stage's roots, ``drift`` (m,) then ``diffusion`` row-major (m, d),
-    split by structure over ``layout``.  ``HamiltonianSystem._stage_values``
-    gives them as the nonzero ``constants``, kept as numbers, then the values
-    of ``tape``, which computes the rest.  Row r of ``rows`` is ``(drift
-    slot, ((k, slot), ...))`` over the channels k of its structural nonzeros,
-    ascending; a slot indexes those values, and a constant zero (0.0 or
-    -0.0) has none."""
-    roots = (*drift, *diffusion)
-    constants = tuple(e.value for e in roots if isinstance(e, expr.Const) and e.value != 0.0)
-    tape = expr.compile_tape([e for e in roots if not isinstance(e, expr.Const)], layout)
-    hoisted, computed = itertools.count(), itertools.count(len(constants))
-    slots = [
-        next(computed) if not isinstance(e, expr.Const)
-        else next(hoisted) if e.value != 0.0 else None
-        for e in roots
-    ]
-    noise = slots[len(drift):]
-    rows = tuple((a, tuple((k, s) for k, s in enumerate(noise[r * d:(r + 1) * d]) if s is not None))
-                 for r, a in enumerate(slots[:len(drift)]))
-    return _StageRoots(constants, tape, rows)
+    def fields(self, y) -> tuple:
+        """The values at a state (m,) or a batch (m, B), whose chart
+        coordinates are guarded once: the constants, then the ``_values`` of
+        the tape."""
+        self.chart.guard(y[:self.chart.dim].T)
+        return self.constants + _values(self.tape, y)
+
+    def advance(self, y, dw, dt, k0, k1=None):
+        """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
+        trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, with each sum
+        of fields taken entry by entry before it is applied.  ``y`` and
+        ``dw`` are (m,) and (d,) or (m, B) and (d, B)."""
+        if k1 is None:
+            k, h = k0, 1.0
+        else:
+            k, h = [u + v for u, v in zip(k0, k1)], 0.5
+        ys, ws = (y.tolist(), dw.tolist()) if y.ndim == 1 else (y, dw)
+        h_dt = h * dt
+        out = []
+        for r, (a, row) in enumerate(self.rows):
+            v = ys[r]
+            if a is not None:
+                v = v + h_dt * k[a]
+            noise = None
+            for c, i in row:
+                term = k[i] * ws[c]
+                noise = term if noise is None else noise + term
+            if noise is not None:
+                v = v + (noise if k1 is None else h * noise)
+            out.append(v)
+        return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +352,11 @@ class HamiltonianSystem:
     """A chart together with a drift Hamiltonian H_0, noise Hamiltonians
     H_1..H_d, and one precompiled tape set per query, holding exactly the
     expressions it returns: the value, gradient, ``X_H``, ``DX_H`` and
-    ``R(H)`` of every H_i, and the diffusion columns; and the roots of the
-    two systems that ``flow`` steps, split by ``_stage_roots``: the state's
-    (``_state_roots``) and the augmented state's (``_augmented_roots``, over
-    x, J row-major and log_lambda, whose roots per H_i are ``X_{H_i}``,
-    ``DX_{H_i} J`` and ``-R(H_i)``).
+    ``R(H)`` of every H_i, and the diffusion columns; and the two ``_Stage``
+    objects that ``flow`` steps, built once: the state's (``_state_stage``)
+    and the augmented state's (``_augmented_stage``, over x, J row-major and
+    log_lambda, whose roots per H_i are ``X_{H_i}``, ``DX_{H_i} J`` and
+    ``-R(H_i)``).
 
     The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
@@ -361,7 +411,7 @@ class HamiltonianSystem:
             [comps[r] for r in range(chart.dim) for comps in fields[1:]], layout
         )
         dim, d = chart.dim, len(fields) - 1
-        self._state_roots = _stage_roots(fields[0], self._diffusion_tape.exprs, d, layout)
+        self._state_stage = _Stage(chart, fields[0], self._diffusion_tape.exprs, d, layout)
         # The augmented state is x, J row-major, then log_lambda.  Its roots
         # per H are X_H, DX_H J with each entry summed in ascending c, and -R(H).
         jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
@@ -372,8 +422,8 @@ class HamiltonianSystem:
               for a in range(dim) for b in range(dim)),
             expr.negate(rate),
         ) for comps, dx, rate in zip(fields, jacobians, rates)]
-        self._augmented_roots = _stage_roots(
-            augmented[0], [e for row in zip(*augmented[1:]) for e in row], d,
+        self._augmented_stage = _Stage(
+            chart, augmented[0], [e for row in zip(*augmented[1:]) for e in row], d,
             (*layout, *(v.name for v in jac), "log(lambda)"),
         )
 
@@ -444,13 +494,6 @@ class HamiltonianSystem:
         is guarded once, by ``vector_field``."""
         return (self.vector_field(0, x),
                 self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
-
-    def _stage_values(self, roots: _StageRoots, y: np.ndarray) -> tuple:
-        """The values of a stage's ``roots`` at its state (m,) or batch (m,
-        B), whose chart coordinates are guarded: the nonzero constants, then
-        the ``_values`` of the tape."""
-        self.chart.guard(y[:self.dim].T)
-        return roots.constants + _values(roots.tape, y)
 
     # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.
     def drift_batch(self, states: np.ndarray) -> np.ndarray:
@@ -600,7 +643,12 @@ def check_integrability(
     Reports the largest pairwise bracket |[h_i, h_j]| (i, j >= 1), the
     largest Reeb bracket |[h_i, 1]|, and the smallest singular value of the
     (n+1) x (2n+1) matrix of Hamiltonian vector fields over the samples.
+    ``tol`` and ``independence_tol`` must be finite numbers >= 0.
     """
+    if not all(isinstance(t, (int, float)) and 0.0 <= t < math.inf
+               for t in (tol, independence_tol)):
+        raise ConfigError(f"tol and independence_tol must be finite numbers >= 0, "
+                          f"got {tol!r} and {independence_tol!r}")
     n = sys.chart.n
     if len(integrals) != n + 1:
         raise WrongIntegralCount(

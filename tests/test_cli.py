@@ -193,6 +193,21 @@ def test_check_integrability_samples_validated(tmp_path, capsys):
     assert code == 2 and "samples" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_check_integrability_tolerance_validated(tmp_path, capsys, tol):
+    # A NaN tolerance used to print "bracket_tol": NaN, which is not JSON,
+    # and a negative one failed a check that no bracket can pass.
+    cfg = write_config(tmp_path, system="sasaki-einstein-t11", T=0.1, dt=1e-3)
+    code, out, err = run_cli(
+        capsys, "check-integrability", "--config", cfg,
+        "--integral", "1", "--integral", "(1/3)*cos(theta1)",
+        "--integral", "(1/3)*cos(theta2)", "--tol", tol,
+    )
+    assert (code, out) == (2, "")
+    assert err == ("config error: tol and independence_tol must be finite numbers >= 0, "
+                   f"got {float(tol)!r} and 1e-06\n")
+
+
 def test_monte_carlo_worker_count_invariance(tmp_path, capsys):
     cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=0.01, seed=3)
     args = ["monte-carlo", "--config", cfg, "--observable", "z", "--paths", "200"]
@@ -364,12 +379,24 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
      "constants shadow chart coordinates or functions: ['q1']"),
     ({"system": dict(_INLINE, constants={"sin": 2.0}), "initial_state": [0.1, 0.2, 0.3]},
      "constants shadow chart coordinates or functions: ['sin']"),
+    ({"system": "dissipative-2d", "T": math.nan}, "T must exceed t0"),
+    ({"system": "dissipative-2d", "t0": math.nan}, "T must exceed t0"),
+    ({"system": "dissipative-2d", "T": math.inf},
+     "need a finite T - t0 and a finite dt > 0, got inf and 0.01"),
 ], ids=["T", "seed", "initial_state", "params", "n", "constants",
-        "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function"])
+        "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function",
+        "T_nan", "t0_nan", "T_inf"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
     cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
     code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)
     assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_nan_step_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=0.01)
+    code, out, err = run_cli(capsys, "monte-carlo", "--config", cfg, "--observable", "z",
+                             "--paths", "4", "--dt", "nan")
+    assert (code, out, err) == (2, "", "config error: dt must be positive\n")
 
 
 @pytest.mark.parametrize("noise", ["12", ["z", 1], {"h": "z"}])

@@ -350,7 +350,7 @@ def test_augmented_tape_set_computes_shared_subterms_once(system_id, bound):
     tape = expr.compile_tape(roots, names)
     assert len(tape.exprs) == (system.d + 1) * (system.dim * (system.dim + 1) + 1)
     assert len(tape) <= bound
-    assert len(system._augmented_roots.tape) <= _AUGMENTED_STAGE_BOUND[system_id]
+    assert len(system._augmented_stage.tape) <= _AUGMENTED_STAGE_BOUND[system_id]
 
 
 def test_eval_accepts_tape():

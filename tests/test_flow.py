@@ -50,6 +50,9 @@ def test_brownian_invalid_step():
         flow.sample_brownian(1, 10, 0.0, 1)
     with pytest.raises(InvalidStep):
         flow.sample_brownian(1, 10, -0.5, 1)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(InvalidStep, match="dt must be finite and positive"):
+            flow.sample_brownian(1, 3, dt, 0)
 
 
 def test_brownian_moments():
@@ -366,19 +369,19 @@ def test_stepping_entry_points_validate_their_inputs(dissipative, call, message)
 # ---------------------------------------------------------------------------
 
 def _channels_by_row(system):
-    return [tuple(k for k, _ in row) for _, row in system._state_roots.rows]
+    return [tuple(k for k, _ in row) for _, row in system._state_stage.rows]
 
 
 def test_state_stage_structural_pattern(sasaki_einstein, dissipative):
     # SE: the drift is all constants, 8 diffusion roots vary, the theta and
     # phi rows read one channel each and the psi row all five.
-    assert len(sasaki_einstein._state_roots.tape.exprs) == 8
+    assert len(sasaki_einstein._state_stage.tape.exprs) == 8
     assert _channels_by_row(sasaki_einstein) == [(3,), (4,), (1,), (2,), (0, 1, 2, 3, 4)]
-    assert sasaki_einstein._state_roots.constants == (3.0, 3.0)  # psi drift, psi row channel 0
+    assert sasaki_einstein._state_stage.constants == (3.0, 3.0)  # psi drift, psi row channel 0
     # dissipative-2d: the drift varies, the diffusion is constant and only z is noisy.
-    assert len(dissipative._state_roots.tape.exprs) == 5
+    assert len(dissipative._state_stage.tape.exprs) == 5
     assert _channels_by_row(dissipative) == [(), (), (), (), (0,)]
-    assert dissipative._state_roots.constants == (0.1,)
+    assert dissipative._state_stage.constants == (0.1,)
 
 
 def _ordered_heun(system, x, dw, dt):
@@ -522,7 +525,7 @@ def test_augmented_stage_batch_matches_single_paths(scheme):
     system = catalog.sasaki_einstein_system()
     x0 = np.array(catalog.get_entry("sasaki-einstein-t11").default_initial_state)
     paths = [flow.sample_brownian(system.d, 40, 1e-5, 5, stream_index=s) for s in range(3)]
-    stage = flow._Stage(system, system._augmented_roots)
+    stage = system._augmented_stage
     y0 = np.concatenate([x0, np.eye(system.dim).ravel(), [0.0]])
     # Inside flow a batch carries its paths on the last axis: (n_aug, B)
     # states and (d, n_steps, B) increments.

@@ -485,6 +485,16 @@ def test_integrability_validates_sample_states(darboux1):
         geo.check_integrability(darboux1, ["1", "q1"], np.zeros((4, 5)))
 
 
+@pytest.mark.parametrize("tolerances", [
+    {"tol": math.nan}, {"tol": -1e-10}, {"tol": math.inf}, {"tol": "1e-10"},
+    {"independence_tol": math.nan}, {"independence_tol": -1.0},
+])
+def test_integrability_validates_tolerances(darboux1, tolerances):
+    states = geo.sample_states(darboux1.chart, 5, seed=1)
+    with pytest.raises(ConfigError, match="must be finite numbers >= 0"):
+        geo.check_integrability(darboux1, ["1", "q1"], states, **tolerances)
+
+
 def test_integrability_non_finite_values():
     system = geo.HamiltonianSystem(geo.DarbouxChart(2), "0")
     states = geo.sample_states(system.chart, 20, seed=3)

@@ -220,6 +220,9 @@ def test_monte_carlo_validation(dissipative):
     with pytest.raises(InvalidStep):  # the CLI's tolerance, 1e-12 relative
         ver.monte_carlo(dissipative, x0, T=1.0, dt=1e-3 * (1 + 1e-11), n_paths=4,
                         master_seed=0, observable="z")
+    for T, dt in ((0.1, math.nan), (math.inf, 0.01), (math.nan, 0.01), (0.1, 0.0)):
+        with pytest.raises(InvalidStep):
+            ver.monte_carlo(dissipative, x0, T=T, dt=dt, n_paths=4, master_seed=0, observable="z")
     for bad in ({"batch_size": 0}, {"batch_size": -1},
                 {"zero_channels": (-1,)}, {"zero_channels": (1,)}):
         with pytest.raises(InvalidStep):

@@ -277,8 +277,8 @@ def _initial_state(sys: HamiltonianSystem, x0, d: int, dt: float, paths=()) -> n
     step ``dt`` > 0; anything else is an ``InvalidStep``."""
     if d != sys.d:
         raise InvalidStep(f"path has {d} noise channels, system expects {sys.d}")
-    if not dt > 0.0:
-        raise InvalidStep(f"dt must be positive, got {dt!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidStep(f"dt must be finite and positive, got {dt!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[:-1] != paths:
         raise InvalidStep(

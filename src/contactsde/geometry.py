@@ -45,12 +45,20 @@ round alike, so a path gives the same bits alone or in any batch.  The
 augmented roots per Hamiltonian are X_H, each entry of DX_H J summed left to
 right in ascending c, and -R(H), as expressions over x, J and log_lambda, so
 constant folding drops the structural zeros of DX_H.
+
+Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
+its caller passes: numbers for the numeric brackets, expressions for
+``jacobi_bracket_expr``.  The numeric ones come from one engine,
+``_brackets``, which compiles the jets ``(X_f..., f, R(f))`` of its
+functions as one tape set, guards the states once, evaluates d_eta's entries
+once and screens jets and brackets alike for non-finite values.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -362,9 +370,9 @@ class HamiltonianSystem:
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
     ``drift_diffusion``) take one state ``(dim,)`` or a batch ``(B, dim)``
     and give a result with the same leading axes; each set is one call of
-    one evaluator, ``_eval``, as are the jets (``_jets``) behind the
-    brackets.  ``_eval`` assembles the values of ``_values``, which holds
-    the domain rule for both shapes.
+    one evaluator, ``_eval``, as are the jets behind the brackets.
+    ``_eval`` assembles the values of ``_values``, which holds the domain
+    rule for both shapes.
 
     Constants, which may name neither a chart coordinate nor a function,
     are substituted at build time, so every compiled tape reads
@@ -385,9 +393,6 @@ class HamiltonianSystem:
         if not isinstance(noise, (list, tuple)):
             raise ConfigError(f"noise must be a list of expressions, got {noise!r}")
         self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
-        self.sources = tuple(
-            h if isinstance(h, str) else expr.to_source(h) for h in (h0, *noise)
-        )
         layout = chart.names
         self.vector_field_exprs = fields = tuple(
             tuple(chart.vector_field_exprs(h)) for h in prepared
@@ -453,16 +458,6 @@ class HamiltonianSystem:
         if extra:
             raise ConfigError(f"expression references unknown names {sorted(extra)}")
         return tree
-
-    def _jets(self, funcs) -> expr.EvalTape:
-        """One tape set of the jets ``(X_f components..., f, R(f))`` of each
-        of ``funcs`` in order, over the chart coordinates; ``_eval`` of it
-        gives len(funcs) * (dim + 2) values per state."""
-        chart = self.chart
-        parts = []
-        for f in map(self.prepare, funcs):
-            parts += (*chart.vector_field_exprs(f), f, chart.reeb_derivative_expr(f))
-        return expr.compile_tape(parts, chart.names)
 
     # -- evaluation at a state (dim,) or a batch (B, dim) --------------------
 
@@ -534,47 +529,62 @@ def check_intrinsic_relations(sys: HamiltonianSystem, i: int, x):
     return r1, float(np.max(np.abs(resid)))
 
 
-def _bracket(chart, x, jf, jg):
-    """d_eta(X_f, X_g) + f R(g) - g R(f) from the jets of ``f`` and ``g`` at
-    a state (dim + 2,) or a batch (B, dim + 2).  d_eta(X_f, X_g) sums coeff *
-    (Xf_a Xg_b - Xf_b Xg_a) over the structural upper entries, so [f, f]
-    vanishes exactly and swapping arguments negates the value bit for bit."""
-    total = 0.0
-    for a, b, coeff in chart.d_eta_upper(x):
-        total += coeff * (jf[..., a] * jg[..., b] - jf[..., b] * jg[..., a])
-    return total + jf[..., -2] * jg[..., -1] - jg[..., -2] * jf[..., -1]
+def _bracket(ops, zero, d_eta_upper, jf, jg):
+    """The Jacobi bracket ``d_eta(X_f, X_g) + f R(g) - g R(f)`` from the
+    jets ``(X_f..., f, R(f))`` of f and g and the structural upper entries
+    ``(a, b, coeff)`` of d_eta, in the arithmetic ``ops`` (``operator`` for
+    numbers, ``expr`` for expressions) starting from ``zero``.
+    d_eta(X_f, X_g) sums coeff * (Xf_a Xg_b - Xf_b Xg_a) over the entries, so
+    [f, f] vanishes exactly and swapping arguments negates the value bit for
+    bit."""
+    total = zero
+    for a, b, coeff in d_eta_upper:
+        paired = ops.sub(ops.mul(jf[a], jg[b]), ops.mul(jf[b], jg[a]))
+        total = ops.add(total, ops.mul(coeff, paired))
+    return ops.sub(ops.add(total, ops.mul(jf[-2], jg[-1])), ops.mul(jg[-2], jf[-1]))
+
+
+def _jet(chart, f: expr.Expr) -> list:
+    """The jet ``(X_f components..., f, R(f))`` of ``f`` as expressions."""
+    return [*chart.vector_field_exprs(f), f, chart.reeb_derivative_expr(f)]
+
+
+def _brackets(sys: HamiltonianSystem, operation: str, funcs, pairs, x):
+    """The jets of ``funcs`` at a state (dim,) or a batch (B, dim) ``x``,
+    shape (..., len(funcs), dim + 2), and the list of brackets
+    [funcs[i], funcs[j]] for each (i, j) of ``pairs``.  The jets are one
+    tape set, ``x`` is guarded once and d_eta's entries are evaluated once.
+    A non-finite jet or bracket is ``NumericalFailure(operation, ...)``."""
+    chart = sys.chart
+    tape = expr.compile_tape([e for f in funcs for e in _jet(chart, sys.prepare(f))], chart.names)
+    x = np.asarray(x, dtype=float)
+    chart.guard(x)
+    jets = sys._eval(tape, x).reshape(*x.shape[:-1], len(funcs), chart.dim + 2)
+    columns = np.moveaxis(jets, -1, 0)  # (dim + 2, ..., len(funcs))
+    d_eta = chart.d_eta_upper(x)
+    with np.errstate(all="ignore"):
+        brackets = [_bracket(operator, 0.0, d_eta, columns[..., i], columns[..., j])
+                    for i, j in pairs]
+    if not (np.isfinite(jets).all() and np.isfinite(brackets).all()):
+        raise NumericalFailure(operation, "non-finite values")
+    return jets, brackets
 
 
 def jacobi_bracket(sys: HamiltonianSystem, f, g, x) -> float:
     """Jacobi bracket [f, g] at ``x``:
     ``d_eta(X_f, X_g) + f R(g) - g R(f)``, with R the Reeb derivative.
     """
-    x = np.asarray(x, dtype=float)
-    sys.chart.guard(x)
-    jf, jg = sys._eval(sys._jets((f, g)), x).reshape(2, -1)
-    with np.errstate(all="ignore"):
-        value = float(_bracket(sys.chart, x, jf, jg))
-    if not math.isfinite(value):
-        raise NumericalFailure("jacobi_bracket", "non-finite values")
-    return value
+    _, (value,) = _brackets(sys, "jacobi_bracket", (f, g), [(0, 1)], x)
+    return float(value)
 
 
 def jacobi_bracket_expr(sys: HamiltonianSystem, f, g) -> expr.Expr:
     """The bracket [f, g] as a symbolic expression over chart coordinates.
 
     Useful for nesting (Jacobi identity, iterated brackets)."""
-    f = sys.prepare(f)
-    g = sys.prepare(g)
     chart = sys.chart
-    xf = chart.vector_field_exprs(f)
-    xg = chart.vector_field_exprs(g)
-    acc = expr.const(0.0)
-    for a, b, entry in chart.d_eta_upper_entries_exprs():
-        paired = expr.sub(expr.mul(xf[a], xg[b]), expr.mul(xf[b], xg[a]))
-        acc = expr.add(acc, expr.mul(entry, paired))
-    acc = expr.add(acc, expr.mul(f, chart.reeb_derivative_expr(g)))
-    acc = expr.sub(acc, expr.mul(g, chart.reeb_derivative_expr(f)))
-    return acc
+    return _bracket(expr, expr.const(0.0), chart.d_eta_upper_entries_exprs(),
+                    _jet(chart, sys.prepare(f)), _jet(chart, sys.prepare(g)))
 
 
 def reeb_derivative(sys: HamiltonianSystem, f, x) -> float:
@@ -590,20 +600,15 @@ def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
     Returns ``(flat_correction, scaled_correction)`` where the first is the
     residual of ``[f, gh] = [f,g]h + g[f,h] - [f,1]`` and the second of
     ``[f, gh] = [f,g]h + g[f,h] - g h [f,1]``.  Diagnostic only; no rule is
-    asserted.  A non-finite bracket is a ``NumericalFailure``.
+    asserted.  A non-finite jet or bracket is a ``NumericalFailure``.
     """
-    x = np.asarray(x, dtype=float)
-    sys.chart.guard(x)
     g = sys.prepare(g)
     h = sys.prepare(h)
     funcs = (f, expr.mul(g, h), g, h, expr.const(1.0))
-    jf, jgh, jg, jh, j1 = sys._eval(sys._jets(funcs), x).reshape(5, -1)
-    with np.errstate(all="ignore"):
-        brackets = [float(_bracket(sys.chart, x, jf, j)) for j in (jgh, jg, jh, j1)]
-    if not all(map(math.isfinite, brackets)):
-        raise NumericalFailure("weak_leibniz_diagnostic", "non-finite values")
-    b_gh, b_g, b_h, b_1 = brackets
-    gv, hv = float(jg[-2]), float(jh[-2])
+    pairs = [(0, j) for j in range(1, 5)]
+    jets, brackets = _brackets(sys, "weak_leibniz_diagnostic", funcs, pairs, x)
+    b_gh, b_g, b_h, b_1 = map(float, brackets)
+    gv, hv = float(jets[2, -2]), float(jets[3, -2])
     flat = b_gh - (b_g * hv + gv * b_h - b_1)
     scaled = b_gh - (b_g * hv + gv * b_h - gv * hv * b_1)
     return flat, scaled
@@ -654,32 +659,21 @@ def check_integrability(
         raise WrongIntegralCount(
             f"expected {n + 1} integrals for a {sys.dim}-dimensional chart, got {len(integrals)}"
         )
-    tape = sys._jets(integrals)
-    if sys.prepare(integrals[0]) != expr.Const(1.0):
+    funcs = [sys.prepare(f) for f in integrals]
+    if funcs[0] != expr.Const(1.0):
         raise WrongIntegralCount("the first integral must be the constant 1")
     states = np.asarray(sample_states, dtype=float)
     if states.ndim != 2 or len(states) < 1 or states.shape[1] != sys.dim:
         raise ConfigError(
             f"sample_states must have shape (B >= 1, {sys.dim}), got {states.shape}"
         )
-
-    sys.chart.guard(states)
-    jets = sys._eval(tape, states)
-    if not np.isfinite(jets).all():
-        raise NumericalFailure("check_integrability", "non-finite values")
-    jets = jets.reshape(len(states), n + 1, sys.dim + 2)
-
-    def bracket(i, j):
-        return _bracket(sys.chart, states, jets[:, i], jets[:, j])
-
-    with np.errstate(all="ignore"):
-        # [h_i, 1]: the d_eta term vanishes for a constant only after
-        # contraction, so compute it honestly.
-        reeb = np.array([bracket(i, 0) for i in range(1, n + 1)])
-        pair = np.array([bracket(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-        min_sv = np.linalg.svd(jets[:, :, :sys.dim], compute_uv=False)[:, -1].min()
-    if not (np.isfinite(reeb).all() and np.isfinite(pair).all()):
-        raise NumericalFailure("check_integrability", "non-finite values")
+    # [h_i, 1]: the d_eta term vanishes for a constant only after
+    # contraction, so compute it honestly.
+    pairs = [(i, 0) for i in range(1, n + 1)]
+    pairs += [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    jets, brackets = _brackets(sys, "check_integrability", funcs, pairs, states)
+    reeb, pair = np.array(brackets[:n]), np.array(brackets[n:])
+    min_sv = np.linalg.svd(jets[:, :, :sys.dim], compute_uv=False)[:, -1].min()
     max_reeb = np.abs(reeb).max()
     max_pair = np.abs(pair).max(initial=0.0)
 

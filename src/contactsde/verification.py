@@ -192,8 +192,8 @@ def finite_difference_jacobian(
     """Central-difference Jacobian of the time-T flow map, re-integrating
     with the same path: the 2 dim perturbed starts run as one batch.
     Independent oracle for the co-integrated tangent flow."""
-    if h <= 0.0:
-        raise InvalidStep("h must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise InvalidStep(f"h must be finite and positive, got {h!r}")
     x0 = _initial_state(sys, x0, path.d, path.dt)
     dim = x0.size
     starts = np.tile(x0, (2, dim, 1))

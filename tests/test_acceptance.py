@@ -304,6 +304,44 @@ def test_criterion_5_bracket_algebra():
                f"bilin={worst_bilin:.1e} jacobi={worst_jacobi:.1e} oracle={worst_oracle:.1e}")
 
 
+def _bracket_without_reeb_terms(ops, zero, d_eta_upper, jf, jg):
+    """d_eta(X_f, X_g) alone: the bracket formula with its f R(g) - g R(f)
+    term dropped."""
+    total = zero
+    for a, b, coeff in d_eta_upper:
+        paired = ops.sub(ops.mul(jf[a], jg[b]), ops.mul(jf[b], jg[a]))
+        total = ops.add(total, ops.mul(coeff, paired))
+    return total
+
+
+def test_criterion_5_negative_control_dropped_reeb_terms(monkeypatch):
+    # Criterion 5's system, states and h, with a bracket formula that drops
+    # f R(g) - g R(f).  [q, p] = 1 cannot see it (R(q) = R(p) = 0 on
+    # Darboux), but [h, 1] = -dh/dz and the FD oracle must miss: measured,
+    # every state misses [h, 1] by at least 9.5e-2 against the bound 1e-12,
+    # and both misses reach 5.86 against the bounds 1e-12 and 5e-6.
+    system = geo.HamiltonianSystem(geo.DarbouxChart(1), "p1^2/2 + q1^2/2 + 0.5*z")
+    chart = system.chart
+    states = geo.sample_states(chart, 100, seed=51)
+    h_src = "q1*z + sin(p1) + z^2"
+    h_expr = system.prepare(h_src)
+    dh_dz = expr.differentiate(h_expr, "z")
+
+    from test_geometry import oracle_bracket  # FD-partials oracle
+
+    monkeypatch.setattr(geo, "_bracket", _bracket_without_reeb_terms)
+    h1_misses, oracle_misses = [], []
+    for x in states:
+        h1 = geo.jacobi_bracket(system, h_src, "1", x)
+        h1_misses.append(abs(h1 + expr.evaluate(dh_dz, system.context(x))))
+        oracle_misses.append(abs(h1 - oracle_bracket(
+            chart, h_expr, expr.parse("1", chart.names), x)))
+    print(f"criterion 5 control: [h, 1] misses {min(h1_misses):.2e} to {max(h1_misses):.2e}, "
+          f"oracle misses up to {max(oracle_misses):.2e}")
+    assert min(h1_misses) > 1e-12, min(h1_misses)
+    assert max(oracle_misses) > 5e-6, max(oracle_misses)
+
+
 def test_criterion_6_complete_integrability_se():
     system = catalog.sasaki_einstein_system()
     states = geo.sample_states(system.chart, 100, seed=61)

@@ -339,7 +339,9 @@ _DT = 1e-3
     (lambda s: flow.integrate_batch_final(s, np.zeros((2, 4)), np.zeros((2, 1, 10)), _DT),
      "initial state must have length 5"),
     (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((2, 1, 10)), -_DT),
-     "dt must be positive, got -0.001"),
+     "dt must be finite and positive, got -0.001"),
+    (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((2, 1, 10)), math.inf),
+     "dt must be finite and positive, got inf"),
     (lambda s: flow.integrate_batch_final(s, np.zeros((2, 5)), np.zeros((1, 10)), _DT),
      "increments must be (B, d, n_steps), got shape (1, 10)"),
     (lambda s: flow.step(s, np.zeros(5), np.zeros(3), _DT),
@@ -347,16 +349,18 @@ _DT = 1e-3
     (lambda s: flow.step(s, np.zeros(4), np.zeros(1), _DT),
      "initial state must have length 5"),
     (lambda s: flow.step(s, np.zeros(5), np.zeros(1), -_DT),
-     "dt must be positive, got -0.001"),
+     "dt must be finite and positive, got -0.001"),
+    (lambda s: flow.step(s, np.zeros(5), np.zeros(1), math.inf),
+     "dt must be finite and positive, got inf"),
     (lambda s: flow.step(s, np.zeros((2, 5)), np.zeros((3, 1)), _DT),
      "initial states have shape (2, 5), increments need (3, 5)"),
     (lambda s: flow.step(s, np.zeros((2, 5)), np.zeros(1), _DT),
      "initial states have shape (2, 5), increments need (5,)"),
     (lambda s: flow.step(s, np.zeros(5), 0.0, _DT),
      "increments must be (d,) or (B, d), got shape ()"),
-], ids=["batch_channels", "batch_size", "batch_length", "batch_dt", "batch_rank",
-        "step_channels", "step_length", "step_dt", "step_batch_size", "step_shared_dw",
-        "step_rank"])
+], ids=["batch_channels", "batch_size", "batch_length", "batch_dt", "batch_dt_inf",
+        "batch_rank", "step_channels", "step_length", "step_dt", "step_dt_inf",
+        "step_batch_size", "step_shared_dw", "step_rank"])
 def test_stepping_entry_points_validate_their_inputs(dissipative, call, message):
     # dissipative-2d has dim 5 and one noise channel.
     with pytest.raises(InvalidStep) as err:

@@ -402,12 +402,17 @@ def test_bracket_matches_oracle_se(sasaki_einstein, rng):
         assert abs(val - oracle_bracket(chart, f, g, x)) <= 5e-6
 
 
-def test_bracket_expr_matches_pointwise(darboux1, rng):
-    f, g = "q1^2 + z*p1", "sin(q1) + p1^2"
-    be = geo.jacobi_bracket_expr(darboux1, f, g)
-    for x in darboux1.chart.sample_states(10, rng):
-        ctx = darboux1.context(x)
-        assert expr.evaluate(be, ctx) == pytest.approx(geo.jacobi_bracket(darboux1, f, g, x), abs=1e-12)
+def test_bracket_expr_matches_pointwise(darboux1, dissipative, sasaki_einstein, rng):
+    # Both forms come from one formula, summing the same terms in the same
+    # order, so at finite states they agree exactly.
+    for system, f, g in [
+        (darboux1, "q1^2 + z*p1", "sin(q1) + p1^2"),
+        (dissipative, "q1*p1 + q2^2*z", "exp(-z)*p2"),
+        (sasaki_einstein, "sin(theta2)*phi2 + psi", "cos(psi)*theta1 + (1/3)*cos(theta1)"),
+    ]:
+        be = geo.jacobi_bracket_expr(system, f, g)
+        for x in system.chart.sample_states(10, rng):
+            assert expr.evaluate(be, system.context(x)) == geo.jacobi_bracket(system, f, g, x)
 
 
 def test_weak_leibniz_diagnostic(darboux1, rng):
@@ -425,6 +430,14 @@ def test_weak_leibniz_diagnostic_screens_its_brackets(dissipative):
     with pytest.raises(NumericalFailure) as err:
         geo.weak_leibniz_diagnostic(dissipative, "q1*1e200", "p1*1e200", "1", x)
     assert (err.value.operation, str(err.value)) == ("weak_leibniz_diagnostic", "non-finite values")
+
+
+def test_jacobi_bracket_screens_its_jets(darboux1):
+    # At p1 = 1.3e154 the z-component p1 * 2 p1 of X_{p1^2} overflows, though
+    # [p1^2, q1] = -2 p1 is finite: a non-finite jet fails like a bracket.
+    with pytest.raises(NumericalFailure) as err:
+        geo.jacobi_bracket(darboux1, "p1^2", "q1", np.array([1.0, 1.3e154, 0.0]))
+    assert (err.value.operation, str(err.value)) == ("jacobi_bracket", "non-finite values")
 
 
 # ---------------------------------------------------------------------------

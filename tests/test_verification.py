@@ -138,8 +138,9 @@ def test_fd_jacobian_matches_augmented(dissipative):
 
 def test_fd_jacobian_rejects_bad_h(dissipative):
     p = make_path(dissipative, 10, 1e-3, 0)
-    with pytest.raises(InvalidStep):
-        ver.finite_difference_jacobian(dissipative, [1.0, 0, 2.0, 0, 0], p, h=0.0)
+    for h in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidStep, match="h must be finite and positive"):
+            ver.finite_difference_jacobian(dissipative, [1.0, 0, 2.0, 0, 0], p, h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,11 @@ def cmd_simulate(args) -> int:
     traj = integrate_augmented(system, x0, path, cfg.scheme)
     header = "t," + ",".join(system.chart.names) + ",lambda\n"
     lines = [header]
-    for i in range(path.n_steps + 1):
+    for i, (state, log_lambda) in enumerate(zip(traj.states.tolist(), traj.log_lambda.tolist())):
         t = cfg.t0 + i * cfg.dt
         row = [f"{t:.17g}"]
-        row += [f"{v:.17g}" for v in traj.states[i]]
-        row.append(f"{_conformal_factor(traj.log_lambda[i], 'simulate'):.17g}")
+        row += [f"{v:.17g}" for v in state]
+        row.append(f"{_conformal_factor(log_lambda, 'simulate'):.17g}")
         lines.append(",".join(row) + "\n")
     text = "".join(lines)
     if args.out:

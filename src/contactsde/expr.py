@@ -551,6 +551,8 @@ def _source(exprs, layout) -> tuple:
 
 @functools.lru_cache(maxsize=1024)
 def _factory(source: str):
+    """The ``make`` that ``source`` defines, compiled once per distinct text
+    (tapes here, ``geometry._Stage``'s stepping forms)."""
     namespace = {}
     exec(compile(source, "<tape>", "exec"), namespace)
     return namespace["make"]

@@ -26,13 +26,21 @@ Schemes
 One stepping core serves single paths and batches of the state system and
 the augmented one: one stepper per scheme and one loop, ``_run``, drive a
 stage through two calls.  ``fields(y)`` evaluates the drift and diffusion
-at a state, a single path ``(m,)`` or a batch of paths ``(m, B)``, one row
-per coordinate and the paths on the last axis; ``advance`` applies them,
-as ``y + a dt + g dw`` or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) +
-0.5 (g0 + g1) dw``.  The stages are ``geometry._Stage`` objects, which each
-``HamiltonianSystem`` builds once and which alone know their structure and
-summation order.  ``step`` and ``integrate_batch_final`` take and return a
-batch as ``(B, m)``, one row per path, and convert it once.
+at a single path, a list of m Python floats, or at a batch of paths
+``(m, B)``, one row per coordinate and the paths on the last axis;
+``advance`` applies them, as ``y + a dt + g dw`` or as Heun's trapezoid
+``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, through straight-line code
+that the stage generated from its structure when it was built: one text
+for a list and for numpy rows.  The stages are ``geometry._Stage``
+objects, which each ``HamiltonianSystem`` builds once and which alone know
+their structure and summation order.
+
+``_run`` carries a single path as a list of floats from ``x0`` to the
+history write: it reads the increments once, one list per step, and
+screens each state with ``math.isfinite``, so the midpoint stepper's
+per-path test compares floats.  A batch stays ``(m, B)`` arrays.  ``step``
+and ``integrate_batch_final`` take and return a batch as ``(B, m)``, one
+row per path, and convert it once.
 
 The augmented system carries, with the state, the flow Jacobian J (dJ =
 DX J) and the log of the conformal factor (d log_lambda = -R(H_0) dt -
@@ -225,15 +233,24 @@ def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
         return stage.advance(y, dw, dt, stage.fields(z))
 
     y_new = image(y)
-    done = np.zeros(y.shape[1:], dtype=bool)
-    for _ in range(max_iter):
-        y_next = image(0.5 * (y + y_new))
-        err = _sup(y_next - y_new)
-        # A path that has met its own test keeps that sweep's value.
-        y_new = np.where(done, y_new, y_next)
-        done |= err <= tol * np.maximum(1.0, _sup(y_new))
-        if done.all():
-            return y_new
+    if type(y) is list:
+        for _ in range(max_iter):
+            y_next = image([0.5 * (u + v) for u, v in zip(y, y_new)])
+            # max may skip a NaN of y_next, but that entry fails its own test.
+            bound = tol * max(1.0, *map(abs, y_next))
+            if all(abs(u - v) <= bound for u, v in zip(y_next, y_new)):
+                return y_next
+            y_new = y_next
+    else:
+        done = np.zeros(y.shape[1:], dtype=bool)
+        for _ in range(max_iter):
+            y_next = image(0.5 * (y + y_new))
+            err = _sup(y_next - y_new)
+            # A path that has met its own test keeps that sweep's value.
+            y_new = np.where(done, y_new, y_next)
+            done |= err <= tol * np.maximum(1.0, _sup(y_new))
+            if done.all():
+                return y_new
     raise MidpointDivergence(
         f"midpoint fixed point did not reach {tol:g} within {max_iter} sweeps"
     )
@@ -255,20 +272,26 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     (n_steps + 1, *y.shape) history if ``keep``, else the final value.
     Raises ``NumericalFailure`` at the first non-finite state, the initial
     one included, so no stage ever evaluates the fields of a blown-up state.
-    Each step's increments are gathered once into contiguous memory."""
+    A single path is carried as a list of floats, and its increments are
+    read once, one list per step; a batch gathers each step's increments
+    once into contiguous memory."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[1]
     if keep:
         history = np.empty((n_steps + 1, *y.shape))
+    single = y.ndim == 1
+    if single:
+        y, dws = y.tolist(), increments.T.tolist()
     with np.errstate(all="ignore"):
         for j in range(n_steps + 1):
-            if not np.isfinite(y).all():
+            if not (all(map(math.isfinite, y)) if single else np.isfinite(y).all()):
                 raise NumericalFailure(operation, "non-finite values")
             if keep:
                 history[j] = y
             if j < n_steps:
-                y = stepper(stage, y, np.ascontiguousarray(increments[:, j]), dt)
-    return history if keep else y
+                dw = dws[j] if single else np.ascontiguousarray(increments[:, j])
+                y = stepper(stage, y, dw, dt)
+    return history if keep else np.asarray(y)
 
 
 def _initial_state(sys: HamiltonianSystem, x0, d: int, dt: float, paths=()) -> np.ndarray:

@@ -40,11 +40,12 @@ skipped; one chart guard and one tape call compute the rest, under
 structural nonzeros only (the roots that are not a constant 0.0 or -0.0),
 summed left to right in ascending channel order, ``((g_r,k1 dw_k1 +
 g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix product's summation
-order.  A single path runs on Python floats and a batch on numpy rows, which
-round alike, so a path gives the same bits alone or in any batch.  The
-augmented roots per Hamiltonian are X_H, each entry of DX_H J summed left to
-right in ascending c, and -R(H), as expressions over x, J and log_lambda, so
-constant folding drops the structural zeros of DX_H.
+order.  Each stage generates that update once as straight-line code, like a
+tape.  A single path runs on a list of Python floats and a batch on numpy
+rows, which round alike, so a path gives the same bits alone or in any
+batch.  The augmented roots per Hamiltonian are X_H, each entry of DX_H J
+summed left to right in ascending c, and -R(H), as expressions over x, J
+and log_lambda, so constant folding drops the structural zeros of DX_H.
 
 Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
 its caller passes: numbers for the numeric brackets, expressions for
@@ -78,11 +79,12 @@ __all__ = [
 SIN_GUARD = 1e-9  # reject Sasaki-Einstein states with |sin(theta_i)| below this
 
 
-def _values(tape, x: np.ndarray) -> tuple:
+def _values(tape, x) -> tuple:
     """The values of the tape set ``tape`` at ``x``, as one tape call returns
-    them: Python floats for one state (n,), run in scalar mode with domain
-    checks; for a batch (n, B), one row per slot and one column per path,
-    one array per value that reads a slot, run in array mode on the rows.
+    them: Python floats for one state, a list of n floats, run in scalar mode
+    with domain checks; for a batch (n, B), one row per slot and one column
+    per path, one array per value that reads a slot, run in array mode on
+    the rows.
 
     One domain rule serves both: a batch raises the ``DomainError`` that its
     first faulting path raises alone.  Array mode runs with numpy's
@@ -90,8 +92,8 @@ def _values(tape, x: np.ndarray) -> tuple:
     mode, in order.  If no path raises (an overflow, say), the batch is
     evaluated again with the flags ignored and its non-finite values are
     left to the caller's screen."""
-    if x.ndim == 1:
-        return tape(x.tolist())
+    if type(x) is list:
+        return tape(x)
     rows = list(x)
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -106,9 +108,9 @@ def _values(tape, x: np.ndarray) -> tuple:
 def _eval(tape, x: np.ndarray) -> np.ndarray:
     """``_values`` of the tape set ``tape`` (n expressions) at ``x`` as one
     array: shape (n,) for one state, (B, n) for a batch (B, dim)."""
-    values = _values(tape, x.T)
     if x.ndim == 1:
-        return np.array(values)
+        return np.array(_values(tape, x.tolist()))
+    values = _values(tape, x.T)
     # A value that reads no coordinate is a float64 scalar; assignment broadcasts it.
     out = np.empty((x.shape[0], len(values)))
     for r, value in enumerate(values):
@@ -123,9 +125,19 @@ class _Stage:
     ``constants``, kept as numbers, and one tape set, ``tape``, of the rest.
     Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the channels
     k of its structural nonzeros, ascending; a slot indexes the values that
-    ``fields`` returns, and a constant zero (0.0 or -0.0) has none.  No other
-    module of the package reads that format: ``flow`` drives a stage through
-    ``fields`` and ``advance`` only."""
+    ``fields`` returns, and a constant zero (0.0 or -0.0) has none.
+
+    ``rows`` is compiled once into the two forms of ``advance``, each one
+    generated straight-line function (``_generate``).  Row r becomes
+    ``y[r] + dt * k[a] + (k[i1] * w[c1] + k[i2] * w[c2] + ...)``: the drift
+    term first, then the noise terms summed left to right in ascending
+    channel order c1 < c2 < ..., so the bits depend on no matrix product's
+    summation order.  Heun's form reads ``0.5 * dt`` for ``dt`` and
+    ``(k0[i] + k1[i])`` for ``k[i]``, and scales the noise sum by 0.5.  One
+    text serves a single path, a list of Python floats, and a batch of numpy
+    rows, which round alike, so a path gives the same bits alone or in any
+    batch.  No other module of the package reads ``rows``: ``flow`` drives
+    a stage through ``fields`` and ``advance`` only."""
 
     def __init__(self, chart, drift, diffusion, d: int, layout):
         self.chart = chart
@@ -144,38 +156,51 @@ class _Stage:
             (a, tuple((k, s) for k, s in enumerate(noise[r * d:(r + 1) * d]) if s is not None))
             for r, a in enumerate(slots[:len(drift)])
         )
+        self._generate()
+
+    def _generate(self) -> None:
+        """Compile ``rows`` into ``_euler(y, w, dt, k)`` and ``_heun(y, w,
+        dt, k0, k1)`` through ``expr``'s cached text compiler."""
+        euler, heun = [], []
+        for r, (a, row) in enumerate(self.rows):
+            e = h = f"y[{r}]"
+            if a is not None:
+                e += f" + dt * k[{a}]"
+                h += f" + h_dt * (k0[{a}] + k1[{a}])"
+            if row:
+                e += " + (" + " + ".join(f"k[{i}] * w[{c}]" for c, i in row) + ")"
+                h += " + 0.5 * (" + " + ".join(f"(k0[{i}] + k1[{i}]) * w[{c}]" for c, i in row) + ")"
+            euler.append(f"            {e},\n")
+            heun.append(f"            {h},\n")
+        self._euler, self._heun = expr._factory(
+            "def make():\n"
+            "    def euler(y, w, dt, k):\n        return [\n" + "".join(euler) + "        ]\n"
+            "    def heun(y, w, dt, k0, k1):\n        h_dt = 0.5 * dt\n"
+            "        return [\n" + "".join(heun) + "        ]\n"
+            "    return euler, heun\n")()
+
+    # A generated function does not pickle: an unpickled stage generates its own.
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in ("_euler", "_heun")}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self._generate()
 
     def fields(self, y) -> tuple:
-        """The values at a state (m,) or a batch (m, B), whose chart
-        coordinates are guarded once: the constants, then the ``_values`` of
-        the tape."""
-        self.chart.guard(y[:self.chart.dim].T)
+        """The values at a single path (a list of m floats) or a batch (m, B),
+        whose chart coordinates are guarded once: the constants, then the
+        ``_values`` of the tape."""
+        self.chart.guard(y[:self.chart.dim] if type(y) is list else y[:self.chart.dim].T)
         return self.constants + _values(self.tape, y)
 
     def advance(self, y, dw, dt, k0, k1=None):
         """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
-        trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, with each sum
-        of fields taken entry by entry before it is applied.  ``y`` and
-        ``dw`` are (m,) and (d,) or (m, B) and (d, B)."""
-        if k1 is None:
-            k, h = k0, 1.0
-        else:
-            k, h = [u + v for u, v in zip(k0, k1)], 0.5
-        ys, ws = (y.tolist(), dw.tolist()) if y.ndim == 1 else (y, dw)
-        h_dt = h * dt
-        out = []
-        for r, (a, row) in enumerate(self.rows):
-            v = ys[r]
-            if a is not None:
-                v = v + h_dt * k[a]
-            noise = None
-            for c, i in row:
-                term = k[i] * ws[c]
-                noise = term if noise is None else noise + term
-            if noise is not None:
-                v = v + (noise if k1 is None else h * noise)
-            out.append(v)
-        return np.array(out)
+        trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``.  ``y`` and
+        ``dw`` are lists of m and d floats, returning a list, or (m, B) and
+        (d, B) arrays, returning an array."""
+        out = self._euler(y, dw, dt, k0) if k1 is None else self._heun(y, dw, dt, k0, k1)
+        return out if type(y) is list else np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +293,8 @@ class DarbouxChart(_ContactChart):
         comps.append(acc)
         return comps
 
-    def guard(self, x: np.ndarray) -> None:
-        pass
+    def guard(self, x) -> None:
+        """Every state, an array or a list of floats, is on this chart."""
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-2.0, 2.0, size=(count, self.dim))
@@ -319,14 +344,15 @@ class SasakiEinsteinChart(_ContactChart):
         comps.append(expr.mul(three, acc))
         return comps
 
-    def guard(self, x: np.ndarray) -> None:
-        """Reject a state (5,) or a batch (B, 5) near sin(theta_i) = 0."""
-        if x.ndim > 1:
+    def guard(self, x) -> None:
+        """Reject a state, (5,) or a list of 5 floats, or a batch (B, 5) near
+        sin(theta_i) = 0."""
+        if type(x) is not list and x.ndim > 1:
             if bool((np.abs(np.sin(x[:, :2])) < SIN_GUARD).any()):
                 raise SingularChartPoint("batch contains states near sin(theta_i) = 0")
         elif abs(math.sin(x[0])) < SIN_GUARD or abs(math.sin(x[1])) < SIN_GUARD:
             raise SingularChartPoint(
-                f"|sin(theta_i)| below {SIN_GUARD:g} at theta=({x[0]!r}, {x[1]!r})"
+                f"|sin(theta_i)| below {SIN_GUARD:g} at theta=({float(x[0])!r}, {float(x[1])!r})"
             )
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -426,6 +426,51 @@ def test_state_stage_sums_each_row_left_to_right(system_id):
     assert flow.step(system, states, dw, dt).tobytes() == expected.tobytes()
 
 
+class _Line:
+    """A one-coordinate chart with no singular points, for hand-built stages."""
+    dim = 1
+
+    @staticmethod
+    def guard(x):
+        pass
+
+
+def _cancelling_stage():
+    """One row, no drift, three noise terms valued 1, 1e16 and -1e16 at u = 0.
+    Channel 0's value is computed and the others are constants, so slot
+    order (constants first) differs from channel order."""
+    u = expr.var("u")
+    return geo._Stage(_Line(), [expr.const(0.0)],
+                      [expr.add(u, expr.const(1.0)), expr.const(1e16), expr.const(-1e16)],
+                      3, ("u",))
+
+
+def _advance_both_forms(stage):
+    """``advance`` at u = 0, dw = 1: (Euler, Heun) for a single path and for
+    a batch of one."""
+    out = []
+    for y, dw in (([0.0], [1.0, 1.0, 1.0]), (np.zeros((1, 1)), np.ones((3, 1)))):
+        k = stage.fields(y)
+        out.append((stage.advance(y, dw, 0.1, k), stage.advance(y, dw, 0.1, k, k)))
+    return out
+
+
+def test_stage_sums_cancelling_noise_left_to_right():
+    # (1 + 1e16) + -1e16 rounds to 0.0; any other order gives 1.0.
+    for single, batch in zip(*_advance_both_forms(_cancelling_stage())):
+        assert np.array(single).tobytes() == batch.tobytes() == np.zeros(1).tobytes()
+
+
+def test_stage_sums_cancelling_noise_negative_control():
+    # The same row summed right to left: (-1e16 + 1e16) + 1 reads 1.0 in both
+    # forms and both representations, missing the left-to-right 0.0 by 1.0.
+    control = _cancelling_stage()
+    control.rows = tuple((a, row[::-1]) for a, row in control.rows)
+    control._generate()
+    for single, batch in zip(*_advance_both_forms(control)):
+        assert single == [1.0] and batch.tolist() == [[1.0]]
+
+
 # ---------------------------------------------------------------------------
 # the augmented system on the same structural stage
 # ---------------------------------------------------------------------------
@@ -438,7 +483,8 @@ class _PerHamiltonianStage:
     """The augmented stage assembled one Hamiltonian at a time from the
     public queries, in Python floats: the reference for the structural
     stage.  Each (DX J)_ab entry and each diffusion row is summed left to
-    right over its structural nonzeros, read off the expression trees."""
+    right over its structural nonzeros, read off the expression trees.  It
+    steps a single path, a list of floats, as ``flow._run`` carries one."""
 
     def __init__(self, system):
         self.system = system
@@ -458,7 +504,6 @@ class _PerHamiltonianStage:
 
     def fields(self, y):
         system, dim = self.system, self.system.dim
-        y = y.tolist()
         x, jac = np.array(y[:dim]), y[dim:-1]
         out = []
         for i, dx_cols in enumerate(self.dx_columns):
@@ -481,18 +526,18 @@ class _PerHamiltonianStage:
             k, h = [[u + v for u, v in zip(f0, f1)] for f0, f1 in zip(k0, k1)], 0.5
         drift, nonzero = k[0], self.nonzero
         out = []
-        for r, v in enumerate(y.tolist()):
+        for r, v in enumerate(y):
             if nonzero[0][r]:
                 v = v + (h * dt) * drift[r]
             noise = None
-            for ch, w in enumerate(dw.tolist(), start=1):
+            for ch, w in enumerate(dw, start=1):
                 if nonzero[ch][r]:
                     term = k[ch][r] * w
                     noise = term if noise is None else noise + term
             if noise is not None:
                 v = v + (noise if k1 is None else h * noise)
             out.append(v)
-        return np.array(out)
+        return out
 
 
 @pytest.mark.parametrize("scheme", flow.SCHEMES)

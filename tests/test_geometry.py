@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from contactsde import expr, geometry as geo
+from contactsde import expr, flow, geometry as geo
 from contactsde.errors import (
     ConfigError,
     DomainError,
@@ -268,6 +268,31 @@ def test_system_pickle_round_trip(sasaki_einstein):
     for x in (states[0], states):
         for ours, theirs in zip(sasaki_einstein.drift_diffusion(x), clone.drift_diffusion(x)):
             assert ours.tobytes() == theirs.tobytes()
+    # The clone's stages generate their own advance forms and step alike, a
+    # single path and a batch (paths on the last axis), under both schemes.
+    dim, d, dt = sasaki_einstein.dim, sasaki_einstein.d, 1e-5
+    increments = np.stack([flow.sample_brownian(d, 20, dt, 3, stream_index=s).increments
+                           for s in range(4)], axis=-1)
+    augmented = np.hstack([states, np.tile(np.eye(dim).ravel(), (4, 1)), np.zeros((4, 1))])
+    for stage, y0 in (("_state_stage", states), ("_augmented_stage", augmented)):
+        for scheme in flow.SCHEMES:
+            for y, dw in ((y0[0], increments[..., 0]), (y0.T, increments)):
+                ours, theirs = (flow._run(getattr(system, stage), y, dw, dt, scheme, "pickle", True)
+                                for system in (sasaki_einstein, clone))
+                assert ours.tobytes() == theirs.tobytes()
+
+
+def test_se_guard_takes_a_list_with_the_array_message():
+    chart = geo.SasakiEinsteinChart()
+    off = [1e-12, 1.0, 0.0, 0.0, 0.0]
+    messages = []
+    for x in (off, np.array(off)):
+        with pytest.raises(SingularChartPoint) as err:
+            chart.guard(x)
+        messages.append(str(err.value))
+    assert messages == ["|sin(theta_i)| below 1e-09 at theta=(1e-12, 1.0)"] * 2
+    chart.guard([1.0, 2.0, 0.0, 0.0, 0.0])
+    geo.DarbouxChart(1).guard([0.0, 0.0, 0.0])
 
 
 def test_system_jacobian_matches_fd(dissipative, sasaki_einstein, rng):

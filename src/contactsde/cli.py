@@ -83,8 +83,13 @@ class RunConfig:
 
 
 def _number(data: dict, name: str, kind, default):
-    """Config field ``name`` converted by ``kind``; ``default`` if absent."""
+    """Config field ``name`` converted by ``kind``; ``default`` if absent.
+    An integer field takes no boolean and no number that ``int`` would
+    change."""
     value = data.get(name, default)
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):

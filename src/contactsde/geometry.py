@@ -25,6 +25,11 @@ numeric ``eta``, ``d_eta``, ``d_eta_upper`` and ``reeb`` at a state or a
 batch, through the module's one tape evaluator ``_eval``, and the symbolic
 ``reeb_derivative_expr``.  Each chart writes ``X_H`` out as above.
 
+Each chart states its singular set once as well, as ``margin_exprs``:
+``sin(theta1)`` and ``sin(theta2)`` on Sasaki-Einstein, none on Darboux.  A
+state is on the chart when no margin's absolute value is below ``MARGIN``.
+The base class derives the one ``guard`` from them, for a state or a batch.
+
 The coordinate formulas above are normative.  Contracting them into the
 defining relations gives ``eta(X_H) = sigma H`` with a chart-dependent sign
 ``sigma`` (Darboux: -1, Sasaki-Einstein: +1); ``check_intrinsic_relations``
@@ -33,19 +38,20 @@ formula.
 
 The systems that ``flow`` steps, the state and the state augmented with its
 flow Jacobian J and log_lambda, are each one ``_Stage``, built once per
-``HamiltonianSystem`` from the structure of its roots' expressions.  A
-constant root is used as a number and never evaluated; constant zeros are
-skipped; one chart guard and one tape call compute the rest, under
-``_values``' domain rule.  Row r of the diffusion is applied over its
-structural nonzeros only (the roots that are not a constant 0.0 or -0.0),
-summed left to right in ascending channel order, ``((g_r,k1 dw_k1 +
-g_r,k2 dw_k2) + ...)``, so the bits depend on no matrix product's summation
-order.  Each stage generates that update once as straight-line code, like a
-tape.  A single path runs on a list of Python floats and a batch on numpy
-rows, which round alike, so a path gives the same bits alone or in any
-batch.  The augmented roots per Hamiltonian are X_H, each entry of DX_H J
-summed left to right in ascending c, and -R(H), as expressions over x, J
-and log_lambda, so constant folding drops the structural zeros of DX_H.
+``HamiltonianSystem`` from the structure of its roots' expressions.
+Constant zeros are skipped; one tape call, under ``_values``' domain rule,
+computes the other roots and the chart's margins, which the stage compares
+value by value.  Only a margin below ``MARGIN`` or a domain fault calls the
+chart's guard.  Row r of the diffusion is applied over its structural
+nonzeros only (the roots that are not a constant 0.0 or -0.0), summed left
+to right in ascending channel order, ``((g_r,k1 dw_k1 + g_r,k2 dw_k2) +
+...)``, so the bits depend on no matrix product's summation order.  Each
+stage generates that update once as straight-line code, like a tape.  A
+single path runs on a list of Python floats and a batch on numpy rows,
+which round alike, so a path gives the same bits alone or in any batch.
+The augmented roots per Hamiltonian are X_H, each entry of DX_H J summed
+left to right in ascending c, and -R(H), as expressions over x, J and
+log_lambda, so constant folding drops the structural zeros of DX_H.
 
 Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
 its caller passes: numbers for the numeric brackets, expressions for
@@ -66,7 +72,9 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import ConfigError, NumericalFailure, SingularChartPoint, WrongIntegralCount
+from .errors import (
+    ConfigError, DomainError, NumericalFailure, SingularChartPoint, WrongIntegralCount,
+)
 
 __all__ = [
     "DarbouxChart", "SasakiEinsteinChart", "chart_by_id",
@@ -76,7 +84,7 @@ __all__ = [
     "sample_states", "contact_nondegeneracy",
 ]
 
-SIN_GUARD = 1e-9  # reject Sasaki-Einstein states with |sin(theta_i)| below this
+MARGIN = 1e-9  # reject a state at which a chart margin's absolute value is below this
 
 
 def _values(tape, x) -> tuple:
@@ -121,11 +129,12 @@ def _eval(tape, x: np.ndarray) -> np.ndarray:
 class _Stage:
     """One system that ``flow`` steps, the state's or the augmented state's,
     held by its structure.  Its roots, ``drift`` (m,) then ``diffusion``
-    row-major (m, d), are split over ``layout`` into the nonzero
-    ``constants``, kept as numbers, and one tape set, ``tape``, of the rest.
-    Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the channels
-    k of its structural nonzeros, ascending; a slot indexes the values that
-    ``fields`` returns, and a constant zero (0.0 or -0.0) has none.
+    row-major (m, d), that are not a constant zero (0.0 or -0.0) form one
+    tape set, ``tape``, in root order, constants included; the chart's
+    margins follow them, for ``fields`` to check.  Row r of ``rows`` is
+    ``(drift slot, ((k, slot), ...))`` over the channels k of its structural
+    nonzeros, ascending; a slot indexes the values that ``fields`` returns,
+    and a constant zero has none.
 
     ``rows`` is compiled once into the two forms of ``advance``, each one
     generated straight-line function (``_generate``).  Row r becomes
@@ -142,15 +151,12 @@ class _Stage:
     def __init__(self, chart, drift, diffusion, d: int, layout):
         self.chart = chart
         roots = (*drift, *diffusion)
-        self.constants = tuple(e.value for e in roots
-                               if isinstance(e, expr.Const) and e.value != 0.0)
-        self.tape = expr.compile_tape([e for e in roots if not isinstance(e, expr.Const)], layout)
-        hoisted, computed = itertools.count(), itertools.count(len(self.constants))
-        slots = [
-            next(computed) if not isinstance(e, expr.Const)
-            else next(hoisted) if e.value != 0.0 else None
-            for e in roots
-        ]
+        slot = itertools.count()
+        slots = [None if isinstance(e, expr.Const) and e.value == 0.0 else next(slot)
+                 for e in roots]
+        kept = [e for e, s in zip(roots, slots) if s is not None]
+        self.tape = expr.compile_tape([*kept, *chart.margin_exprs], layout)
+        self._margins = len(kept)  # the slot of the first margin
         noise = slots[len(drift):]
         self.rows = tuple(
             (a, tuple((k, s) for k, s in enumerate(noise[r * d:(r + 1) * d]) if s is not None))
@@ -188,11 +194,28 @@ class _Stage:
         self._generate()
 
     def fields(self, y) -> tuple:
-        """The values at a single path (a list of m floats) or a batch (m, B),
-        whose chart coordinates are guarded once: the constants, then the
-        ``_values`` of the tape."""
+        """The values at a single path (a list of m floats) or a batch (m, B)
+        from one ``_values`` call, the chart's margins last.  A margin below
+        ``MARGIN``, or a ``DomainError`` (a margin of exactly 0 divides by
+        zero), hands the chart coordinates to ``chart.guard``, so an
+        off-chart path raises ``SingularChartPoint`` ahead of the fault."""
+        try:
+            k = _values(self.tape, y)
+        except DomainError:
+            self._guard(y)
+            raise
+        if type(y) is list:
+            for m in k[self._margins:]:
+                if abs(m) < MARGIN:
+                    self._guard(y)
+        else:
+            for m in k[self._margins:]:
+                if (abs(m) < MARGIN).any():
+                    self._guard(y)
+        return k
+
+    def _guard(self, y) -> None:
         self.chart.guard(y[:self.chart.dim] if type(y) is list else y[:self.chart.dim].T)
-        return self.constants + _values(self.tape, y)
 
     def advance(self, y, dw, dt, k0, k1=None):
         """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
@@ -213,13 +236,19 @@ class _ContactChart:
     ``d_eta_upper_entries_exprs()``, the structural entries ``(a, b, expr)``
     of d_eta with a < b, whose (b, a) entries are the exact negatives; and
     ``reeb_field``, the constant Reeb field.  The numeric forms take a state
-    (dim,) or a batch (B, dim) and run compiled tape sets through ``_eval``."""
+    (dim,) or a batch (B, dim) and run compiled tape sets through ``_eval``.
+
+    The chart states its singular set once too, as ``margin_exprs``:
+    expressions over its coordinates, each read as ``|margin| >= MARGIN``
+    on the chart.  ``guard`` checks them, and each ``_Stage`` appends them
+    to its tape set."""
 
     def __init__(self):
         entries = self.d_eta_upper_entries_exprs()
         self._eta_tape = expr.compile_tape(self.eta_exprs(), self.names)
         self._d_eta_slots = tuple((a, b) for a, b, _ in entries)
         self._d_eta_tape = expr.compile_tape([e for _, _, e in entries], self.names)
+        self._margin_tape = expr.compile_tape(self.margin_exprs, self.names)
 
     def eta(self, x: np.ndarray) -> np.ndarray:
         return _eval(self._eta_tape, x)
@@ -246,6 +275,31 @@ class _ContactChart:
             for name, r in zip(self.names, self.reeb_field) if r != 0.0
         ))
 
+    def guard(self, x) -> None:
+        """Reject a state, a list of ``dim`` floats or a (dim,) array, or a
+        batch (B, dim) at which a margin's absolute value is below
+        ``MARGIN``; a NaN margin is not below.  The margins run through
+        ``_values``, under its domain rule.  ``SingularChartPoint`` names
+        the first such path's first such margin and the path's state, in
+        the same words for a state alone and for a batch row."""
+        if type(x) is not list and x.ndim > 1:
+            values = _values(self._margin_tape, x.T)
+            off = np.zeros(len(x), dtype=bool)
+            for v in values:
+                off |= abs(v) < MARGIN
+            if off.any():
+                path = int(off.argmax())
+                self._reject(x[path].tolist(), [v[path] for v in values])
+            return
+        state = x if type(x) is list else x.tolist()
+        self._reject(state, _values(self._margin_tape, state))
+
+    def _reject(self, state: list, values) -> None:
+        for margin, value in zip(self.margin_exprs, values):
+            if abs(value) < MARGIN:
+                raise SingularChartPoint(f"|{expr.to_source(margin)}| below {MARGIN:g} "
+                                         f"at state {tuple(map(float, state))}")
+
     def guard_batch(self, states: np.ndarray) -> None:
         # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
         self.guard(states)
@@ -256,6 +310,7 @@ class DarbouxChart(_ContactChart):
 
     kind = "darboux"
     sigma = -1.0
+    margin_exprs = ()  # no singular points
 
     def __init__(self, n: int):
         if n < 1:
@@ -293,9 +348,6 @@ class DarbouxChart(_ContactChart):
         comps.append(acc)
         return comps
 
-    def guard(self, x) -> None:
-        """Every state, an array or a list of floats, is on this chart."""
-
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-2.0, 2.0, size=(count, self.dim))
 
@@ -309,6 +361,8 @@ class SasakiEinsteinChart(_ContactChart):
     dim = 5
     names = ("theta1", "theta2", "phi1", "phi2", "psi")
     reeb_field = (0.0, 0.0, 0.0, 0.0, 3.0)
+    # The coordinates break down where sin(theta_i) = 0.
+    margin_exprs = (expr.sin(expr.var("theta1")), expr.sin(expr.var("theta2")))
 
     def eta_exprs(self) -> list:
         three = expr.const(3.0)
@@ -344,17 +398,6 @@ class SasakiEinsteinChart(_ContactChart):
         comps.append(expr.mul(three, acc))
         return comps
 
-    def guard(self, x) -> None:
-        """Reject a state, (5,) or a list of 5 floats, or a batch (B, 5) near
-        sin(theta_i) = 0."""
-        if type(x) is not list and x.ndim > 1:
-            if bool((np.abs(np.sin(x[:, :2])) < SIN_GUARD).any()):
-                raise SingularChartPoint("batch contains states near sin(theta_i) = 0")
-        elif abs(math.sin(x[0])) < SIN_GUARD or abs(math.sin(x[1])) < SIN_GUARD:
-            raise SingularChartPoint(
-                f"|sin(theta_i)| below {SIN_GUARD:g} at theta=({float(x[0])!r}, {float(x[1])!r})"
-            )
-
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty((count, 5))
         out[:, 0] = rng.uniform(0.1, math.pi - 0.1, size=count)
@@ -370,7 +413,7 @@ def chart_by_id(kind: str, n: int | None = None):
     if kind == "darboux":
         if n is None:
             raise ConfigError("chart 'darboux' requires n")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ConfigError(f"chart 'darboux' needs an integer n >= 1, got {n!r}")
         return DarbouxChart(n)
     if kind == "sasaki-einstein":

@@ -331,6 +331,17 @@ def test_domain_faults_exit_3(tmp_path, capsys, argv, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
+def test_se_bracket_at_infinite_theta_exits_3(tmp_path, capsys):
+    # The chart guard's math.sin(inf) used to escape as a bare ValueError
+    # (a traceback and exit 1).
+    cfg = write_config(tmp_path, system="sasaki-einstein-t11", T=1.0, dt=0.01)
+    code, out, err = run_cli(capsys, "bracket", "--config", cfg, "-f", "phi1",
+                             "-g", "(1/3)*cos(theta1)", "--state", "inf,1,0,0,0")
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure in bracket: sin of infinite value in "
+                   "Func(fn='sin', arg=Var(name='theta1'))\n")
+
+
 @pytest.mark.parametrize("command, operation", [
     ("simulate", "simulate"), ("verify-contact", "contact_defect"),
 ], ids=["simulate", "verify-contact"])
@@ -383,9 +394,17 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
     ({"system": "dissipative-2d", "t0": math.nan}, "T must exceed t0"),
     ({"system": "dissipative-2d", "T": math.inf},
      "need a finite T - t0 and a finite dt > 0, got inf and 0.01"),
+    # Integers: these ran as seed 1, 1 worker and a 3-dimensional chart.
+    ({"system": "dissipative-2d", "seed": 1.7}, "seed must be an integer, got 1.7"),
+    ({"system": "dissipative-2d", "seed": True}, "seed must be an integer, got True"),
+    ({"system": "dissipative-2d", "seed": math.inf}, "seed must be an integer, got inf"),
+    ({"system": "dissipative-2d", "workers": 1.9}, "workers must be an integer, got 1.9"),
+    ({"system": dict(_INLINE, n=True), "initial_state": [0.1, 0.2, 0.3]},
+     "chart 'darboux' needs an integer n >= 1, got True"),
 ], ids=["T", "seed", "initial_state", "params", "n", "constants",
         "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function",
-        "T_nan", "t0_nan", "T_inf"])
+        "T_nan", "t0_nan", "T_inf", "seed_fraction", "seed_bool", "seed_inf", "workers_fraction",
+        "n_bool"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
     cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
     code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)

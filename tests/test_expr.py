@@ -338,8 +338,8 @@ _AUGMENTED_STAGE_BOUND = {"sasaki-einstein-t11": 104, "dissipative-2d": 117}
 def test_augmented_tape_set_computes_shared_subterms_once(system_id, bound):
     # The set (X_H, DX_H, R(H)) of every H compiled whole, as the augmented
     # stage once ran it, and the augmented stage's own tape of the roots
-    # that are not constants, in which DX_H J is summed over the structural
-    # nonzeros of DX_H.
+    # that are not constant zeros and the chart's margins, in which DX_H J
+    # is summed over the structural nonzeros of DX_H.
     system = catalog.get_entry(system_id).system()
     names = system.chart.names
     roots = [

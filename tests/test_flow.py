@@ -376,16 +376,24 @@ def _channels_by_row(system):
     return [tuple(k for k, _ in row) for _, row in system._state_stage.rows]
 
 
+def _constant_roots(system):
+    return [e.value for e in system._state_stage.tape.exprs if isinstance(e, expr.Const)]
+
+
 def test_state_stage_structural_pattern(sasaki_einstein, dissipative):
     # SE: the drift is all constants, 8 diffusion roots vary, the theta and
-    # phi rows read one channel each and the psi row all five.
-    assert len(sasaki_einstein._state_stage.tape.exprs) == 8
+    # phi rows read one channel each and the psi row all five; the tape holds
+    # 2 constants, the 8 varying roots and the chart's 2 margins.
+    assert len(sasaki_einstein._state_stage.tape.exprs) == 2 + 8 + 2
+    assert sasaki_einstein._state_stage.tape.exprs[-2:] == sasaki_einstein.chart.margin_exprs
     assert _channels_by_row(sasaki_einstein) == [(3,), (4,), (1,), (2,), (0, 1, 2, 3, 4)]
-    assert sasaki_einstein._state_stage.constants == (3.0, 3.0)  # psi drift, psi row channel 0
-    # dissipative-2d: the drift varies, the diffusion is constant and only z is noisy.
-    assert len(dissipative._state_stage.tape.exprs) == 5
+    assert _constant_roots(sasaki_einstein) == [3.0, 3.0]  # psi drift, psi row channel 0
+    assert len(sasaki_einstein._state_stage.tape) == 26
+    # dissipative-2d: the drift varies, the diffusion is constant and only z
+    # is noisy; a Darboux chart has no margins.
+    assert len(dissipative._state_stage.tape.exprs) == 1 + 5
     assert _channels_by_row(dissipative) == [(), (), (), (), (0,)]
-    assert dissipative._state_stage.constants == (0.1,)
+    assert _constant_roots(dissipative) == [0.1]
 
 
 def _ordered_heun(system, x, dw, dt):
@@ -429,6 +437,7 @@ def test_state_stage_sums_each_row_left_to_right(system_id):
 class _Line:
     """A one-coordinate chart with no singular points, for hand-built stages."""
     dim = 1
+    margin_exprs = ()
 
     @staticmethod
     def guard(x):
@@ -437,8 +446,8 @@ class _Line:
 
 def _cancelling_stage():
     """One row, no drift, three noise terms valued 1, 1e16 and -1e16 at u = 0.
-    Channel 0's value is computed and the others are constants, so slot
-    order (constants first) differs from channel order."""
+    Channel 0's value is computed and the others are constants; all three
+    are slots of the one tape, in channel order."""
     u = expr.var("u")
     return geo._Stage(_Line(), [expr.const(0.0)],
                       [expr.add(u, expr.const(1.0)), expr.const(1e16), expr.const(-1e16)],
@@ -601,4 +610,5 @@ def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
     monkeypatch.setattr(system.chart, "guard", counted("guard", system.chart.guard))
     path = flow.sample_brownian(system.d, 5, 1e-4, 2)
     flow.integrate_augmented(system, [1.0, 1.2, 0.3, -0.4, 0.25], path, "heun")
-    assert calls == {"tape": 10, "guard": 10}  # two Heun stages per step
+    # Two Heun stages per step; the margins come from the same tape call.
+    assert calls == {"tape": 10, "guard": 0}

@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 
@@ -286,13 +287,74 @@ def test_se_guard_takes_a_list_with_the_array_message():
     chart = geo.SasakiEinsteinChart()
     off = [1e-12, 1.0, 0.0, 0.0, 0.0]
     messages = []
-    for x in (off, np.array(off)):
+    for x in (off, np.array(off), np.array([[1.0, 2.0, 0.0, 0.0, 0.0], off])):
         with pytest.raises(SingularChartPoint) as err:
             chart.guard(x)
         messages.append(str(err.value))
-    assert messages == ["|sin(theta_i)| below 1e-09 at theta=(1e-12, 1.0)"] * 2
+    assert messages == ["|sin(theta1)| below 1e-09 at state (1e-12, 1.0, 0.0, 0.0, 0.0)"] * 3
     chart.guard([1.0, 2.0, 0.0, 0.0, 0.0])
     geo.DarbouxChart(1).guard([0.0, 0.0, 0.0])
+
+
+def _raises_singular(call) -> bool:
+    try:
+        call()
+    except SingularChartPoint:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_stage_and_guard_agree_at_the_chart_edge(sasaki_einstein, i):
+    # A margin is off the chart when |sin(theta_i)| < 1e-9; at theta_i = 0
+    # exactly the stage's tape divides by zero, and the chart's verdict
+    # must come first.
+    chart = sasaki_einstein.chart
+    on = [1.0, 1.2, 0.3, -0.4, 0.25]
+    tangent = np.eye(5).ravel().tolist() + [0.0]
+    verdicts = []
+    for theta in (0.0, 1e-12, 9.99e-10, 1e-9):
+        x = list(on)
+        x[i] = theta
+        batch = np.array([on, x, on])
+        calls = [(chart.guard, x), (chart.guard, np.array(x)), (chart.guard, batch)]
+        for stage, tail in ((sasaki_einstein._state_stage, []),
+                            (sasaki_einstein._augmented_stage, tangent)):
+            y = np.array([[*row, *tail] for row in batch]).T.copy()
+            calls += [(stage.fields, x + tail), (stage.fields, y)]
+        outcomes = {_raises_singular(functools.partial(*call)) for call in calls}
+        assert len(outcomes) == 1, theta
+        verdicts.append(outcomes.pop())
+    assert verdicts == [True, True, True, False]
+
+
+def test_stage_and_guard_check_every_path_of_a_batch(sasaki_einstein):
+    # A NaN margin is not below MARGIN, but the other path's margin of the
+    # same coordinate is, so taking the smallest margin (NaN) would let the
+    # batch through.
+    nan_path = [math.nan, 1.2, 0.3, -0.4, 0.25]
+    off_path = [1e-12, 1.2, 0.3, -0.4, 0.25]
+    batch = np.array([nan_path, off_path])
+    with pytest.raises(SingularChartPoint) as err:
+        sasaki_einstein._state_stage.fields(batch.T.copy())
+    assert str(err.value) == "|sin(theta1)| below 1e-09 at state (1e-12, 1.2, 0.3, -0.4, 0.25)"
+    with pytest.raises(SingularChartPoint):
+        sasaki_einstein.chart.guard(batch)
+    sasaki_einstein.chart.guard(np.array(nan_path))  # NaN alone is no verdict
+
+
+def test_infinite_theta_is_a_domain_error_in_every_shape(sasaki_einstein):
+    # math.sin(inf) used to escape the guard as a bare ValueError, while a
+    # batch only warned.
+    x = [math.inf, 1.0, 0.0, 0.0, 0.0]
+    message = "sin of infinite value in Func(fn='sin', arg=Var(name='theta1'))"
+    calls = [lambda: sasaki_einstein.chart.guard(x),
+             lambda: sasaki_einstein.vector_field(0, np.array(x)),
+             lambda: sasaki_einstein.vector_field(0, np.array([[1.0, 1.0, 0.0, 0.0, 0.0], x]))]
+    for call in calls:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_system_jacobian_matches_fd(dissipative, sasaki_einstein, rng):

@@ -88,7 +88,8 @@ class CatalogEntry:
         if unknown:
             raise ConfigError(f"unknown parameters for {self.id!r}: {sorted(unknown)}")
         for name, value in overrides.items():
-            if isinstance(params[name], float) and not isinstance(value, numbers.Real):
+            if isinstance(params[name], float) and (isinstance(value, bool)
+                                                    or not isinstance(value, numbers.Real)):
                 raise ConfigError(f"parameter {name!r} must be a number, got {value!r}")
         params.update(overrides)
         return self.build(**params)

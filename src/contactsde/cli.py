@@ -44,7 +44,7 @@ from .errors import (
     UnknownIdentifier,
     WrongIntegralCount,
 )
-from .flow import SCHEMES, _conformal_factor, _n_steps, integrate_augmented, sample_brownian
+from .flow import SCHEMES, _conformal_factor, _integrate_conformal, _n_steps, sample_brownian
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -84,12 +84,14 @@ class RunConfig:
 
 def _number(data: dict, name: str, kind, default):
     """Config field ``name`` converted by ``kind``; ``default`` if absent.
-    An integer field takes no boolean and no number that ``int`` would
-    change."""
+    No field takes a boolean, and an integer field takes no number that
+    ``int`` would change."""
     value = data.get(name, default)
     if kind is int and (isinstance(value, bool)
                         or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -188,6 +190,9 @@ def path_setup(args) -> tuple:
 
 def initial_state(cfg: RunConfig, system: geo.HamiltonianSystem) -> np.ndarray:
     try:
+        if isinstance(cfg.initial_state, list) and any(isinstance(v, bool)
+                                                       for v in cfg.initial_state):
+            raise TypeError("a boolean is not a number")
         x0 = np.asarray(cfg.initial_state, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(
@@ -233,10 +238,10 @@ def cmd_list_systems(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, system, x0, path = path_setup(args)
-    traj = integrate_augmented(system, x0, path, cfg.scheme)
+    states, log_lambdas = _integrate_conformal(system, x0, path, cfg.scheme)
     header = "t," + ",".join(system.chart.names) + ",lambda\n"
     lines = [header]
-    for i, (state, log_lambda) in enumerate(zip(traj.states.tolist(), traj.log_lambda.tolist())):
+    for i, (state, log_lambda) in enumerate(zip(states.tolist(), log_lambdas.tolist())):
         t = cfg.t0 + i * cfg.dt
         row = [f"{t:.17g}"]
         row += [f"{v:.17g}" for v in state]

@@ -510,13 +510,16 @@ _SCALAR_FUNCTIONS = (math.pow, math.sin, math.cos, math.exp, math.log)
 _ARRAY_FUNCTIONS = (np.power, np.sin, np.cos, np.exp, np.log)
 
 
-def _source(exprs, layout) -> tuple:
-    """``(text, constants, operations)`` of ``make(pow, sin, cos, exp, log,
-    c0, c1, ...)``, which returns a function of ``values`` computing each
-    distinct subterm of ``exprs`` once, in tree-evaluator order.  Constants
-    are parameters, not literals (``1e400`` parses to ``inf``), so the text
-    depends only on the shape of ``exprs``."""
-    slots = {name: f"values[{i}]" for i, name in enumerate(layout)}
+def _source(roots, slots, prefix: str = "t") -> tuple:
+    """``(lines, results, constants)`` of straight-line code that computes
+    each distinct subterm of ``roots`` once, in tree-evaluator order: one
+    line ``<prefix><n> = ...`` per operation, and per root the name that
+    holds its value (a slot's text, a constant ``c<i>`` or a temporary).
+    ``slots`` maps each free name to the text that reads it.  Constants are
+    parameters of the enclosing ``make``, not literals (``1e400`` parses to
+    ``inf``), so the text depends only on the shape of ``roots``; walking
+    the same roots again with other slots and another prefix names the same
+    constants."""
     names, consts, lines = {}, [], []
 
     def walk(node):
@@ -536,17 +539,17 @@ def _source(exprs, layout) -> tuple:
                 names[key] = f"c{len(consts)}"
                 consts.append(node.value)
             else:
-                names[key] = f"t{len(lines)}"
-                lines.append(f"        {names[key]} = {_FORMATS[key[0]].format(*key[1:])}\n")
+                names[key] = f"{prefix}{len(lines)}"
+                lines.append(f"{names[key]} = {_FORMATS[key[0]].format(*key[1:])}")
         return names[key]
 
-    many = isinstance(exprs, tuple)
-    results = [walk(root) for root in (exprs if many else (exprs,))]
-    value = "(" + "".join(f"{r}, " for r in results) + ")" if many else results[0]
-    params = "".join(f", c{i}" for i in range(len(consts)))
-    text = (f"def make(pow, sin, cos, exp, log{params}):\n    def tape(values):\n"
-            + "".join(lines) + f"        return {value}\n    return tape\n")
-    return text, consts, len(lines)
+    results = [walk(root) for root in roots]
+    return lines, results, consts
+
+
+def _params(consts) -> str:
+    """``make``'s constant parameters after its fixed ones: ``, c0, c1, ...``."""
+    return "".join(f", c{i}" for i in range(len(consts)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -582,8 +585,16 @@ class EvalTape:
     def __init__(self, exprs, layout):
         self.exprs = exprs if isinstance(exprs, NODE_TYPES) else tuple(exprs)
         self.layout = tuple(layout)
-        text, consts, self._size = _source(self.exprs, self.layout)
-        make = _factory(text)
+        many = isinstance(self.exprs, tuple)
+        lines, results, consts = _source(
+            self.exprs if many else (self.exprs,),
+            {name: f"values[{i}]" for i, name in enumerate(self.layout)})
+        value = "(" + "".join(f"{r}, " for r in results) + ")" if many else results[0]
+        self._size = len(lines)
+        make = _factory(f"def make(pow, sin, cos, exp, log{_params(consts)}):\n"
+                        "    def tape(values):\n"
+                        + "".join(f"        {line}\n" for line in lines)
+                        + f"        return {value}\n    return tape\n")
         self._scalar = make(*_SCALAR_FUNCTIONS, *consts)
         self._array = make(*_ARRAY_FUNCTIONS, *map(np.float64, consts))
 

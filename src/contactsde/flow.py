@@ -23,17 +23,27 @@ Schemes
               path: each path keeps the sweep at which its own update met
               ``max|dy| <= 1e-13 * max(1, max|y|)``.
 
-One stepping core serves single paths and batches of the state system and
-the augmented one: one stepper per scheme and one loop, ``_run``, drive a
-stage through two calls.  ``fields(y)`` evaluates the drift and diffusion
-at a single path, a list of m Python floats, or at a batch of paths
-``(m, B)``, one row per coordinate and the paths on the last axis;
-``advance`` applies them, as ``y + a dt + g dw`` or as Heun's trapezoid
-``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, through straight-line code
-that the stage generated from its structure when it was built: one text
-for a list and for numpy rows.  The stages are ``geometry._Stage``
-objects, which each ``HamiltonianSystem`` builds once and which alone know
-their structure and summation order.
+One stepping core serves single paths and batches of every stage: one
+stepper per scheme and one loop, ``_run``, drive a stage through two calls.
+``fields(y)`` evaluates the drift and diffusion at a single path, a list of
+m Python floats, or at a batch of paths ``(m, B)``, one row per coordinate
+and the paths on the last axis; ``advance`` applies them, as ``y + a dt +
+g dw`` or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``,
+through straight-line code that the stage generated from its structure
+when it was built: one text for a list and for numpy rows.  The stages are
+``geometry._Stage`` objects, which each ``HamiltonianSystem`` builds on
+first use and which alone know their structure and summation order.
+
+A single path's Heun step runs through one more generated form of its
+stage, ``heun_step``: both evaluations written out inline, with the
+predictor and the trapezoid, performing exactly the operations of
+``fields`` and ``advance`` in the same order, so the bits are theirs.  Off
+the hot path it falls back to ``fields`` and ``advance``: when a margin at
+either evaluation is below ``geometry.MARGIN``, or when an evaluation
+raises ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``.  The
+fallback raises exactly their errors, ``SingularChartPoint`` ahead of
+``DomainError``.  A batch's Heun step, and every midpoint step, goes
+through ``fields`` and ``advance``.
 
 ``_run`` carries a single path as a list of floats from ``x0`` to the
 history write: it reads the increments once, one list per step, and
@@ -46,7 +56,9 @@ The augmented system carries, with the state, the flow Jacobian J (dJ =
 DX J) and the log of the conformal factor (d log_lambda = -R(H_0) dt -
 sum_k R(H_k) o dB).  Co-integrating J with the same internal stages makes J
 exactly the derivative of the discrete flow map, and under Heun the states
-are bit-equal to ``integrate``'s.
+are bit-equal to ``integrate``'s.  ``simulate`` writes only x and lambda,
+so it steps a third stage over x and log_lambda (``_integrate_conformal``);
+under Heun its rows equal ``integrate_augmented``'s bit for bit.
 
 ``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
 no stage evaluates a blown-up state.  A domain fault in a batch raises the
@@ -66,7 +78,7 @@ from .errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from .geometry import HamiltonianSystem
+from .geometry import HamiltonianSystem, _composed_heun
 
 __all__ = [
     "BrownianPath", "sample_brownian", "coarsen",
@@ -218,9 +230,9 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # ---------------------------------------------------------------------------
 
 def _heun_step(stage, y, dw, dt):
-    k0 = stage.fields(y)
-    k1 = stage.fields(stage.advance(y, dw, dt, k0))
-    return stage.advance(y, dw, dt, k0, k1)
+    """A single path through the stage's generated kernel, a batch through
+    ``fields`` and ``advance``."""
+    return stage.heun_step(y, dw, dt) if type(y) is list else _composed_heun(stage, y, dw, dt)
 
 
 def _sup(a):
@@ -415,6 +427,19 @@ def integrate_augmented(
         times=path.times(), states=ys[:, :dim],
         jacobians=ys[:, dim:-1].reshape(-1, dim, dim), log_lambda=ys[:, -1],
     )
+
+
+def _integrate_conformal(sys: HamiltonianSystem, x0, path: BrownianPath, scheme: str = "heun"):
+    """``(states, log_lambda)`` on the grid of ``path``, (n+1, dim) and
+    (n+1,), from the stage over x and log_lambda alone, for ``simulate``,
+    which reads no J.  Under Heun both equal ``integrate_augmented``'s bit
+    for bit, because no row of x or log_lambda reads J.  Under midpoint the
+    per-path test takes its sup over these rows only, so a path may stop at
+    another sweep than the augmented system's and differ in its last bits."""
+    x0 = _initial_state(sys, x0, path.d, path.dt)
+    ys = _run(sys._conformal_stage, np.append(x0, 0.0), path.increments, path.dt, scheme,
+              "simulate", True)
+    return ys[:, :-1], ys[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -126,15 +126,23 @@ def _eval(tape, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _composed_heun(stage, y, w, dt):
+    """Heun's step composed of ``stage.fields`` and ``stage.advance``: a
+    batch's step, and a single path's off its stage's generated kernel."""
+    k0 = stage.fields(y)
+    k1 = stage.fields(stage.advance(y, w, dt, k0))
+    return stage.advance(y, w, dt, k0, k1)
+
+
 class _Stage:
-    """One system that ``flow`` steps, the state's or the augmented state's,
-    held by its structure.  Its roots, ``drift`` (m,) then ``diffusion``
-    row-major (m, d), that are not a constant zero (0.0 or -0.0) form one
-    tape set, ``tape``, in root order, constants included; the chart's
-    margins follow them, for ``fields`` to check.  Row r of ``rows`` is
-    ``(drift slot, ((k, slot), ...))`` over the channels k of its structural
-    nonzeros, ascending; a slot indexes the values that ``fields`` returns,
-    and a constant zero has none.
+    """One system that ``flow`` steps, held by its structure: the state's,
+    the augmented state's or the state's with log_lambda.  Its roots,
+    ``drift`` (m,) then ``diffusion`` row-major (m, d), that are not a
+    constant zero (0.0 or -0.0) form one tape set, ``tape``, in root order,
+    constants included; the chart's margins follow them, for ``fields`` to
+    check.  Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the
+    channels k of its structural nonzeros, ascending; a slot indexes the
+    values that ``fields`` returns, and a constant zero has none.
 
     ``rows`` is compiled once into the two forms of ``advance``, each one
     generated straight-line function (``_generate``).  Row r becomes
@@ -145,11 +153,22 @@ class _Stage:
     ``(k0[i] + k1[i])`` for ``k[i]``, and scales the noise sum by 0.5.  One
     text serves a single path, a list of Python floats, and a batch of numpy
     rows, which round alike, so a path gives the same bits alone or in any
-    batch.  No other module of the package reads ``rows``: ``flow`` drives
-    a stage through ``fields`` and ``advance`` only."""
+    batch.
+
+    A single path's Heun step has one more generated form, ``heun_step(y,
+    w, dt)``: both tape evaluations written out inline from the tape's own
+    subterm walk, their values in locals, with Euler's predictor and Heun's
+    trapezoid between and after them.  Per root and row it performs exactly
+    the operations of ``fields`` and ``advance``, in the same order, so its
+    bits are theirs.  A margin below ``MARGIN`` at either evaluation, or a
+    ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``, sends the
+    step to ``_composed_heun``, which raises exactly their errors.  No other
+    module of the package reads ``rows``: ``flow`` drives a stage through
+    ``fields``, ``advance`` and ``heun_step`` only."""
 
     def __init__(self, chart, drift, diffusion, d: int, layout):
         self.chart = chart
+        self.d = d
         roots = (*drift, *diffusion)
         slot = itertools.count()
         slots = [None if isinstance(e, expr.Const) and e.value == 0.0 else next(slot)
@@ -164,30 +183,74 @@ class _Stage:
         )
         self._generate()
 
-    def _generate(self) -> None:
-        """Compile ``rows`` into ``_euler(y, w, dt, k)`` and ``_heun(y, w,
-        dt, k0, k1)`` through ``expr``'s cached text compiler."""
-        euler, heun = [], []
+    def _updates(self, y: str, w: str, dt: str, k, half: bool = False) -> list:
+        """Per row r, the text of ``y_r + dt * a + (g_1 * w_c1 + ...)``;
+        ``y`` and ``w`` format a row and a channel, ``k`` maps a slot to its
+        text, and ``half`` scales the noise sum by 0.5."""
+        out = []
         for r, (a, row) in enumerate(self.rows):
-            e = h = f"y[{r}]"
+            text = y.format(r)
             if a is not None:
-                e += f" + dt * k[{a}]"
-                h += f" + h_dt * (k0[{a}] + k1[{a}])"
+                text += f" + {dt} * {k(a)}"
             if row:
-                e += " + (" + " + ".join(f"k[{i}] * w[{c}]" for c, i in row) + ")"
-                h += " + 0.5 * (" + " + ".join(f"(k0[{i}] + k1[{i}]) * w[{c}]" for c, i in row) + ")"
-            euler.append(f"            {e},\n")
-            heun.append(f"            {h},\n")
+                noise = " + ".join(f"{k(i)} * {w.format(c)}" for c, i in row)
+                text += f" + 0.5 * ({noise})" if half else f" + ({noise})"
+            out.append(text)
+        return out
+
+    def _generate(self) -> None:
+        """Compile ``rows`` into ``_euler(y, w, dt, k)``, ``_heun(y, w, dt,
+        k0, k1)`` and ``heun_step(y, w, dt)`` through ``expr``'s cached text
+        compiler."""
+        def listed(texts):
+            return ("        return [\n" + "".join(f"            {t},\n" for t in texts)
+                    + "        ]\n")
+
         self._euler, self._heun = expr._factory(
-            "def make():\n"
-            "    def euler(y, w, dt, k):\n        return [\n" + "".join(euler) + "        ]\n"
-            "    def heun(y, w, dt, k0, k1):\n        h_dt = 0.5 * dt\n"
-            "        return [\n" + "".join(heun) + "        ]\n"
-            "    return euler, heun\n")()
+            "def make():\n    def euler(y, w, dt, k):\n"
+            + listed(self._updates("y[{}]", "w[{}]", "dt", "k[{}]".format))
+            + "    def heun(y, w, dt, k0, k1):\n        h_dt = 0.5 * dt\n"
+            + listed(self._updates("y[{}]", "w[{}]", "h_dt", "(k0[{0}] + k1[{0}])".format, True))
+            + "    return euler, heun\n")()
+
+        # The kernel: y_r and w_c unpacked, the first evaluation's values in
+        # s-locals, the predictor in p_r and the second evaluation's in t-locals.
+        layout = self.tape.layout
+
+        def walk(slot, prefix):
+            return expr._source(self.tape.exprs, {n: f"{slot}{i}" for i, n in enumerate(layout)},
+                                prefix)
+
+        (s_lines, k0, consts), (t_lines, k1, _) = walk("y", "s"), walk("p", "t")
+
+        def evaluation(lines, k):
+            text = ("        try:\n" + "".join(f"            {line}\n" for line in lines)
+                    + "        except (ZeroDivisionError, ValueError, OverflowError):\n"
+                    "            return cold(y, w, dt)\n") if lines else ""
+            margins = k[self._margins:]
+            if margins:
+                text += ("        if " + " or ".join(f"abs({m}) < margin" for m in margins)
+                         + ":\n            return cold(y, w, dt)\n")
+            return text
+
+        predictor = self._updates("y{}", "w{}", "dt", k0.__getitem__)
+        make = expr._factory(
+            f"def make(pow, sin, cos, exp, log, cold, margin{expr._params(consts)}):\n"
+            "    def heun_step(y, w, dt):\n"
+            "        " + "".join(f"y{i}, " for i in range(len(layout))) + "= y\n"
+            + ("        " + "".join(f"w{c}, " for c in range(self.d)) + "= w\n" if self.d else "")
+            + evaluation(s_lines, k0)
+            + "".join(f"        p{r} = {t}\n" for r, t in enumerate(predictor))
+            + evaluation(t_lines, k1)
+            + "        h_dt = 0.5 * dt\n"
+            + listed(self._updates("y{}", "w{}", "h_dt", lambda i: f"({k0[i]} + {k1[i]})", True))
+            + "    return heun_step\n")
+        self.heun_step = make(*expr._SCALAR_FUNCTIONS, functools.partial(_composed_heun, self),
+                              MARGIN, *consts)
 
     # A generated function does not pickle: an unpickled stage generates its own.
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k not in ("_euler", "_heun")}
+        return {k: v for k, v in vars(self).items() if k not in ("_euler", "_heun", "heun_step")}
 
     def __setstate__(self, state):
         vars(self).update(state)
@@ -427,13 +490,17 @@ def chart_by_id(kind: str, n: int | None = None):
 
 class HamiltonianSystem:
     """A chart together with a drift Hamiltonian H_0, noise Hamiltonians
-    H_1..H_d, and one precompiled tape set per query, holding exactly the
+    H_1..H_d, and one compiled tape set per query, holding exactly the
     expressions it returns: the value, gradient, ``X_H``, ``DX_H`` and
-    ``R(H)`` of every H_i, and the diffusion columns; and the two ``_Stage``
-    objects that ``flow`` steps, built once: the state's (``_state_stage``)
-    and the augmented state's (``_augmented_stage``, over x, J row-major and
+    ``R(H)`` of every H_i, and the diffusion columns; and the three
+    ``_Stage`` objects that ``flow`` steps: the state's (``_state_stage``),
+    the augmented state's (``_augmented_stage``, over x, J row-major and
     log_lambda, whose roots per H_i are ``X_{H_i}``, ``DX_{H_i} J`` and
-    ``-R(H_i)``).
+    ``-R(H_i)``) and the state's with log_lambda (``_conformal_stage``, roots
+    ``X_{H_i}`` and ``-R(H_i)``, for a caller that reads no J).  Each tape
+    set and stage is built on its first use, so a command pays only for
+    what it queries; parsing and name validation (``prepare``) happen in
+    ``__init__``, so a configuration error is raised there.
 
     The per-state methods (``hamiltonian``, ``gradient``, ``vector_field``,
     ``vector_field_jacobian``, ``reeb_rate``, ``diffusion_matrix``,
@@ -443,17 +510,22 @@ class HamiltonianSystem:
     ``_eval`` assembles the values of ``_values``, which holds the domain
     rule for both shapes.
 
-    Constants, which may name neither a chart coordinate nor a function,
-    are substituted at build time, so every compiled tape reads
+    Constants, numbers that may name neither a chart coordinate nor a
+    function, are substituted at build time, so every compiled tape reads
     only chart coordinates (the augmented one also J, in slots ``J[c,b]``,
-    which no parsed name can equal).  Instances are immutable after
-    construction and safe to share between threads or pickle to workers.
+    which no parsed name can equal).  A system never changes what it
+    computes, and it is safe to share between threads or pickle to workers:
+    two concurrent first uses of one set may both compile it, with equal
+    results, and a pickle carries the sets built so far.
     """
 
     def __init__(self, chart, h0, noise=(), constants=None):
         self.chart = chart
         try:
-            self.constants = {name: float(v) for name, v in dict(constants or {}).items()}
+            values = dict(constants or {})
+            if any(isinstance(v, bool) for v in values.values()):
+                raise TypeError("a boolean is not a number")
+            self.constants = {name: float(v) for name, v in values.items()}
         except (TypeError, ValueError):
             raise ConfigError(f"constants must be numbers, got {constants!r}") from None
         shadowed = sorted(set(self.constants) & {*chart.names, *expr.FUNCTIONS})
@@ -461,45 +533,89 @@ class HamiltonianSystem:
             raise ConfigError(f"constants shadow chart coordinates or functions: {shadowed}")
         if not isinstance(noise, (list, tuple)):
             raise ConfigError(f"noise must be a list of expressions, got {noise!r}")
-        self.hamiltonians = prepared = tuple(map(self.prepare, (h0, *noise)))
-        layout = chart.names
-        self.vector_field_exprs = fields = tuple(
-            tuple(chart.vector_field_exprs(h)) for h in prepared
-        )
-        # DX_H row-major (dim, dim).
-        jacobians = tuple(
-            tuple(expr.differentiate(c, name) for c in comps for name in layout)
-            for comps in fields
-        )
-        rates = tuple(chart.reeb_derivative_expr(h) for h in prepared)
-        self._h_tapes = tuple(expr.compile_tape([h], layout) for h in prepared)
-        self._grad_tapes = tuple(
-            expr.compile_tape([expr.differentiate(h, c) for c in layout], layout)
-            for h in prepared
-        )
-        self._field_tapes = tuple(expr.compile_tape(comps, layout) for comps in fields)
-        self._jacobian_tapes = tuple(expr.compile_tape(dx, layout) for dx in jacobians)
-        self._reeb_tapes = tuple(expr.compile_tape([rate], layout) for rate in rates)
-        # Diffusion row-major (dim, d).
-        self._diffusion_tape = expr.compile_tape(
-            [comps[r] for r in range(chart.dim) for comps in fields[1:]], layout
-        )
-        dim, d = chart.dim, len(fields) - 1
-        self._state_stage = _Stage(chart, fields[0], self._diffusion_tape.exprs, d, layout)
-        # The augmented state is x, J row-major, then log_lambda.  Its roots
-        # per H are X_H, DX_H J with each entry summed in ascending c, and -R(H).
+        self.hamiltonians = tuple(map(self.prepare, (h0, *noise)))
+
+    # -- expressions, tape sets and stages, each built on first use ------------
+
+    @functools.cached_property
+    def vector_field_exprs(self) -> tuple:
+        """``X_{H_i}`` per Hamiltonian, as expressions."""
+        return tuple(tuple(self.chart.vector_field_exprs(h)) for h in self.hamiltonians)
+
+    @functools.cached_property
+    def _jacobian_exprs(self) -> tuple:
+        """``DX_{H_i}`` per Hamiltonian, row-major (dim, dim)."""
+        return tuple(tuple(expr.differentiate(c, name) for c in comps for name in self.chart.names)
+                     for comps in self.vector_field_exprs)
+
+    @functools.cached_property
+    def _rate_exprs(self) -> tuple:
+        """``R(H_i)`` per Hamiltonian."""
+        return tuple(map(self.chart.reeb_derivative_expr, self.hamiltonians))
+
+    def _tapes(self, sets) -> tuple:
+        return tuple(expr.compile_tape(e, self.chart.names) for e in sets)
+
+    @functools.cached_property
+    def _h_tapes(self) -> tuple:
+        return self._tapes([h] for h in self.hamiltonians)
+
+    @functools.cached_property
+    def _grad_tapes(self) -> tuple:
+        return self._tapes([expr.differentiate(h, c) for c in self.chart.names]
+                           for h in self.hamiltonians)
+
+    @functools.cached_property
+    def _field_tapes(self) -> tuple:
+        return self._tapes(self.vector_field_exprs)
+
+    @functools.cached_property
+    def _jacobian_tapes(self) -> tuple:
+        return self._tapes(self._jacobian_exprs)
+
+    @functools.cached_property
+    def _reeb_tapes(self) -> tuple:
+        return self._tapes([rate] for rate in self._rate_exprs)
+
+    @functools.cached_property
+    def _diffusion_tape(self) -> expr.EvalTape:
+        """The diffusion columns, row-major (dim, d)."""
+        return expr.compile_tape(self._diffusion(self.vector_field_exprs), self.chart.names)
+
+    @staticmethod
+    def _diffusion(roots) -> list:
+        """Row-major (m, d) diffusion from the roots (m,) of each H_i, H_0's first."""
+        return [e for row in zip(*roots[1:]) for e in row]
+
+    def _stage(self, roots, layout) -> _Stage:
+        return _Stage(self.chart, roots[0], self._diffusion(roots), self.d, layout)
+
+    @functools.cached_property
+    def _state_stage(self) -> _Stage:
+        return self._stage(self.vector_field_exprs, self.chart.names)
+
+    @functools.cached_property
+    def _augmented_stage(self) -> _Stage:
+        """x, J row-major, then log_lambda; per H the roots are X_H, DX_H J
+        with each entry summed in ascending c, and -R(H)."""
+        dim = self.dim
         jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
-        augmented = [(
+        roots = [(
             *comps,
             *(functools.reduce(expr.add, (expr.mul(dx[a * dim + c], jac[c * dim + b])
                                           for c in range(dim)))
               for a in range(dim) for b in range(dim)),
             expr.negate(rate),
-        ) for comps, dx, rate in zip(fields, jacobians, rates)]
-        self._augmented_stage = _Stage(
-            chart, augmented[0], [e for row in zip(*augmented[1:]) for e in row], d,
-            (*layout, *(v.name for v in jac), "log(lambda)"),
-        )
+        ) for comps, dx, rate in zip(self.vector_field_exprs, self._jacobian_exprs,
+                                     self._rate_exprs)]
+        return self._stage(roots, (*self.chart.names, *(v.name for v in jac), "log(lambda)"))
+
+    @functools.cached_property
+    def _conformal_stage(self) -> _Stage:
+        """x then log_lambda; per H the roots are X_H and -R(H)."""
+        roots = [(*comps, expr.negate(rate))
+                 for comps, rate in zip(self.vector_field_exprs, self._rate_exprs)]
+        return self._stage(roots, (*self.chart.names, "log(lambda)"))
 
     # -- basic queries ------------------------------------------------------
 

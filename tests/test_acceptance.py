@@ -221,7 +221,9 @@ class _DroppedChannelTangent:
     """The augmented stage of ``system`` with noise channel ``k``'s DX
     dropped from the tangent flow: ``fields`` zeroes the slots that channel
     k feeds into J's rows (dim <= r < dim + dim^2) and ``advance``
-    delegates, so the state and log_lambda are stepped as before."""
+    delegates, so the state and log_lambda are stepped as before.  A single
+    path's Heun step is composed of the two, as a stage's kernel is off the
+    chart."""
 
     def __init__(self, system, k):
         self.stage, dim = system._augmented_stage, system.dim
@@ -233,6 +235,9 @@ class _DroppedChannelTangent:
 
     def advance(self, *args):
         return self.stage.advance(*args)
+
+    def heun_step(self, y, w, dt):
+        return geo._composed_heun(self, y, w, dt)
 
 
 def test_criterion_4_negative_control_dropped_tangent_channel(monkeypatch):

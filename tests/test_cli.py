@@ -401,10 +401,21 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
     ({"system": "dissipative-2d", "workers": 1.9}, "workers must be an integer, got 1.9"),
     ({"system": dict(_INLINE, n=True), "initial_state": [0.1, 0.2, 0.3]},
      "chart 'darboux' needs an integer n >= 1, got True"),
+    # Floating-point values: these ran with T = 1, gamma = 1, q1 = 1 and k = 1.
+    ({"system": "dissipative-2d", "T": True}, "T must be a number, got True"),
+    ({"system": "dissipative-2d", "t0": False}, "t0 must be a number, got False"),
+    ({"system": "dissipative-2d", "dt": True}, "dt must be a number, got True"),
+    ({"system": "dissipative-2d", "params": {"gamma": True}},
+     "parameter 'gamma' must be a number, got True"),
+    ({"system": "dissipative-2d", "initial_state": [True, 0, 0, 0, 0]},
+     "initial_state must be a list of numbers, got [True, 0, 0, 0, 0]"),
+    ({"system": dict(_INLINE, h0="k*z", constants={"k": True}), "initial_state": [0.1, 0.2, 0.3]},
+     "constants must be numbers, got {'k': True}"),
 ], ids=["T", "seed", "initial_state", "params", "n", "constants",
         "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function",
         "T_nan", "t0_nan", "T_inf", "seed_fraction", "seed_bool", "seed_inf", "workers_fraction",
-        "n_bool"])
+        "n_bool", "T_bool", "t0_bool", "dt_bool", "param_bool", "initial_state_bool",
+        "constant_bool"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
     cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
     code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)

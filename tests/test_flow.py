@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from contactsde import catalog, expr, flow, geometry as geo
+from contactsde import catalog, expr, flow, geometry as geo, verification as ver
 from contactsde.errors import (
+    ContactSDEError,
     DomainError,
     IndivisibleFactor,
     InvalidStep,
     MidpointDivergence,
     NumericalFailure,
+    SingularChartPoint,
 )
 from contactsde.flow import _heun_step
 
@@ -493,7 +495,8 @@ class _PerHamiltonianStage:
     public queries, in Python floats: the reference for the structural
     stage.  Each (DX J)_ab entry and each diffusion row is summed left to
     right over its structural nonzeros, read off the expression trees.  It
-    steps a single path, a list of floats, as ``flow._run`` carries one."""
+    steps a single path, a list of floats, as ``flow._run`` carries one; its
+    Heun step is composed of ``fields`` and ``advance``."""
 
     def __init__(self, system):
         self.system = system
@@ -548,6 +551,9 @@ class _PerHamiltonianStage:
             out.append(v)
         return out
 
+    def heun_step(self, y, w, dt):
+        return geo._composed_heun(self, y, w, dt)
+
 
 @pytest.mark.parametrize("scheme", flow.SCHEMES)
 @pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
@@ -598,7 +604,7 @@ def test_augmented_stage_batch_matches_single_paths(scheme):
 
 def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
     system = catalog.sasaki_einstein_system()
-    calls = {"tape": 0, "guard": 0}
+    calls = {"kernel": 0, "tape": 0, "guard": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -606,9 +612,131 @@ def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    stage = system._augmented_stage
+    monkeypatch.setattr(stage, "heun_step", counted("kernel", stage.heun_step))
     monkeypatch.setattr(expr.EvalTape, "__call__", counted("tape", expr.EvalTape.__call__))
     monkeypatch.setattr(system.chart, "guard", counted("guard", system.chart.guard))
     path = flow.sample_brownian(system.d, 5, 1e-4, 2)
     flow.integrate_augmented(system, [1.0, 1.2, 0.3, -0.4, 0.25], path, "heun")
-    # Two Heun stages per step; the margins come from the same tape call.
-    assert calls == {"tape": 10, "guard": 0}
+    # One kernel call per step evaluates both Heun stages inline and reads
+    # the margins from its own locals: on the chart no tape or guard runs.
+    assert calls == {"kernel": 5, "tape": 0, "guard": 0}
+
+
+# ---------------------------------------------------------------------------
+# the generated single-path Heun kernel and the (x, log_lambda) stage
+# ---------------------------------------------------------------------------
+
+# A Darboux system that exercises exp, log and ^ (a fractional power) in
+# its fields, their derivatives and its Reeb rates, on every sampled state.
+_INLINE_DARBOUX = ("(p1^2 + p2^2)/2 + exp(-q1^2/4)*z + log(2 + q2^2)",
+                   ["(1 + q1^2)^1.5/10", "exp(p2/4)*z/10"])
+
+
+def _kernel_systems():
+    inline = geo.HamiltonianSystem(geo.DarbouxChart(2), *_INLINE_DARBOUX)
+    return [catalog.dissipative_system(), catalog.sasaki_einstein_system(), inline]
+
+
+def _extended_state(stage, x, rng):
+    """``x`` extended with random values for the stage's other slots (J, log_lambda)."""
+    return [*x, *rng.normal(0.0, 1.0, size=len(stage.rows) - len(x))]
+
+
+@pytest.mark.parametrize("stage_name", ["_state_stage", "_augmented_stage", "_conformal_stage"])
+@pytest.mark.parametrize("system_index", range(3), ids=["dissipative", "se", "inline"])
+def test_heun_kernel_matches_fields_and_advance(system_index, stage_name, monkeypatch):
+    system = _kernel_systems()[system_index]
+    stage = getattr(system, stage_name)
+    rng = np.random.default_rng(19 + system_index)
+    dt = 1e-3
+    inputs = [(_extended_state(stage, x, rng), rng.normal(0.0, math.sqrt(dt), system.d).tolist())
+              for x in geo.sample_states(system.chart, 300, seed=19).tolist()]
+    theirs = [geo._composed_heun(stage, y, w, dt) for y, w in inputs]
+
+    def no_tape(tape, values):
+        raise AssertionError("the kernel fell back to fields and advance")
+
+    # On the chart and on the fields' domain, no step leaves the kernel.
+    monkeypatch.setattr(expr.EvalTape, "__call__", no_tape)
+    ours = [stage.heun_step(y, w, dt) for y, w in inputs]
+    assert all(type(y) is list for y in ours)
+    assert np.array(ours).tobytes() == np.array(theirs).tobytes()  # signs of zero too
+
+
+def _outcome(step, *args):
+    try:
+        step(*args)
+    except ContactSDEError as err:
+        return type(err), str(err)
+    return None
+
+
+def _log_system():
+    """log(q1) in H_0, and a noise H_1 = p1 that moves q1 by dw."""
+    return geo.HamiltonianSystem(geo.DarbouxChart(1), "log(q1) + p1^2/2", ["p1"])
+
+
+@pytest.mark.parametrize("case", ["predictor_off_chart", "first_on_the_edge",
+                                  "first_domain_fault", "second_domain_fault"])
+def test_heun_kernel_cold_path_raises_the_composed_steps_error(case):
+    se = catalog.sasaki_einstein_system()
+    theta1 = 0.7
+    cases = {
+        # theta1's row is 3/sin(theta1) dw^3: this dw^3 lands the predictor on theta1 ~ 0.
+        "predictor_off_chart": (se, [theta1, 1.2, 0.3, -0.4, 0.25],
+                                [0.0, 0.0, 0.0, -theta1 * math.sin(theta1) / 3.0, 0.0]),
+        # sin(theta1) = 0 divides by zero in the first evaluation.
+        "first_on_the_edge": (se, [0.0, 1.2, 0.3, -0.4, 0.25], [0.0] * 5),
+        "first_domain_fault": (_log_system(), [-0.5, 0.1, 0.2], [0.0]),
+        # The first evaluation is on its domain; the predictor moves q1 to -0.5.
+        "second_domain_fault": (_log_system(), [0.5, 0.1, 0.2], [-1.0]),
+    }
+    system, x, w = cases[case]
+    expected = {"predictor_off_chart": SingularChartPoint, "first_on_the_edge": SingularChartPoint,
+                "first_domain_fault": DomainError, "second_domain_fault": DomainError}[case]
+    rng = np.random.default_rng(5)
+    for stage in (system._state_stage, system._augmented_stage, system._conformal_stage):
+        y = _extended_state(stage, x, rng)
+        ours = _outcome(stage.heun_step, y, w, 1e-3)
+        assert ours is not None and ours[0] is expected
+        assert ours == _outcome(geo._composed_heun, stage, y, w, 1e-3)
+
+
+@pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
+def test_conformal_stage_matches_the_integrators_under_heun(system_id):
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    x0 = np.array(entry.default_initial_state)
+    path = flow.sample_brownian(system.d, 200, _BATCH_DT[system_id], 3)
+    states, log_lambda = flow._integrate_conformal(system, x0, path, "heun")
+    assert states.tobytes() == flow.integrate(system, x0, path, "heun").states.tobytes()
+    augmented = flow.integrate_augmented(system, x0, path, "heun")
+    assert log_lambda.tobytes() == augmented.log_lambda.tobytes()
+
+
+def test_conformal_stage_matches_state_integration_under_midpoint(sasaki_einstein):
+    # On SE R(H) = 0, so log_lambda stays 0 and the per-path test reads the
+    # state rows alone, as the state stage's does.
+    x0 = np.array(catalog.get_entry("sasaki-einstein-t11").default_initial_state)
+    path = flow.sample_brownian(sasaki_einstein.d, 200, 1e-5, 3)
+    states, log_lambda = flow._integrate_conformal(sasaki_einstein, x0, path, "midpoint")
+    assert states.tobytes() == flow.integrate(sasaki_einstein, x0, path, "midpoint").states.tobytes()
+    assert not log_lambda.any()
+
+
+def test_commands_build_only_the_stages_they_step():
+    entry = catalog.get_entry("sasaki-einstein-t11")
+    x0 = np.array(entry.default_initial_state)
+    stages = {"_state_stage", "_augmented_stage", "_conformal_stage"}
+
+    system = entry.system()
+    assert not stages & set(vars(system))
+    geo.check_integrability(system, ["1", "(1/3)*cos(theta1)", "(1/3)*cos(theta2)"],
+                            geo.sample_states(system.chart, 10, seed=1))
+    assert not stages & set(vars(system))
+    path = flow.sample_brownian(system.d, 8, 1e-4, 1)
+    ver.convergence_study(system, x0, path, "heun", 3)
+    assert stages & set(vars(system)) == {"_state_stage"}
+    flow._integrate_conformal(system, x0, path)
+    assert stages & set(vars(system)) == {"_state_stage", "_conformal_stage"}

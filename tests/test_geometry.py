@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from contactsde import expr, flow, geometry as geo
+from contactsde import catalog, expr, flow, geometry as geo
 from contactsde.errors import (
     ConfigError,
     DomainError,
@@ -263,24 +263,38 @@ def test_domain_fault_names_its_node_for_a_state_and_a_batch(fault, message):
         assert str(err.value) == expected
 
 
-def test_system_pickle_round_trip(sasaki_einstein):
-    clone = pickle.loads(pickle.dumps(sasaki_einstein))
-    states = geo.sample_states(sasaki_einstein.chart, 4, seed=2)
+def test_system_pickle_round_trip():
+    system = catalog.sasaki_einstein_system()
+    stages = ("_state_stage", "_augmented_stage", "_conformal_stage")
+    # A system pickled before its first use builds its own sets and stages.
+    unused = pickle.loads(pickle.dumps(system))
+    assert not set(stages) & set(vars(unused))
+    states = geo.sample_states(system.chart, 4, seed=2)
     for x in (states[0], states):
-        for ours, theirs in zip(sasaki_einstein.drift_diffusion(x), clone.drift_diffusion(x)):
+        for ours, theirs in zip(system.drift_diffusion(x), unused.drift_diffusion(x)):
             assert ours.tobytes() == theirs.tobytes()
-    # The clone's stages generate their own advance forms and step alike, a
-    # single path and a batch (paths on the last axis), under both schemes.
-    dim, d, dt = sasaki_einstein.dim, sasaki_einstein.d, 1e-5
+    # Each clone's stages generate their own advance forms and kernel and step
+    # alike, a single path and a batch (paths on the last axis), under both
+    # schemes; the second clone is pickled after the first use of each stage.
+    dim, d, dt = system.dim, system.d, 1e-5
     increments = np.stack([flow.sample_brownian(d, 20, dt, 3, stream_index=s).increments
                            for s in range(4)], axis=-1)
-    augmented = np.hstack([states, np.tile(np.eye(dim).ravel(), (4, 1)), np.zeros((4, 1))])
-    for stage, y0 in (("_state_stage", states), ("_augmented_stage", augmented)):
-        for scheme in flow.SCHEMES:
-            for y, dw in ((y0[0], increments[..., 0]), (y0.T, increments)):
-                ours, theirs = (flow._run(getattr(system, stage), y, dw, dt, scheme, "pickle", True)
-                                for system in (sasaki_einstein, clone))
-                assert ours.tobytes() == theirs.tobytes()
+    starts = {
+        "_state_stage": states,
+        "_augmented_stage": np.hstack([states, np.tile(np.eye(dim).ravel(), (4, 1)),
+                                       np.zeros((4, 1))]),
+        "_conformal_stage": np.hstack([states, np.zeros((4, 1))]),
+    }
+
+    def runs(sys):
+        return [flow._run(getattr(sys, stage), y, dw, dt, scheme, "pickle", True).tobytes()
+                for stage in stages for scheme in flow.SCHEMES
+                for y, dw in ((starts[stage][0], increments[..., 0]), (starts[stage].T, increments))]
+
+    ours = runs(system)
+    used = pickle.loads(pickle.dumps(system))
+    assert set(stages) <= set(vars(used))
+    assert runs(unused) == runs(used) == ours
 
 
 def test_se_guard_takes_a_list_with_the_array_message():

@@ -108,6 +108,8 @@ def load_config(path: Optional[str], args) -> RunConfig:
             raise ConfigError(f"cannot read config: {e}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
     unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -137,10 +139,9 @@ def load_config(path: Optional[str], args) -> RunConfig:
 
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
-    if not cfg.T > cfg.t0:
-        raise ConfigError("T must exceed t0")
-    if not cfg.dt > 0.0:
-        raise ConfigError("dt must be positive")
+    _n_steps(cfg.T - cfg.t0, cfg.dt)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     return cfg
@@ -205,13 +206,22 @@ def initial_state(cfg: RunConfig, system: geo.HamiltonianSystem) -> np.ndarray:
     return x0
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+def _write(text: str, out: Optional[str]) -> None:
+    """``text`` to the file ``out``, or to stdout without one.  A file that
+    cannot be written is a configuration error, like a config that cannot
+    be read."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}") from None
+
+
+def _emit_json(payload: dict, out: Optional[str]) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +257,9 @@ def cmd_simulate(args) -> int:
         row += [f"{v:.17g}" for v in state]
         row.append(f"{_conformal_factor(log_lambda, 'simulate'):.17g}")
         lines.append(",".join(row) + "\n")
-    text = "".join(lines)
+    _write("".join(lines), args.out)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
         sys.stdout.write(json.dumps({"config": cfg.to_dict()}, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -409,6 +415,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except RecursionError:
+        # The expression walks recurse once per level of nesting.  Parsing and
+        # HamiltonianSystem.prepare name an expression too deep for them; one
+        # deep enough only for its derivatives or its compiled tape ends here.
+        print("config error: an expression is nested too deeply to differentiate or compile",
+              file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except _NUMERICAL_ERRORS as e:
         op = getattr(e, "operation", args.command)

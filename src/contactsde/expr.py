@@ -22,7 +22,7 @@ each distinct subterm once.  The tree evaluator (:func:`evaluate`) is the
 reference oracle: a tape in scalar mode performs the same operations on
 every root and agrees with it bit for bit.  The tree evaluator alone holds
 the domain messages; a tape whose scalar evaluation faults hands its roots
-to it in order.
+to it in order.  A tape alone owns the domain rule of a batch as well.
 
 Expression trees and compiled tapes are immutable and safe to share across
 threads; evaluation contexts are caller-owned.  The only simplifications ever
@@ -335,8 +335,9 @@ def parse(source: str, declared_names: Sequence[str]) -> Expr:
 
     ``declared_names`` lists every identifier the expression may reference
     (chart coordinates plus constant parameters).  Raises
-    :class:`ExprSyntaxError` on malformed input and
-    :class:`UnknownIdentifier` for undeclared names.
+    :class:`ExprSyntaxError` on malformed input, nesting too deep for the
+    recursive-descent parser included, and :class:`UnknownIdentifier` for
+    undeclared names.
     """
     if not declared_names:
         raise ValueError("declared_names must be nonempty")
@@ -344,7 +345,10 @@ def parse(source: str, declared_names: Sequence[str]) -> Expr:
     if bad:
         raise ValueError(f"declared names shadow built-in functions: {sorted(bad)}")
     parser = _Parser(_tokenize(source), frozenset(declared_names))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.current[2]) from None
     kind, text, p = parser.current
     if kind != "end":
         raise ExprSyntaxError("unexpected trailing input", p, text)
@@ -573,11 +577,15 @@ class EvalTape:
     Python raises (division by zero, a math domain error, an overflow), the
     tree evaluator, which alone holds the domain messages, evaluates the
     roots in order, so the first faulting root raises its ``DomainError``.
-    When the first slot value is a numpy array the tape runs in array mode,
-    elementwise over the batch with numpy ufuncs and float64 constants, and
-    makes no domain checks of its own: ``geometry._values`` runs it
-    with numpy's floating-point flags raising and replays a faulting batch
-    in scalar mode.  A tape pickles as ``(exprs, layout)``.
+    When the first slot value is a numpy array the tape runs in array mode
+    on a batch, an (n, B) array or n rows with one column per path, with
+    numpy ufuncs and float64 constants, under the one domain rule of a
+    batch: it raises the ``DomainError`` that its first faulting path raises
+    alone.  Array mode runs with numpy's floating-point flags raising; on a
+    flag the paths are replayed in scalar mode, in order, and if none raises
+    (an overflow, say) the batch is evaluated again with the flags ignored.
+    numpy may round ``exp``, ``log`` and ``pow`` apart from ``math`` in the
+    last bit.  A tape pickles as ``(exprs, layout)``.
     """
 
     __slots__ = ("exprs", "layout", "_size", "_scalar", "_array")
@@ -601,7 +609,7 @@ class EvalTape:
     def __call__(self, values):
         if self.layout and type(values[0]) is not float:
             if isinstance(values[0], np.ndarray):
-                return self._array(values)
+                return self._batch(list(values))
             values = [float(v) for v in values]
         try:
             return self._scalar(values)
@@ -611,6 +619,16 @@ class EvalTape:
         if isinstance(self.exprs, tuple):
             return tuple(_eval_tree(root, ctx) for root in self.exprs)
         return _eval_tree(self.exprs, ctx)
+
+    def _batch(self, rows: list):
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return self._array(rows)
+        except FloatingPointError:
+            for path in zip(*rows):
+                self(path)
+            with np.errstate(all="ignore"):
+                return self._array(rows)
 
     def __reduce__(self):
         return EvalTape, (self.exprs, self.layout)

@@ -62,7 +62,9 @@ under Heun its rows equal ``integrate_augmented``'s bit for bit.
 
 ``_run`` stops with ``NumericalFailure`` at the first non-finite state, so
 no stage evaluates a blown-up state.  A domain fault in a batch raises the
-``DomainError`` that its first faulting path raises alone.
+``DomainError`` that its first faulting path raises alone: the stage's tape
+(``expr.EvalTape``) owns that rule, and the chart's ``_check_margins`` alone
+decides, ahead of any fault, whether a path has left the chart.
 """
 from __future__ import annotations
 
@@ -143,11 +145,19 @@ def _increments(d: int, n_steps: int, dt: float, master_seed: int, stream_index:
 
 
 def _n_steps(span: float, dt: float) -> int:
-    """Number of steps of size ``dt`` in ``span``, which ``dt`` must divide
-    to relative tolerance 1e-12; both must be finite and ``dt`` > 0."""
-    if not (math.isfinite(span) and math.isfinite(dt) and dt > 0.0):
+    """Number of steps of size ``dt`` in ``span = T - t0``: the one grid
+    rule of every entry point.  ``span`` and ``dt`` must be finite and
+    positive, and ``dt`` must divide ``span`` to relative tolerance 1e-12."""
+    if not span > 0.0:
+        raise InvalidStep("T must exceed t0")
+    if not dt > 0.0:
+        raise InvalidStep("dt must be positive")
+    if not (math.isfinite(span) and math.isfinite(dt)):
         raise InvalidStep(f"need a finite T - t0 and a finite dt > 0, got {span!r} and {dt!r}")
-    n = round(span / dt)
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise InvalidStep(f"dt {dt!r} is too small for T - t0 = {span!r}")
+    n = round(steps)
     if n < 1 or abs(n * dt - span) > 1e-12 * max(1.0, abs(span)):
         raise InvalidStep(f"dt {dt!r} does not divide T - t0 = {span!r}")
     return n

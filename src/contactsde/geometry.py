@@ -27,8 +27,10 @@ batch, through the module's one tape evaluator ``_eval``, and the symbolic
 
 Each chart states its singular set once as well, as ``margin_exprs``:
 ``sin(theta1)`` and ``sin(theta2)`` on Sasaki-Einstein, none on Darboux.  A
-state is on the chart when no margin's absolute value is below ``MARGIN``.
-The base class derives the one ``guard`` from them, for a state or a batch.
+state is on the chart when no margin's absolute value is below ``MARGIN``:
+one method of the base class, ``_check_margins``, owns that rule, for a
+state or a batch.  Every numeric query calls its tapes directly, and the
+tape owns the domain rule of a batch.
 
 The coordinate formulas above are normative.  Contracting them into the
 defining relations gives ``eta(X_H) = sigma H`` with a chart-dependent sign
@@ -39,16 +41,16 @@ formula.
 The systems that ``flow`` steps, the state and the state augmented with its
 flow Jacobian J and log_lambda, are each one ``_Stage``, built once per
 ``HamiltonianSystem`` from the structure of its roots' expressions.
-Constant zeros are skipped; one tape call, under ``_values``' domain rule,
-computes the other roots and the chart's margins, which the stage compares
-value by value.  Only a margin below ``MARGIN`` or a domain fault calls the
-chart's guard.  Row r of the diffusion is applied over its structural
-nonzeros only (the roots that are not a constant 0.0 or -0.0), summed left
-to right in ascending channel order, ``((g_r,k1 dw_k1 + g_r,k2 dw_k2) +
-...)``, so the bits depend on no matrix product's summation order.  Each
-stage generates that update once as straight-line code, like a tape.  A
-single path runs on a list of Python floats and a batch on numpy rows,
-which round alike, so a path gives the same bits alone or in any batch.
+Constant zeros are skipped; one tape call computes the other roots and
+the chart's margins, which the chart's margin rule judges.  Row r of the
+diffusion is applied over its structural nonzeros only (the roots that are
+not a constant 0.0 or -0.0), summed left to right in ascending channel
+order, ``((g_r,k1 dw_k1 + g_r,k2 dw_k2) + ...)``, so the bits depend on no
+matrix product's summation order.  Each stage generates that update once as
+straight-line code, like a tape.  A single path runs on a list of Python
+floats and a batch on numpy rows: the same update text, but the tape's
+``math`` and numpy functions may round ``exp``, ``log`` and ``^`` apart in
+the last bit, so a path alone can differ from the same path in a batch.
 The augmented roots per Hamiltonian are X_H, each entry of DX_H J summed
 left to right in ascending c, and -R(H), as expressions over x, J and
 log_lambda, so constant folding drops the structural zeros of DX_H.
@@ -66,6 +68,7 @@ import functools
 import itertools
 import math
 import operator
+import reprlib
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -87,38 +90,13 @@ __all__ = [
 MARGIN = 1e-9  # reject a state at which a chart margin's absolute value is below this
 
 
-def _values(tape, x) -> tuple:
-    """The values of the tape set ``tape`` at ``x``, as one tape call returns
-    them: Python floats for one state, a list of n floats, run in scalar mode
-    with domain checks; for a batch (n, B), one row per slot and one column
-    per path, one array per value that reads a slot, run in array mode on
-    the rows.
-
-    One domain rule serves both: a batch raises the ``DomainError`` that its
-    first faulting path raises alone.  Array mode runs with numpy's
-    floating-point flags raising; on a flag the paths are replayed in scalar
-    mode, in order.  If no path raises (an overflow, say), the batch is
-    evaluated again with the flags ignored and its non-finite values are
-    left to the caller's screen."""
-    if type(x) is list:
-        return tape(x)
-    rows = list(x)
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            return tape(rows)
-    except FloatingPointError:
-        for path in x.T:
-            tape(path.tolist())
-        with np.errstate(all="ignore"):
-            return tape(rows)
-
-
 def _eval(tape, x: np.ndarray) -> np.ndarray:
-    """``_values`` of the tape set ``tape`` (n expressions) at ``x`` as one
-    array: shape (n,) for one state, (B, n) for a batch (B, dim)."""
+    """The values of the tape set ``tape`` (n expressions) at ``x`` as one
+    array: shape (n,) for one state, (B, n) for a batch (B, dim), under the
+    tape's domain rule."""
     if x.ndim == 1:
-        return np.array(_values(tape, x.tolist()))
-    values = _values(tape, x.T)
+        return np.array(tape(x.tolist()))
+    values = tape(x.T)
     # A value that reads no coordinate is a float64 scalar; assignment broadcasts it.
     out = np.empty((x.shape[0], len(values)))
     for r, value in enumerate(values):
@@ -139,8 +117,8 @@ class _Stage:
     the augmented state's or the state's with log_lambda.  Its roots,
     ``drift`` (m,) then ``diffusion`` row-major (m, d), that are not a
     constant zero (0.0 or -0.0) form one tape set, ``tape``, in root order,
-    constants included; the chart's margins follow them, for ``fields`` to
-    check.  Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the
+    constants included; the chart's margins follow them, for the chart to
+    judge.  Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the
     channels k of its structural nonzeros, ascending; a slot indexes the
     values that ``fields`` returns, and a constant zero has none.
 
@@ -152,17 +130,17 @@ class _Stage:
     summation order.  Heun's form reads ``0.5 * dt`` for ``dt`` and
     ``(k0[i] + k1[i])`` for ``k[i]``, and scales the noise sum by 0.5.  One
     text serves a single path, a list of Python floats, and a batch of numpy
-    rows, which round alike, so a path gives the same bits alone or in any
-    batch.
+    rows.
 
     A single path's Heun step has one more generated form, ``heun_step(y,
     w, dt)``: both tape evaluations written out inline from the tape's own
     subterm walk, their values in locals, with Euler's predictor and Heun's
     trapezoid between and after them.  Per root and row it performs exactly
     the operations of ``fields`` and ``advance``, in the same order, so its
-    bits are theirs.  A margin below ``MARGIN`` at either evaluation, or a
-    ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``, sends the
-    step to ``_composed_heun``, which raises exactly their errors.  No other
+    bits are theirs.  Its inline margin test is generated from ``MARGIN``:
+    a margin below it at either evaluation, or a ``ZeroDivisionError``,
+    ``ValueError`` or ``OverflowError``, sends the step to
+    ``_composed_heun``, which raises exactly their errors.  No other
     module of the package reads ``rows``: ``flow`` drives a stage through
     ``fields``, ``advance`` and ``heun_step`` only."""
 
@@ -258,27 +236,18 @@ class _Stage:
 
     def fields(self, y) -> tuple:
         """The values at a single path (a list of m floats) or a batch (m, B)
-        from one ``_values`` call, the chart's margins last.  A margin below
-        ``MARGIN``, or a ``DomainError`` (a margin of exactly 0 divides by
-        zero), hands the chart coordinates to ``chart.guard``, so an
-        off-chart path raises ``SingularChartPoint`` ahead of the fault."""
+        from one tape call, the chart's margins last, for the chart to judge.
+        On a ``DomainError`` (a margin of exactly 0 divides by zero) the
+        chart judges its own margin tape's values first, so an off-chart
+        path raises ``SingularChartPoint`` ahead of the fault."""
+        chart = self.chart
         try:
-            k = _values(self.tape, y)
+            k = self.tape(y)
         except DomainError:
-            self._guard(y)
+            chart._check_margins(y, chart._margin_tape(y[:chart.dim]))
             raise
-        if type(y) is list:
-            for m in k[self._margins:]:
-                if abs(m) < MARGIN:
-                    self._guard(y)
-        else:
-            for m in k[self._margins:]:
-                if (abs(m) < MARGIN).any():
-                    self._guard(y)
+        chart._check_margins(y, k[self._margins:])
         return k
-
-    def _guard(self, y) -> None:
-        self.chart.guard(y[:self.chart.dim] if type(y) is list else y[:self.chart.dim].T)
 
     def advance(self, y, dw, dt, k0, k1=None):
         """``y + a dt + g dw`` at the fields ``k0``; given ``k1`` too, Heun's
@@ -303,8 +272,9 @@ class _ContactChart:
 
     The chart states its singular set once too, as ``margin_exprs``:
     expressions over its coordinates, each read as ``|margin| >= MARGIN``
-    on the chart.  ``guard`` checks them, and each ``_Stage`` appends them
-    to its tape set."""
+    on the chart.  ``_check_margins`` alone applies that rule: ``guard`` to
+    the values of the chart's margin tape, ``_Stage.fields`` to those of its
+    one tape call, which ends with the margins."""
 
     def __init__(self):
         entries = self.d_eta_upper_entries_exprs()
@@ -340,28 +310,31 @@ class _ContactChart:
 
     def guard(self, x) -> None:
         """Reject a state, a list of ``dim`` floats or a (dim,) array, or a
-        batch (B, dim) at which a margin's absolute value is below
-        ``MARGIN``; a NaN margin is not below.  The margins run through
-        ``_values``, under its domain rule.  ``SingularChartPoint`` names
-        the first such path's first such margin and the path's state, in
-        the same words for a state alone and for a batch row."""
-        if type(x) is not list and x.ndim > 1:
-            values = _values(self._margin_tape, x.T)
-            off = np.zeros(len(x), dtype=bool)
-            for v in values:
-                off |= abs(v) < MARGIN
-            if off.any():
-                path = int(off.argmax())
-                self._reject(x[path].tolist(), [v[path] for v in values])
-            return
-        state = x if type(x) is list else x.tolist()
-        self._reject(state, _values(self._margin_tape, state))
+        batch (B, dim) that is off the chart, by ``_check_margins`` on the
+        values of ``margin_exprs``."""
+        if type(x) is not list:
+            x = x.tolist() if x.ndim == 1 else x.T
+        self._check_margins(x, self._margin_tape(x))
 
-    def _reject(self, state: list, values) -> None:
-        for margin, value in zip(self.margin_exprs, values):
+    def _check_margins(self, x, margins) -> None:
+        """The margin rule: a state is off the chart when a margin's
+        absolute value is below ``MARGIN``; a NaN margin is not below.  ``x``
+        is one state, a list, or a batch of rows (n, B), one column per path,
+        whose first ``dim`` entries or rows are the chart coordinates, and
+        ``margins`` are the values of ``margin_exprs`` there.
+        ``SingularChartPoint`` names the first off-chart path's first such
+        margin and its chart coordinates, in the same words for a state
+        alone and for a batch."""
+        if type(x) is not list:
+            if not any((abs(m) < MARGIN).any() for m in margins):
+                return
+            off = np.logical_or.reduce([abs(m) < MARGIN for m in margins])
+            path = int(off.argmax())
+            x, margins = x[:, path].tolist(), [m[path] for m in margins]
+        for margin, value in zip(self.margin_exprs, margins):
             if abs(value) < MARGIN:
                 raise SingularChartPoint(f"|{expr.to_source(margin)}| below {MARGIN:g} "
-                                         f"at state {tuple(map(float, state))}")
+                                         f"at state {tuple(map(float, x[:self.dim]))}")
 
     def guard_batch(self, states: np.ndarray) -> None:
         # Kept by name for bench/layertrace.py, which patches it; src/ calls guard.
@@ -507,8 +480,8 @@ class HamiltonianSystem:
     ``drift_diffusion``) take one state ``(dim,)`` or a batch ``(B, dim)``
     and give a result with the same leading axes; each set is one call of
     one evaluator, ``_eval``, as are the jets behind the brackets.
-    ``_eval`` assembles the values of ``_values``, which holds the domain
-    rule for both shapes.
+    ``_eval`` calls the tape directly, and the tape holds the domain rule
+    for both shapes.
 
     Constants, numbers that may name neither a chart coordinate nor a
     function, are substituted at build time, so every compiled tape reads
@@ -633,47 +606,50 @@ class HamiltonianSystem:
     def prepare(self, f) -> expr.Expr:
         """Parse (if needed) and close an expression over this system's
         constants, leaving only chart coordinates free.  Anything but a
-        string or an expression tree is a ``ConfigError``."""
+        string or an expression tree is a ``ConfigError``, as is a tree too
+        deep for the recursive walks."""
         if not isinstance(f, (str, *expr.NODE_TYPES)):
             raise ConfigError(f"expected an expression, got {f!r}")
         names = list(self.chart.names) + list(self.constants)
         tree = expr.parse(f, names) if isinstance(f, str) else f
-        tree = expr.substitute(tree, self.constants)
-        extra = expr.free_variables(tree) - set(self.chart.names)
+        try:
+            tree = expr.substitute(tree, self.constants)
+            extra = expr.free_variables(tree) - set(self.chart.names)
+        except RecursionError:
+            what = reprlib.repr(f) if isinstance(f, str) else "an expression tree"
+            raise ConfigError(f"expression nested too deeply: {what}") from None
         if extra:
             raise ConfigError(f"expression references unknown names {sorted(extra)}")
         return tree
 
     # -- evaluation at a state (dim,) or a batch (B, dim) --------------------
 
-    _eval = staticmethod(_eval)
-
     def hamiltonian(self, i: int, x: np.ndarray):
-        return self._eval(self._h_tapes[i], x)[..., 0]
+        return _eval(self._h_tapes[i], x)[..., 0]
 
     def gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self._eval(self._grad_tapes[i], x)
+        return _eval(self._grad_tapes[i], x)
 
     def vector_field(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._field_tapes[i], x)
+        return _eval(self._field_tapes[i], x)
 
     def vector_field_jacobian(self, i: int, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._jacobian_tapes[i], x).reshape(*x.shape[:-1], self.dim, self.dim)
+        return _eval(self._jacobian_tapes[i], x).reshape(*x.shape[:-1], self.dim, self.dim)
 
     def reeb_rate(self, i: int, x: np.ndarray):
-        return self._eval(self._reeb_tapes[i], x)[..., 0]
+        return _eval(self._reeb_tapes[i], x)[..., 0]
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
         self.chart.guard(x)
-        return self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d)
+        return _eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d)
 
     def drift_diffusion(self, x: np.ndarray):
         """Drift vector X_{H_0}(x) and diffusion columns X_{H_k}(x); the state
         is guarded once, by ``vector_field``."""
         return (self.vector_field(0, x),
-                self._eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
+                _eval(self._diffusion_tape, x).reshape(*x.shape[:-1], self.dim, self.d))
 
     # Kept by name for bench/layertrace.py, which patches them; src/ does not call them.
     def drift_batch(self, states: np.ndarray) -> np.ndarray:
@@ -744,7 +720,7 @@ def _brackets(sys: HamiltonianSystem, operation: str, funcs, pairs, x):
     tape = expr.compile_tape([e for f in funcs for e in _jet(chart, sys.prepare(f))], chart.names)
     x = np.asarray(x, dtype=float)
     chart.guard(x)
-    jets = sys._eval(tape, x).reshape(*x.shape[:-1], len(funcs), chart.dim + 2)
+    jets = _eval(tape, x).reshape(*x.shape[:-1], len(funcs), chart.dim + 2)
     columns = np.moveaxis(jets, -1, 0)  # (dim + 2, ..., len(funcs))
     d_eta = chart.d_eta_upper(x)
     with np.errstate(all="ignore"):
@@ -776,7 +752,7 @@ def reeb_derivative(sys: HamiltonianSystem, f, x) -> float:
     """Derivative of ``f`` along the Reeb field at ``x`` (iota_R df)."""
     rate = sys.chart.reeb_derivative_expr(sys.prepare(f))
     tape = expr.compile_tape([rate], sys.chart.names)
-    return float(sys._eval(tape, np.asarray(x, dtype=float))[0])
+    return float(_eval(tape, np.asarray(x, dtype=float))[0])
 
 
 def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):

@@ -37,7 +37,7 @@ from .flow import (
     _initial_state,
     _n_steps,
 )
-from .geometry import HamiltonianSystem
+from .geometry import HamiltonianSystem, _eval
 
 __all__ = [
     "ContactDefectReport", "ConvergenceReport", "EnsembleStats",
@@ -277,7 +277,7 @@ def _mc_batch(args) -> np.ndarray:
         increments[:, k, :] = 0.0
     initial = np.tile(np.asarray(x0, dtype=float), (count, 1))
     finals = integrate_batch_final(sys, initial, increments, dt, scheme)
-    return sys._eval(observable, finals)[:, 0]
+    return _eval(observable, finals)[:, 0]
 
 
 def monte_carlo(
@@ -304,10 +304,7 @@ def monte_carlo(
     """
     if n_paths < 2:
         raise InvalidStep("n_paths must be >= 2")
-    span = T - t0
-    if span <= 0.0:
-        raise InvalidStep("T must exceed t0")
-    n_steps = _n_steps(span, dt)
+    n_steps = _n_steps(T - t0, dt)
     if batch_size < 1:
         raise InvalidStep(f"batch_size must be >= 1, got {batch_size!r}")
     zero_channels = _channels(zero_channels, sys.d)
@@ -325,7 +322,9 @@ def monte_carlo(
         start += count
 
     if workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork pool starts all its workers at the first submit: start no
+        # more than there are batches.
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             parts = list(pool.map(_mc_batch, batches))
     else:
         parts = [_mc_batch(b) for b in batches]

@@ -411,15 +411,70 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
      "initial_state must be a list of numbers, got [True, 0, 0, 0, 0]"),
     ({"system": dict(_INLINE, h0="k*z", constants={"k": True}), "initial_state": [0.1, 0.2, 0.3]},
      "constants must be numbers, got {'k': True}"),
+    # A config that is no JSON object used to be a TypeError or a list of its letters.
+    (None, "config must be a JSON object, got None"),
+    (123, "config must be a JSON object, got 123"),
+    ("abc", "config must be a JSON object, got 'abc'"),
+    # bracket checked no grid: it wrote "dt": Infinity, which is not JSON.
+    ({"system": "dissipative-2d", "dt": math.inf},
+     "need a finite T - t0 and a finite dt > 0, got 0.1 and inf"),
+    ({"system": "dissipative-2d", "dt": 0.03}, "dt 0.03 does not divide T - t0 = 0.1"),
+    ({"system": "dissipative-2d", "dt": 5e-324}, "dt 5e-324 is too small for T - t0 = 0.1"),
+    ({"system": "dissipative-2d", "seed": -1}, "seed must be >= 0, got -1"),
 ], ids=["T", "seed", "initial_state", "params", "n", "constants",
         "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function",
         "T_nan", "t0_nan", "T_inf", "seed_fraction", "seed_bool", "seed_inf", "workers_fraction",
         "n_bool", "T_bool", "t0_bool", "dt_bool", "param_bool", "initial_state_bool",
-        "constant_bool"])
+        "constant_bool", "config_null", "config_number", "config_string", "dt_inf",
+        "dt_indivisible", "dt_tiny", "seed_negative"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
-    cfg = write_config(tmp_path, **{"T": 0.1, "dt": 0.01, **fields})
-    code, out, err = run_cli(capsys, "verify-contact", "--config", cfg)
-    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    # Every command loads its config through one rule set.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"T": 0.1, "dt": 0.01, **fields} if isinstance(fields, dict)
+                               else fields))
+    for argv in (["verify-contact"], ["bracket", "-f", "q1", "-g", "p1"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", [["--dt", "inf"], ["--seed", "-1"]])
+def test_check_integrability_shares_the_config_rules(tmp_path, capsys, flag):
+    # --seed -1 used to escape from numpy's default_rng as a bare ValueError.
+    cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=0.01)
+    code, out, err = run_cli(capsys, "check-integrability", "--config", cfg, *flag,
+                             "--integral", "1", "--integral", "q1", "--integral", "q2")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [["bracket", "-f", "q1", "-g", "p1"], ["simulate"]])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=0.01)
+    out_path = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *argv, "--config", cfg, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == (f"config error: cannot write output: [Errno 2] No such file or directory: "
+                   f"{str(out_path)!r}\n")
+
+
+@pytest.mark.parametrize("f, message", [
+    ("(" * 3000 + "q1" + ")" * 3000, "expression nested too deeply at position "),
+    ("+".join(["q1"] * 3000), "expression nested too deeply: 'q1+q1+q1+q1+...1+q1+q1+q1+q1'"),
+    # Shallow enough to prepare; its derivative, twice as deep, is not.
+    ("*".join(["q1"] * 600), "an expression is nested too deeply to differentiate or compile"),
+], ids=["parentheses", "sum", "product"])
+def test_too_deeply_nested_expressions_exit_2(capsys, f, message):
+    # Each used to crash with a RecursionError.
+    code, out, err = run_cli(capsys, "bracket", "-f", f, "-g", "p1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {message}")
+
+
+def test_a_500_term_sum_still_brackets(capsys):
+    code, out, _ = run_cli(capsys, "bracket", "-f", "+".join(["q1*p1"] * 500), "-g", "p1")
+    assert code == 0
+    code, one, _ = run_cli(capsys, "bracket", "-f", "q1*p1", "-g", "p1")
+    assert json.loads(out)["bracket"] == 500 * json.loads(one)["bracket"]
 
 
 def test_nan_step_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,36 @@ def test_tape_domain_error_carries_node():
     with pytest.raises(DomainError) as err:
         expr.evaluate(tape, {"z": np.float64(0.0)})
     assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("source, column, fault", [
+    ("log(q1) + 1/(q1 - 2)", [1.0, -1.0, 2.0], "log of non-positive value"),
+    ("log(q1) + 1/(q1 - 2)", [1.0, 2.0, -1.0], "division by zero"),
+    ("log(q1 + 2) + sin(q1*1e300*1e300)", [1e-310, 1.0, -3.0], "sin of infinite value"),
+    ("log(q1 + 2) + q1^0.5", [1.0, -1.0, -3.0], "invalid power"),
+], ids=["log", "division", "sin_inf", "power"])
+def test_tape_batch_raises_the_domain_error_of_its_first_faulting_path(source, column, fault):
+    # Path 1 faults first; path 2 faults too, with another message.  A batch
+    # used to return NaN or inf with a RuntimeWarning.
+    tape = expr.compile_tape(expr.parse(source, NAMES), ["q1"])
+    alone = []
+    for value in column[1:]:
+        with pytest.raises(DomainError) as err:
+            tape([value])
+        alone.append(str(err.value))
+    assert alone[0].startswith(fault) and alone[1] != alone[0]
+    for batch in ([np.array(column)], np.array([column])):
+        with pytest.raises(DomainError) as err:
+            tape(batch)
+        assert str(err.value) == alone[0]
+
+
+def test_tape_batch_overflow_that_no_path_raises_alone_is_inf():
+    tape = expr.compile_tape(expr.parse("q1*q1", NAMES), ["q1"])
+    assert tape([1e200]) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tape([np.array([1.0, 1e200])]).tolist() == [1.0, math.inf]
 
 
 @pytest.mark.parametrize("source", ["sin(z*1e300*1e300)", "cos(z*1e300*1e300)"])

@@ -442,7 +442,7 @@ class _Line:
     margin_exprs = ()
 
     @staticmethod
-    def guard(x):
+    def _check_margins(x, margins):
         pass
 
 

@@ -206,6 +206,32 @@ def test_monte_carlo_worker_independence(dissipative):
     assert s1.to_dict() == s2.to_dict()
 
 
+def test_monte_carlo_starts_no_more_workers_than_batches(dissipative, monkeypatch):
+    # A fork pool starts max_workers processes at its first submit, so the
+    # pool's size is what counts; this fake runs the batches in-process.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ver, "ProcessPoolExecutor", InProcessPool)
+    kwargs = dict(T=0.1, dt=0.01, n_paths=32, master_seed=9, observable="z", batch_size=16)
+    x0 = [1.0, 0, 2.0, 0, 0]
+    pooled = ver.monte_carlo(dissipative, x0, workers=64, **kwargs)
+    assert sizes == [2]
+    assert pooled.to_dict() == ver.monte_carlo(dissipative, x0, workers=1, **kwargs).to_dict()
+
+
 def test_monte_carlo_stderr_definition(dissipative):
     stats = ver.monte_carlo(dissipative, [1.0, 0, 2.0, 0, 0], T=0.05, dt=0.01,
                             n_paths=32, master_seed=2, observable="z")

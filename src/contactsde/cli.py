@@ -142,6 +142,9 @@ def load_config(path: Optional[str], args) -> RunConfig:
     _n_steps(cfg.T - cfg.t0, cfg.dt)
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.seed >= 2**64:
+        # Noise streams are seeded modulo 2^64: a larger seed would alias.
+        raise ConfigError(f"seed must be < 2^64, got {cfg.seed}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     return cfg

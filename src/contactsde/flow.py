@@ -9,11 +9,20 @@ on every platform:
 1. the per-stream seed is element ``stream_index`` of the SplitMix64 output
    sequence started at ``master_seed`` (golden-ratio increment followed by
    the standard SplitMix64 finalizer);
-2. that seed feeds a PCG64 generator producing uniform doubles;
+2. that seed feeds a PCG64 generator producing uniform doubles, seeded as
+   ``np.random.PCG64(seed)`` seeds itself, by numpy's ``SeedSequence``
+   hash.  A batch of streams runs that hash for all its seeds in one
+   vectorised pass on uint32 arrays (``_seeding_words``) and hands each
+   stream's four words to PCG64 through a minimal ``ISeedSequence``; a
+   single stream leaves the hash to numpy;
 3. standard normals come from the polar Box-Muller method, consuming exactly
-   two uniforms per attempt and accepting pairs with 0 < s < 1;
+   two uniforms per attempt and accepting pairs with 0 < s < 1.  A stream
+   draws one block of pairs, sized for its count with room for rejections,
+   and takes the log, division and square root of the pairs it keeps only;
+   the rare block that falls short is followed by another;
 4. normals fill the d x n_steps increment matrix row by row and are scaled
-   by sqrt(dt).
+   by sqrt(dt), written straight into the caller's buffer
+   (``_draw_increments``, shared by ``sample_brownian`` and the ensembles).
 
 Schemes
 -------
@@ -68,6 +77,7 @@ decides, ahead of any fault, whether a path has left the chart.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -107,41 +117,120 @@ def stream_seed(master_seed: int, stream_index: int) -> int:
     return _splitmix64((master_seed + (stream_index + 1) * _GOLDEN) & _MASK64)
 
 
-def _polar_gaussians(seed: int, count: int) -> np.ndarray:
-    """``count`` standard normals via polar Box-Muller over PCG64 uniforms.
+# numpy's SeedSequence hash with its default pool of four words, as PCG64
+# seeds itself from a Python int: the entropy words (lo, hi, 0, 0) are
+# hashed into the pool, every pool word is mixed into every other, and the
+# pool is hashed out into eight 32-bit words.  A seed below 2**32 has no hi
+# word, but the pool pads it by hashing 0, which is what hi = 0 does.  The
+# hash multipliers advance by a fixed rule, independent of the data, so
+# they are constants here.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    Attempt i always consumes uniforms (2i, 2i+1) of the stream, so the
-    output is independent of internal block sizing and is prefix-stable in
-    ``count``.
-    """
-    gen = np.random.Generator(np.random.PCG64(seed))
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        pairs_needed = (count - filled + 1) // 2
-        block = max(int(pairs_needed / 0.75) + 8, 16)
-        u = gen.random((block, 2))
-        xy = 2.0 * u - 1.0
-        s = xy[:, 0] ** 2 + xy[:, 1] ** 2
-        ok = (s > 0.0) & (s < 1.0)
-        xs = xy[ok, 0]
-        ys = xy[ok, 1]
-        ss = s[ok]
-        factor = np.sqrt(-2.0 * np.log(ss) / ss)
-        g = np.empty(2 * ss.size)
-        g[0::2] = xs * factor
-        g[1::2] = ys * factor
-        take = min(g.size, count - filled)
-        out[filled: filled + take] = g[:take]
-        filled += take
+
+def _hash_constants(init: int, mult: int, n: int) -> list:
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
     return out
 
 
-def _increments(d: int, n_steps: int, dt: float, master_seed: int, stream_index: int) -> np.ndarray:
-    """The (d, n_steps) increments of one noise stream: its normals fill the
-    matrix row by row and are scaled by sqrt(dt)."""
-    g = _polar_gaussians(stream_seed(master_seed, stream_index), d * n_steps)
-    return (g * math.sqrt(dt)).reshape(d, n_steps)
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seeding_words(seeds: Sequence[int]) -> np.ndarray:
+    """PCG64's seeding words of each seed, (len(seeds), 4) uint64: row i is
+    ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``, for
+    seeds in [0, 2**64), computed for all seeds at once on uint32 arrays,
+    whose products wrap modulo 2**32 as the hash's do."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    step = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(v):
+        # Each call advances the hash's running multiplier by one step.
+        c, c_next = next(step)
+        v = (v ^ c) * c_next
+        return v ^ (v >> 16)
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    pool = [hashmix((seeds & _MASK32).astype(np.uint32)),
+            hashmix((seeds >> 32).astype(np.uint32)),
+            hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = pool[dst] * _MIX_L - hashmix(pool[src]) * _MIX_R
+                pool[dst] = v ^ (v >> 16)
+    state = np.empty((seeds.size, 8), dtype="<u4")
+    for i, (c, c_next) in enumerate(zip(_HASH_B, _HASH_B[1:])):
+        v = (pool[i % 4] ^ c) * c_next
+        state[:, i] = v ^ (v >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeding_words_type():
+    """The ``ISeedSequence`` that hands PCG64 words computed ahead; built on
+    first use, so that importing this module does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedingWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedingWords
+
+
+def _polar_normals(gen, out: np.ndarray, scale: float) -> None:
+    """Fill ``out`` (1-D) with standard normals times ``scale``, by the polar
+    Box-Muller method over ``gen``'s uniforms.
+
+    Attempt i always consumes uniforms (2i, 2i+1) of the stream and is kept
+    when 0 < s < 1, so the output is independent of the block size and is
+    prefix-stable in ``out.size``.  One block usually suffices: its first
+    ``(out.size + 1) // 2`` kept pairs are transformed, the rest of the
+    block is discarded; a block that falls short is followed by another.
+    """
+    count = out.size
+    filled = 0
+    while filled < count:
+        pairs = (count - filled + 1) // 2
+        xy = gen.random((max(int(pairs / 0.75) + 8, 16), 2))
+        xy *= 2.0
+        xy -= 1.0
+        sq = xy * xy
+        s = sq[:, 0] + sq[:, 1]
+        ok = s < 1.0
+        ok &= s > 0.0
+        kept = ok.nonzero()[0][:pairs]
+        ss = s[kept]
+        factor = np.sqrt(-2.0 * np.log(ss) / ss)
+        g = xy.take(kept, axis=0)
+        g *= factor[:, None]
+        take = min(g.size, count - filled)
+        np.multiply(g.ravel()[:take], scale, out=out[filled: filled + take])
+        filled += take
+
+
+def _draw_increments(out: np.ndarray, dt: float, master_seed: int, start: int) -> None:
+    """Fill ``out``, (count, d * n_steps), with the increments of noise
+    streams ``start .. start + count - 1``, one row each: a stream's normals
+    fill its (d, n_steps) matrix row by row, scaled by sqrt(dt)."""
+    count, n = out.shape
+    if n == 0:
+        return
+    seeds = [stream_seed(master_seed, start + i) for i in range(count)]
+    # numpy hashes one seed faster than a vectorised pass over one.
+    sources = seeds if count == 1 else map(_seeding_words_type(), _seeding_words(seeds))
+    scale = math.sqrt(dt)
+    for source, row in zip(sources, out):
+        _polar_normals(np.random.Generator(np.random.PCG64(source)), row, scale)
 
 
 def _n_steps(span: float, dt: float) -> int:
@@ -214,7 +303,8 @@ def sample_brownian(
         raise InvalidStep(f"dt must be finite and positive, got {dt!r}")
     if n_steps < 0 or d < 0:
         raise InvalidStep("n_steps and d must be nonnegative")
-    inc = _increments(d, n_steps, dt, master_seed, stream_index)
+    inc = np.empty((d, n_steps))
+    _draw_increments(inc.reshape(1, d * n_steps), dt, master_seed, stream_index)
     inc.setflags(write=False)
     return BrownianPath(
         t0=float(t0), dt=float(dt), n_steps=n_steps, d=d,

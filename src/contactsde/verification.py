@@ -14,7 +14,6 @@ re-sampled noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .flow import (
     integrate_batch_final,
     _channels,
     _conformal_factor,
-    _increments,
+    _draw_increments,
     _initial_state,
     _n_steps,
 )
@@ -271,8 +270,7 @@ def _mc_batch(args) -> np.ndarray:
      observable, zero_channels) = args
     d = sys.d
     increments = np.empty((count, d, n_steps))
-    for i in range(count):
-        increments[i] = _increments(d, n_steps, dt, master_seed, start + i)
+    _draw_increments(increments.reshape(count, d * n_steps), dt, master_seed, start)
     for k in zero_channels:
         increments[:, k, :] = 0.0
     initial = np.tile(np.asarray(x0, dtype=float), (count, 1))
@@ -322,8 +320,10 @@ def monte_carlo(
         start += count
 
     if workers > 1 and len(batches) > 1:
-        # A fork pool starts all its workers at the first submit: start no
-        # more than there are batches.
+        # Imported here: no other command pays for the import.  A fork pool
+        # starts all its workers at the first submit: start no more than
+        # there are batches.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
             parts = list(pool.map(_mc_batch, batches))
     else:

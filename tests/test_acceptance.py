@@ -171,6 +171,83 @@ def test_criterion_3_negative_control_ito_euler_additive_noise(monkeypatch):
     assert all(abs(o - 1.0) <= 0.1 for o in report.orders), report.orders
 
 
+_C11_H0, _C11_X0 = "p1^2/2 + q1^2/2 + 0.5*z", (1.0, 0.0, 0.5)
+_C11_FINE, _C11_DT = 2000, 5e-4      # ladder 4e-3, 2e-3, 1e-3, 5e-4 over T = 1
+
+
+def _criterion_11_systems():
+    """Criterion 11's Darboux n = 1 systems: the single noise 0.3*z, whose
+    Reeb rate is the constant 0.3, and the noises 0.3*z and 0.2*q1*z."""
+    chart = geo.DarbouxChart(1)
+    return (geo.HamiltonianSystem(chart, _C11_H0, ["0.3*z"]),
+            geo.HamiltonianSystem(chart, _C11_H0, ["0.3*z", "0.2*q1*z"]))
+
+
+def _criterion_11_measure(single, double):
+    """The worst miss of log lambda_t = -0.5 t - 0.3 W_t on ``single``'s
+    paths, and the contact-defect slope fitted over the ladder to the log2
+    of the max defect averaged over ``double``'s paths: master seed 11,
+    streams 0-15, Heun."""
+    closed_miss = 0.0
+    log_errors = np.zeros(4)
+    for stream in range(16):
+        path = flow.sample_brownian(1, _C11_FINE, _C11_DT, 11, stream_index=stream)
+        traj = flow.integrate_augmented(single, _C11_X0, path)
+        w = np.concatenate([[0.0], np.cumsum(path.increments[0])])
+        closed_miss = max(closed_miss, float(np.max(np.abs(
+            traj.log_lambda - (-0.5 * traj.times - 0.3 * w)))))
+        path = flow.sample_brownian(2, _C11_FINE, _C11_DT, 11, stream_index=stream)
+        report = ver.defect_convergence(double, _C11_X0, path, "heun", 4)
+        log_errors += np.log2(report.errors)
+    log_errors /= 16
+    assert report.dts == [4e-3, 2e-3, 1e-3, 5e-4]
+    return closed_miss, float(np.polyfit(np.log2(report.dts), log_errors, 1)[0])
+
+
+def test_criterion_11_random_conformal_factor():
+    # Noise Hamiltonians with a nonzero Reeb rate drive log lambda through
+    # -sum_k R(H_k) o dB^k; no other criterion's noise does.
+    closed_miss, slope = _criterion_11_measure(*_criterion_11_systems())
+    record(11, "random conformal factor: log lambda = -t/2 - 0.3 W_t, defect order >= 0.9",
+           closed_miss <= 1e-12 and slope >= 0.9,
+           f"closed-form miss={closed_miss:.1e}, slope={slope:.3f}")
+
+
+class _FlippedNoiseReeb:
+    """``system``'s augmented stage with the sign of every noise term of
+    log lambda flipped, +R(H_k) for -R(H_k) (k >= 1): ``fields`` negates the
+    slots of the last row's noise and ``advance`` delegates.  A single
+    path's Heun step is composed of the two."""
+
+    def __init__(self, system):
+        self.stage = system._augmented_stage
+        self.flipped = {slot for _, slot in self.stage.rows[-1][1]}
+
+    def fields(self, y):
+        return tuple(-v if i in self.flipped else v for i, v in enumerate(self.stage.fields(y)))
+
+    def advance(self, *args):
+        return self.stage.advance(*args)
+
+    def heun_step(self, y, w, dt):
+        return geo._composed_heun(self, y, w, dt)
+
+
+def test_criterion_11_negative_control_flipped_noise_reeb_rate(monkeypatch):
+    # Criterion 11's paths with +R(H_k) in place of -R(H_k): measured, the
+    # closed form is missed by up to 1.82 against the bound 1e-12, and the
+    # slope reads -0.014 against the bound 0.9 (the faithful flow reads
+    # 4.4e-14 and 1.006).
+    single, double = _criterion_11_systems()
+    for system in (single, double):
+        control = _FlippedNoiseReeb(system)
+        assert control.flipped
+        monkeypatch.setattr(system, "_augmented_stage", control)
+    closed_miss, slope = _criterion_11_measure(single, double)
+    print(f"criterion 11 control: closed-form miss {closed_miss:.2f}, slope {slope:.3f}")
+    assert closed_miss > 1e-12 and slope < 0.9, (closed_miss, slope)
+
+
 def _criterion_4_se_paths(system, x0):
     """Criterion 4's SE streams as (stream, path): the first five of master
     seed 99, within 500, whose 100-step Heun path keeps |sin theta_i| >= 0.5."""

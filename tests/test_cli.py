@@ -421,12 +421,15 @@ _INLINE = {"chart": "darboux", "n": 1, "h0": "z"}
     ({"system": "dissipative-2d", "dt": 0.03}, "dt 0.03 does not divide T - t0 = 0.1"),
     ({"system": "dissipative-2d", "dt": 5e-324}, "dt 5e-324 is too small for T - t0 = 0.1"),
     ({"system": "dissipative-2d", "seed": -1}, "seed must be >= 0, got -1"),
+    # Streams are seeded modulo 2^64: seed 2^64 + 1 wrote seed 1's CSV.
+    ({"system": "dissipative-2d", "seed": 2**64 + 1},
+     "seed must be < 2^64, got 18446744073709551617"),
 ], ids=["T", "seed", "initial_state", "params", "n", "constants",
         "params_not_object", "h0", "conformal_factor", "constant_coordinate", "constant_function",
         "T_nan", "t0_nan", "T_inf", "seed_fraction", "seed_bool", "seed_inf", "workers_fraction",
         "n_bool", "T_bool", "t0_bool", "dt_bool", "param_bool", "initial_state_bool",
         "constant_bool", "config_null", "config_number", "config_string", "dt_inf",
-        "dt_indivisible", "dt_tiny", "seed_negative"])
+        "dt_indivisible", "dt_tiny", "seed_negative", "seed_too_large"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
     # Every command loads its config through one rule set.
     path = tmp_path / "cfg.json"
@@ -437,7 +440,8 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, fields, message):
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
-@pytest.mark.parametrize("flag", [["--dt", "inf"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flag", [["--dt", "inf"], ["--seed", "-1"],
+                                  ["--seed", str(2**64)]])
 def test_check_integrability_shares_the_config_rules(tmp_path, capsys, flag):
     # --seed -1 used to escape from numpy's default_rng as a bare ValueError.
     cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=0.01)

@@ -224,7 +224,8 @@ def test_monte_carlo_starts_no_more_workers_than_batches(dissipative, monkeypatc
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(ver, "ProcessPoolExecutor", InProcessPool)
+    # monte_carlo imports the pool where it uses it, from concurrent.futures.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     kwargs = dict(T=0.1, dt=0.01, n_paths=32, master_seed=9, observable="z", batch_size=16)
     x0 = [1.0, 0, 2.0, 0, 0]
     pooled = ver.monte_carlo(dissipative, x0, workers=64, **kwargs)

@@ -11,10 +11,10 @@ on every platform:
    the standard SplitMix64 finalizer);
 2. that seed feeds a PCG64 generator producing uniform doubles, seeded as
    ``np.random.PCG64(seed)`` seeds itself, by numpy's ``SeedSequence``
-   hash.  A batch of streams runs that hash for all its seeds in one
-   vectorised pass on uint32 arrays (``_seeding_words``) and hands each
-   stream's four words to PCG64 through a minimal ``ISeedSequence``; a
-   single stream leaves the hash to numpy;
+   hash.  Every draw, one stream or a batch, runs that hash for all its
+   seeds in one vectorised pass on uint32 arrays (``_seeding_words``) and
+   hands each stream's four words to PCG64 through a minimal
+   ``ISeedSequence``;
 3. standard normals come from the polar Box-Muller method, consuming exactly
    two uniforms per attempt and accepting pairs with 0 < s < 1.  A stream
    draws one block of pairs, sized for its count with room for rejections,
@@ -143,30 +143,31 @@ def _seeding_words(seeds: Sequence[int]) -> np.ndarray:
     """PCG64's seeding words of each seed, (len(seeds), 4) uint64: row i is
     ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``, for
     seeds in [0, 2**64), computed for all seeds at once on uint32 arrays,
-    whose products wrap modulo 2**32 as the hash's do."""
-    seeds = np.array(seeds, dtype=np.uint64)
-    step = iter(zip(_HASH_A, _HASH_A[1:]))
+    whose products wrap modulo 2**32 as the hash's do.  Hash calls that do
+    not depend on one another run as the rows of one array operation, each
+    row with the multiplier that numpy's call order gives it."""
+    seeds = np.array(seeds, dtype=np.uint64).reshape(1, -1)
+    a = np.array(_HASH_A, dtype=np.uint32)[:, None]
+    b = np.array(_HASH_B, dtype=np.uint32)[:, None]
 
-    def hashmix(v):
-        # Each call advances the hash's running multiplier by one step.
-        c, c_next = next(step)
+    def hashmix(v, c, c_next):
         v = (v ^ c) * c_next
         return v ^ (v >> 16)
 
-    zero = np.zeros(seeds.shape, dtype=np.uint32)
-    pool = [hashmix((seeds & _MASK32).astype(np.uint32)),
-            hashmix((seeds >> 32).astype(np.uint32)),
-            hashmix(zero), hashmix(zero)]
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    pool = hashmix(pool, a[:4], a[1:5])
+    # Word src is mixed into the other three in turn; it does not change
+    # while it is, so the three mixes are one operation.
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v = pool[dst] * _MIX_L - hashmix(pool[src]) * _MIX_R
-                pool[dst] = v ^ (v >> 16)
-    state = np.empty((seeds.size, 8), dtype="<u4")
-    for i, (c, c_next) in enumerate(zip(_HASH_B, _HASH_B[1:])):
-        v = (pool[i % 4] ^ c) * c_next
-        state[:, i] = v ^ (v >> 16)
-    return state.view("<u8").astype(np.uint64)
+        dst = [i for i in range(4) if i != src]
+        k = 4 + 3 * src
+        v = (pool[dst] * np.uint32(_MIX_L)
+             - hashmix(pool[src], a[k: k + 3], a[k + 1: k + 4]) * np.uint32(_MIX_R))
+        pool[dst] = v ^ (v >> 16)
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], b[:8], b[1:9])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @functools.cache
@@ -226,10 +227,8 @@ def _draw_increments(out: np.ndarray, dt: float, master_seed: int, start: int) -
     if n == 0:
         return
     seeds = [stream_seed(master_seed, start + i) for i in range(count)]
-    # numpy hashes one seed faster than a vectorised pass over one.
-    sources = seeds if count == 1 else map(_seeding_words_type(), _seeding_words(seeds))
     scale = math.sqrt(dt)
-    for source, row in zip(sources, out):
+    for source, row in zip(map(_seeding_words_type(), _seeding_words(seeds)), out):
         _polar_normals(np.random.Generator(np.random.PCG64(source)), row, scale)
 
 

@@ -137,10 +137,9 @@ def test_seeding_words_match_numpy_seed_sequence():
 
 def test_negative_control_one_flipped_hash_bit(monkeypatch):
     # Bit 0 of one mixing multiplier flipped: every pinned seed's words and
-    # every batch stream's increments miss (measured: 5 of 5 pinned seeds,
-    # 5000 of 5000 stream seeds, 300 of 300 batch streams), where none does
-    # above.  ``sample_brownian`` draws one stream, which numpy seeds itself,
-    # so the flip cannot reach it.
+    # every stream's increments miss (measured: 5 of 5 pinned seeds, 5000 of
+    # 5000 stream seeds, 300 of 300 streams through ``sample_brownian`` and
+    # 300 of 300 through ``_mc_batch``), where none does above.
     mutated = list(flow._HASH_A)
     mutated[5] ^= 1
     monkeypatch.setattr(flow, "_HASH_A", mutated)
@@ -148,6 +147,8 @@ def test_negative_control_one_flipped_hash_bit(monkeypatch):
     assert len(_words_missing_seed_sequence(_STREAM_SEEDS)) == len(_STREAM_SEEDS)
     increments = _batch_increments(monkeypatch, 1, 1000, 1, 0, len(STREAMS))
     assert _differing_streams(increments, 1, 1000, 1) == list(STREAMS)
+    paths = np.array([flow.sample_brownian(1, 1000, DT, 1, s).increments for s in STREAMS])
+    assert _differing_streams(paths, 1, 1000, 1) == list(STREAMS)
 
 
 class _Uniforms:

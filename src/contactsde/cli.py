@@ -253,13 +253,11 @@ def cmd_simulate(args) -> int:
     cfg, system, x0, path = path_setup(args)
     states, log_lambdas = _integrate_conformal(system, x0, path, cfg.scheme)
     header = "t," + ",".join(system.chart.names) + ",lambda\n"
+    # One format per row: t, the state and lambda, each with 17 significant digits.
+    row = ",".join(["%.17g"] * (system.dim + 2)) + "\n"
     lines = [header]
     for i, (state, log_lambda) in enumerate(zip(states.tolist(), log_lambdas.tolist())):
-        t = cfg.t0 + i * cfg.dt
-        row = [f"{t:.17g}"]
-        row += [f"{v:.17g}" for v in state]
-        row.append(f"{_conformal_factor(log_lambda, 'simulate'):.17g}")
-        lines.append(",".join(row) + "\n")
+        lines.append(row % (cfg.t0 + i * cfg.dt, *state, _conformal_factor(log_lambda, "simulate")))
     _write("".join(lines), args.out)
     if args.out:
         sys.stdout.write(json.dumps({"config": cfg.to_dict()}, indent=2, sort_keys=True) + "\n")

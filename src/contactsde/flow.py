@@ -4,7 +4,9 @@ system together with its tangent flow and conformal factor.
 Noise pipeline
 --------------
 Increments are reproducible bit for bit from ``(master_seed, stream_index)``
-on every platform:
+on every platform.  Every draw checks them first (``_check_seed``): the
+master seed is an ``int``, not a ``bool``, in [0, 2**64), and the stream
+index an ``int`` >= 0; anything else is a ``ConfigError``.
 
 1. the per-stream seed is element ``stream_index`` of the SplitMix64 output
    sequence started at ``master_seed`` (golden-ratio increment followed by
@@ -51,13 +53,16 @@ the hot path it falls back to ``fields`` and ``advance``: when a margin at
 either evaluation is below ``geometry.MARGIN``, or when an evaluation
 raises ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``.  The
 fallback raises exactly their errors, ``SingularChartPoint`` ahead of
-``DomainError``.  A batch's Heun step, and every midpoint step, goes
-through ``fields`` and ``advance``.
+``DomainError``.  ``_run`` binds a single path's kernel once and calls it
+on every step.  A batch's Heun step, and every midpoint step, goes through
+``fields`` and ``advance``.
 
 ``_run`` carries a single path as a list of floats from ``x0`` to the
-history write: it reads the increments once, one list per step, and
-screens each state with ``math.isfinite``, so the midpoint stepper's
-per-path test compares floats.  A batch stays ``(m, B)`` arrays.  ``step``
+history write: it reads the increments once, one list per step, so the
+midpoint stepper's per-path test compares floats.  It screens each state
+with one ``math.isfinite(sum(y))``: a sum of finite floats is non-finite
+only when it overflows, and only then are the entries screened one by one.
+A batch stays ``(m, B)`` arrays.  ``step``
 and ``integrate_batch_final`` take and return a batch as ``(B, m)``, one
 row per path, and convert it once.
 
@@ -85,6 +90,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     IndivisibleFactor,
     InvalidStep,
     MidpointDivergence,
@@ -219,10 +225,24 @@ def _polar_normals(gen, out: np.ndarray, scale: float) -> None:
         filled += take
 
 
+def _check_seed(master_seed, stream_index=0) -> None:
+    """The seed rule of every draw: the master seed is an ``int``, not a
+    ``bool``, in [0, 2**64), and the stream index an ``int`` >= 0.  Streams
+    are seeded modulo 2**64, so a larger or a negative seed would alias
+    another.  Anything else is a ``ConfigError`` that names the value."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int) \
+            or not 0 <= master_seed <= _MASK64:
+        raise ConfigError(f"master seed must be an integer in [0, 2**64), got {master_seed!r}")
+    if isinstance(stream_index, bool) or not isinstance(stream_index, int) or stream_index < 0:
+        raise ConfigError(f"stream index must be an integer >= 0, got {stream_index!r}")
+
+
 def _draw_increments(out: np.ndarray, dt: float, master_seed: int, start: int) -> None:
     """Fill ``out``, (count, d * n_steps), with the increments of noise
     streams ``start .. start + count - 1``, one row each: a stream's normals
-    fill its (d, n_steps) matrix row by row, scaled by sqrt(dt)."""
+    fill its (d, n_steps) matrix row by row, scaled by sqrt(dt).  The seeds
+    are checked by ``_check_seed`` first."""
+    _check_seed(master_seed, start)
     count, n = out.shape
     if n == 0:
         return
@@ -328,12 +348,6 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # One-step maps and the stepping loop (a single path (m,) or a batch (m, B))
 # ---------------------------------------------------------------------------
 
-def _heun_step(stage, y, dw, dt):
-    """A single path through the stage's generated kernel, a batch through
-    ``fields`` and ``advance``."""
-    return stage.heun_step(y, dw, dt) if type(y) is list else _composed_heun(stage, y, dw, dt)
-
-
 def _sup(a):
     """max|a| over the first axis: one value per path."""
     return np.abs(a).max(axis=0)
@@ -367,7 +381,9 @@ def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
     )
 
 
-_STEPPERS = {"heun": _heun_step, "midpoint": _midpoint_step}
+# Heun steps a batch through ``fields`` and ``advance``; ``_run`` steps a
+# single path by its stage's kernel instead.
+_STEPPERS = {"heun": _composed_heun, "midpoint": _midpoint_step}
 
 
 def _stepper(scheme: str):
@@ -384,8 +400,9 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     Raises ``NumericalFailure`` at the first non-finite state, the initial
     one included, so no stage ever evaluates the fields of a blown-up state.
     A single path is carried as a list of floats, and its increments are
-    read once, one list per step; a batch gathers each step's increments
-    once into contiguous memory."""
+    read once, one list per step; under Heun it is stepped by its stage's
+    ``heun_step``.  A batch gathers each step's increments once into
+    contiguous memory."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[1]
     if keep:
@@ -393,15 +410,19 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     single = y.ndim == 1
     if single:
         y, dws = y.tolist(), increments.T.tolist()
+    advance = (stage.heun_step if single and stepper is _composed_heun
+               else functools.partial(stepper, stage))
     with np.errstate(all="ignore"):
         for j in range(n_steps + 1):
-            if not (all(map(math.isfinite, y)) if single else np.isfinite(y).all()):
+            # A sum of finite floats is non-finite only when it overflows:
+            # then the entries are screened one by one.
+            if not ((math.isfinite(sum(y)) or all(map(math.isfinite, y))) if single
+                    else np.isfinite(y).all()):
                 raise NumericalFailure(operation, "non-finite values")
             if keep:
                 history[j] = y
             if j < n_steps:
-                dw = dws[j] if single else np.ascontiguousarray(increments[:, j])
-                y = stepper(stage, y, dw, dt)
+                y = advance(y, dws[j] if single else np.ascontiguousarray(increments[:, j]), dt)
     return history if keep else np.asarray(y)
 
 

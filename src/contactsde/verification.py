@@ -31,6 +31,7 @@ from .flow import (
     integrate_augmented,
     integrate_batch_final,
     _channels,
+    _check_seed,
     _conformal_factor,
     _draw_increments,
     _initial_state,
@@ -151,16 +152,23 @@ def contact_defect(traj: AugmentedTrajectory, chart) -> ContactDefectReport:
     """Residual eta(x_t) J_t - lambda_t eta(x_0) per time, with sup norms.
 
     At the initial time the residual is exactly zero (J = I, lambda = 1).
+    The whole grid is one array pass: eta at every state from one array-mode
+    tape call, lambda_t = ``_conformal_factor`` per time (``math.exp``), and
+    the row products ``eta_t J_t`` as one stacked matmul, which runs numpy's
+    per-item product.  Both charts' eta use only arithmetic and ``cos``,
+    which numpy and ``math`` round alike, so the residuals are bit-equal to
+    a per-state loop's.  A chart whose dimension is not the states' width
+    is an ``InvalidStep``.
     """
     if getattr(traj, "jacobians", None) is None or getattr(traj, "log_lambda", None) is None:
         raise MissingTangentData("trajectory carries no tangent flow / conformal factor")
-    eta0 = chart.eta(traj.states[0])
-    n = len(traj.times)
-    residuals = np.empty((n, chart.dim))
-    for i in range(n):
-        eta_t = chart.eta(traj.states[i])
-        lam = _conformal_factor(traj.log_lambda[i], "contact_defect")
-        residuals[i] = eta_t @ traj.jacobians[i] - lam * eta0
+    width = traj.states.shape[-1]
+    if width != chart.dim:
+        raise InvalidStep(f"states have width {width}, the {chart.kind} chart has dimension "
+                          f"{chart.dim}")
+    eta = chart.eta(traj.states)
+    lam = np.array([_conformal_factor(v, "contact_defect") for v in traj.log_lambda.tolist()])
+    residuals = (eta[:, None, :] @ traj.jacobians)[:, 0, :] - lam[:, None] * eta[0]
     sups = np.max(np.abs(residuals), axis=1)
     return ContactDefectReport(
         times=traj.times.copy(),
@@ -302,6 +310,7 @@ def monte_carlo(
     """
     if n_paths < 2:
         raise InvalidStep("n_paths must be >= 2")
+    _check_seed(master_seed)
     n_steps = _n_steps(T - t0, dt)
     if batch_size < 1:
         raise InvalidStep(f"batch_size must be >= 1, got {batch_size!r}")

@@ -13,7 +13,6 @@ from contactsde.errors import (
     NumericalFailure,
     SingularChartPoint,
 )
-from contactsde.flow import _heun_step
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_heun_step_is_second_order_taylor_on_linear_drift():
         def advance(y, dw, dt, k0, k1=None):
             return y + dt * k0 if k1 is None else y + 0.5 * dt * (k0 + k1)
 
-    heun = _heun_step(LinearDrift, x, np.zeros(0), dt)
+    heun = geo._composed_heun(LinearDrift, x, np.zeros(0), dt)
     assert np.max(np.abs(heun - taylor)) <= 1e-15
 
 
@@ -282,6 +281,59 @@ def test_conformal_factor_overflow_is_a_numerical_failure():
     head = flow.AugmentedTrajectory(
         traj.times[:51], traj.states[:51], traj.jacobians[:51], traj.log_lambda[:51])
     assert head.conformal_factor.tolist() == [math.exp(v) for v in head.log_lambda.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the single-path finiteness screen
+# ---------------------------------------------------------------------------
+
+class _ZeroStage:
+    """A stage with zero fields, stepped by its Heun kernel, that counts its
+    steps; after step ``k`` it writes ``value`` into the last entry."""
+
+    def __init__(self, k=None, value=None):
+        self.k, self.value, self.steps = k, value, 0
+
+    def heun_step(self, y, w, dt):
+        self.steps += 1
+        return [*y[:-1], self.value] if self.steps == self.k else list(y)
+
+
+def _screened_run(stage, y0, n_steps=5):
+    return flow._run(stage, np.array(y0), np.zeros((0, n_steps)), 0.1, "heun", "screen", True)
+
+
+def test_single_path_screen_passes_finite_entries_whose_sum_overflows():
+    stage = _ZeroStage()
+    history = _screened_run(stage, [1e308, 1e308])
+    assert math.isinf(sum([1e308, 1e308]))
+    assert stage.steps == 5 and (history == 1e308).all()
+
+
+@pytest.mark.parametrize("base", [[0.1, 0.2, 0.5], [1e308, 1e308, 0.5]], ids=["small", "overflowing"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [0, 3])
+def test_single_path_screen_stops_at_the_first_non_finite_state(base, value, k):
+    # At the initial state (k = 0) or after step k, as the per-entry screen
+    # alone stops: the stage never steps the non-finite state.
+    stage = _ZeroStage(k, value)
+    y0 = [*base[:-1], value] if k == 0 else base
+    with pytest.raises(NumericalFailure) as err:
+        _screened_run(stage, y0)
+    assert (err.value.operation, str(err.value)) == ("screen", "non-finite values")
+    assert stage.steps == k
+
+
+def test_negative_control_a_sum_only_screen_rejects_the_overflowing_state():
+    # The sum screen without the per-entry fallback raises on the state that
+    # the test above steps five times.
+    def sum_only(y):
+        if not math.isfinite(sum(y)):
+            raise NumericalFailure("screen", "non-finite values")
+
+    sum_only([0.1, 0.2, 0.5])
+    with pytest.raises(NumericalFailure):
+        sum_only([1e308, 1e308])
 
 
 # ---------------------------------------------------------------------------

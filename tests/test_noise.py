@@ -17,6 +17,7 @@ import pytest
 
 import contactsde
 from contactsde import expr, flow, geometry as geo, verification as ver
+from contactsde.errors import ConfigError
 
 
 def _polar_gaussians(seed, count):
@@ -149,6 +150,37 @@ def test_negative_control_one_flipped_hash_bit(monkeypatch):
     assert _differing_streams(increments, 1, 1000, 1) == list(STREAMS)
     paths = np.array([flow.sample_brownian(1, 1000, DT, 1, s).increments for s in STREAMS])
     assert _differing_streams(paths, 1, 1000, 1) == list(STREAMS)
+
+
+_BAD_SEEDS = [-1, 2**64, 2**64 + 1, True, 1.5]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=["negative", "2^64", "2^64+1", "bool", "float"])
+def test_a_master_seed_outside_the_rule_is_a_config_error(seed, monkeypatch):
+    # Modulo 2^64, -1, 2^64, 2^64 + 1 and True would name the streams of
+    # seeds 2^64 - 1, 0, 1 and 1.  monte_carlo checks before it runs a batch.
+    message = rf"master seed must be an integer in \[0, 2\*\*64\), got {seed!r}$"
+    with pytest.raises(ConfigError, match=message):
+        flow.sample_brownian(1, 5, 0.1, seed)
+    monkeypatch.setattr(ver, "_mc_batch", None)
+    system = geo.HamiltonianSystem(geo.DarbouxChart(1), "z", ["z"])
+    with pytest.raises(ConfigError, match=message):
+        ver.monte_carlo(system, [0.0, 0.0, 1.0], T=0.5, dt=0.1, n_paths=4, master_seed=seed,
+                        observable="z", workers=2, batch_size=2)
+
+
+@pytest.mark.parametrize("stream", [-1, True, 1.0])
+def test_a_stream_index_outside_the_rule_is_a_config_error(stream):
+    with pytest.raises(ConfigError, match=rf"stream index must be an integer >= 0, got {stream!r}$"):
+        flow.sample_brownian(1, 5, 0.1, 1, stream)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_the_end_seeds_of_the_rule_draw_their_pinned_streams(seed, monkeypatch):
+    for stream in (0, 1, 299):
+        path = flow.sample_brownian(2, 7, DT, seed, stream)
+        assert path.increments.tobytes() == _increments(2, 7, DT, seed, stream).tobytes()
+    assert _differing_streams(_batch_increments(monkeypatch, 2, 7, seed, 0, 300), 2, 7, seed) == []
 
 
 class _Uniforms:

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from contactsde import flow, geometry as geo, verification as ver
+from contactsde import catalog, flow, geometry as geo, verification as ver
 from contactsde.errors import (
     ConfigError,
     IndivisibleFactor,
     InvalidStep,
     MissingTangentData,
+    NumericalFailure,
 )
 
 
@@ -29,6 +30,87 @@ def test_defect_zero_at_initial_time(dissipative):
     assert report.sup_norms[0] == 0.0
     assert report.max_sup >= report.sup_norms[-1] >= 0.0
     assert report.residuals.shape == (51, 5)
+
+
+# A Darboux system with exp, log and ^ (a fractional power) in its fields,
+# as in test_flow's kernel tests, and a non-constant lambda.
+_INLINE_DARBOUX = ("(p1^2 + p2^2)/2 + exp(-q1^2/4)*z + log(2 + q2^2)",
+                   ["(1 + q1^2)^1.5/10", "exp(p2/4)*z/10"])
+
+
+def _defect_systems():
+    inline = geo.HamiltonianSystem(geo.DarbouxChart(2), *_INLINE_DARBOUX)
+    return [(catalog.dissipative_system(), [1.0, 0.0, 2.0, 0.0, 0.0], 1e-3),
+            (catalog.sasaki_einstein_system(), [1.0, 1.2, 0.3, -0.4, 0.25], 6.25e-5),
+            (inline, [0.3, -0.2, 0.5, 0.1, 0.4], 1e-3)]
+
+
+def _per_state_defect(traj, chart, late=False):
+    """The residuals as a loop over states: one scalar eta, one conformal
+    factor and one row product per state.  ``late`` takes lambda one step
+    late, lambda_{i-1} at time i."""
+    eta0 = chart.eta(traj.states[0])
+    residuals = np.empty(traj.states.shape)
+    for i in range(len(traj.times)):
+        eta_t = chart.eta(traj.states[i])
+        lam = flow._conformal_factor(traj.log_lambda[max(i - 1, 0) if late else i], "oracle")
+        residuals[i] = eta_t @ traj.jacobians[i] - lam * eta0
+    return residuals
+
+
+def _defect_trajectories():
+    """Per system: seeds 0-9 on ladder levels 0-3 of a 32-step grid, and one
+    one-step trajectory."""
+    for system, x0, dt in _defect_systems():
+        trajs = [flow.integrate_augmented(system, x0, flow.sample_brownian(system.d, 1, dt, 0))]
+        for seed in range(10):
+            path = flow.sample_brownian(system.d, 32, dt, seed)
+            trajs += [flow.integrate_augmented(system, x0, flow.coarsen(path, 2 ** level))
+                      for level in range(4)]
+        yield system, trajs
+
+
+def test_defect_array_pass_equals_the_per_state_loop():
+    for system, trajs in _defect_trajectories():
+        for traj in trajs:
+            report = ver.contact_defect(traj, system.chart)
+            oracle = _per_state_defect(traj, system.chart)
+            assert report.residuals.tobytes() == oracle.tobytes()
+            sups = np.max(np.abs(oracle), axis=1)
+            assert report.sup_norms.tobytes() == sups.tobytes()
+            assert np.float64(report.max_sup).tobytes() == sups.max().tobytes()
+
+
+def test_negative_control_lambda_one_step_late():
+    # The same comparison against residuals whose lambda is one step late
+    # misses on every trajectory of the two systems whose lambda moves, 41
+    # of 41 each, the one-step one included, by a max |difference| per
+    # trajectory of 1.0e-3 to 8.0e-3 on dissipative-2d and 3.6e-3 to 2.6e-2
+    # on the inline system.  On SE lambda stays 1, so no shift can show
+    # there: 0 of 41.
+    misses = []
+    for system, trajs in _defect_trajectories():
+        misses.append(sum(ver.contact_defect(traj, system.chart).residuals.tobytes()
+                          != _per_state_defect(traj, system.chart, late=True).tobytes()
+                          for traj in trajs))
+    assert misses == [41, 0, 41], misses
+
+
+def test_defect_rejects_a_chart_of_another_dimension(sasaki_einstein):
+    p = make_path(sasaki_einstein, 4, 1e-4, 1)
+    traj = flow.integrate_augmented(sasaki_einstein, [1.0, 1.2, 0.3, -0.4, 0.25], p)
+    for n, dim in ((1, 3), (3, 7)):
+        with pytest.raises(InvalidStep, match=f"width 5, the darboux chart has dimension {dim}"):
+            ver.contact_defect(traj, geo.DarbouxChart(n))
+
+
+def test_defect_conformal_factor_overflow_is_a_numerical_failure():
+    # log(lambda) reaches 1000 at T = 1, where exp overflows a double.
+    system = geo.HamiltonianSystem(geo.DarbouxChart(1), "-1000*z")
+    traj = flow.integrate_augmented(system, [0.1, 0.2, 0.3], flow.sample_brownian(0, 100, 0.01, 0))
+    with pytest.raises(NumericalFailure) as err:
+        ver.contact_defect(traj, system.chart)
+    assert (err.value.operation, str(err.value)) == ("contact_defect", "conformal factor overflows")
 
 
 def test_defect_requires_tangent_data(dissipative):

@@ -17,10 +17,17 @@ byte-identical across runs and worker counts.
 The run configuration is a single JSON document; individual flags override
 fields.  Reports embed the fully resolved "effective config", which reloads
 to an equivalent run.
+
+A process builds the argument parser once, at its first ``main`` call, and
+keeps one built system per catalog id: a command whose params have the same
+``repr`` (sorted by name, so ``-0.0`` and ``0.0`` differ) reuses it, and
+other params replace it.  A system never changes what it computes, so the
+reuse changes no output byte; inline systems are built on every command.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -150,10 +157,26 @@ def load_config(path: Optional[str], args) -> RunConfig:
     return cfg
 
 
+# Catalog id -> (repr of its sorted params, the system built from them).  An
+# entry is read and replaced whole, so concurrent callers at worst build twice.
+_SYSTEMS: dict = {}
+
+
+def _catalog_system(entry: cat.CatalogEntry, params: dict) -> geo.HamiltonianSystem:
+    """``entry``'s system for ``params``, built once per id and params."""
+    key = repr(sorted(params.items()))
+    kept = _SYSTEMS.get(entry.id)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    system = entry.system(**params)
+    _SYSTEMS[entry.id] = (key, system)
+    return system
+
+
 def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
     if isinstance(cfg.system, str):
         entry = cat.get_entry(cfg.system)
-        system = entry.system(**cfg.params)
+        system = _catalog_system(entry, cfg.params)
         if cfg.initial_state is None:
             cfg.initial_state = list(entry.default_initial_state)
         if cfg.conformal_factor is None and entry.conformal_factor_source is not None:
@@ -163,6 +186,9 @@ def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
         return system
     if not isinstance(cfg.system, dict):
         raise ConfigError("system must be a catalog id or an inline object")
+    if cfg.params:
+        raise ConfigError(f"params {sorted(cfg.params)} apply to catalog systems only; "
+                          "give an inline system's numbers in its constants")
     inline = dict(cfg.system)
     chart = geo.chart_by_id(inline.get("chart"), inline.get("n"))
     h0 = inline.get("h0", "0")
@@ -235,7 +261,7 @@ def cmd_list_systems(args) -> int:
     entries = []
     for name in sorted(cat.CATALOG):
         entry = cat.CATALOG[name]
-        system = entry.system()
+        system = _catalog_system(entry, {})
         entries.append({
             "id": entry.id,
             "description": entry.description,
@@ -350,7 +376,10 @@ def cmd_convergence(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Parsing leaves it unchanged: the
+    append action of ``--integral`` copies its default list."""
     parser = argparse.ArgumentParser(
         prog="contactsde",
         description="Simulate and verify stochastic contact Hamiltonian systems.",

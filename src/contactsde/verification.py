@@ -181,15 +181,22 @@ def contact_defect(traj: AugmentedTrajectory, chart) -> ContactDefectReport:
 def conformal_factor_check(traj: AugmentedTrajectory, closed_form) -> float:
     """Max over the grid of |exp(log_lambda_t) - closed_form(t)|.
 
-    ``closed_form`` is an expression in the single variable ``t``.
+    ``closed_form`` is an expression in the single variable ``t``.  A form
+    that reads no ``t`` gives the same float at every time, so its tape runs
+    once, at the first time; a form in ``t`` runs once per time.
     """
     if not isinstance(closed_form, (str, *expr.NODE_TYPES)):
         raise ConfigError(f"closed_form must be an expression, got {closed_form!r}")
     cf = expr.parse(closed_form, ["t"]) if isinstance(closed_form, str) else closed_form
     tape = expr.compile_tape(cf, ["t"])
+    times = traj.times.tolist()
+    constant = "t" not in expr.free_variables(cf)
+    if constant:
+        value = tape([times[0]])
     dev = 0.0
-    for t, ll in zip(traj.times.tolist(), traj.log_lambda):
-        dev = max(dev, abs(_conformal_factor(ll, "conformal_factor_check") - tape([t])))
+    for t, ll in zip(times, traj.log_lambda):
+        lam = _conformal_factor(ll, "conformal_factor_check")
+        dev = max(dev, abs(lam - (value if constant else tape([t]))))
     return dev
 
 

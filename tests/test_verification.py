@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from contactsde import catalog, flow, geometry as geo, verification as ver
+from contactsde import catalog, expr, flow, geometry as geo, verification as ver
 from contactsde.errors import (
     ConfigError,
+    DomainError,
     IndivisibleFactor,
     InvalidStep,
     MissingTangentData,
@@ -178,6 +179,53 @@ def test_conformal_factor_deterministic_exponential():
     traj = flow.integrate_augmented(system, [0.5, 0.5, 1.0], p)
     dev = ver.conformal_factor_check(traj, "exp(-t)")
     assert dev <= 1e-8
+
+
+def _per_time_deviation(traj, closed_form) -> float:
+    """Oracle: the check as one scalar tape call and one math.exp per time."""
+    tape = expr.compile_tape(expr.parse(closed_form, ["t"]), ["t"])
+    dev = 0.0
+    for t, ll in zip(traj.times.tolist(), traj.log_lambda):
+        dev = max(dev, abs(math.exp(ll) - tape([t])))
+    return dev
+
+
+def _dissipative_trajectory(dissipative):
+    # gamma = 0.5, T = 1: lambda runs from 1 down to exp(-0.5).
+    return flow.integrate_augmented(dissipative, [1.0, 0, 2.0, 0, 0],
+                                    make_path(dissipative, 1000, 1e-3, 42))
+
+
+@pytest.mark.parametrize("closed_form", ["1", "0.5", "exp(-0.5*t)"])
+def test_conformal_factor_check_matches_a_per_time_loop(dissipative, closed_form):
+    # A form without t is evaluated once; every form keeps the loop's bits.
+    traj = _dissipative_trajectory(dissipative)
+    assert ver.conformal_factor_check(traj, closed_form) == _per_time_deviation(traj, closed_form)
+
+
+def test_negative_control_a_form_in_t_evaluated_once(dissipative):
+    # exp(-0.5*t) read once, at t0, as if it had no t: it misses lambda_T =
+    # exp(-0.5) by 1 - exp(-0.5) = 0.393, where the check reads below 1e-12.
+    traj = _dissipative_trajectory(dissipative)
+    once = expr.compile_tape(expr.parse("exp(-0.5*t)", ["t"]), ["t"])([traj.times[0]])
+    miss = max(abs(math.exp(ll) - once) for ll in traj.log_lambda)
+    print(f"conformal control: miss {miss:.4f}")
+    assert ver.conformal_factor_check(traj, "exp(-0.5*t)") <= 1e-12
+    assert miss == pytest.approx(1.0 - math.exp(-0.5), abs=1e-9)
+
+
+def test_a_faulting_constant_form_raises_before_lambda_overflows():
+    # log lambda = 1000 t overflows math.exp from t = 0.71 on; log(0) faults at
+    # the first time, as the per-time loop does.
+    system = geo.HamiltonianSystem(geo.DarbouxChart(1), "-1000*z")
+    traj = flow.integrate_augmented(system, [0.5, 0.5, 1.0], flow.sample_brownian(0, 100, 0.01, 0))
+    with pytest.raises(NumericalFailure):
+        ver.conformal_factor_check(traj, "exp(t)")
+    with pytest.raises(DomainError) as once:
+        ver.conformal_factor_check(traj, "log(0)")
+    with pytest.raises(DomainError) as oracle:
+        _per_time_deviation(traj, "log(0)")
+    assert str(once.value) == str(oracle.value)
 
 
 # ---------------------------------------------------------------------------

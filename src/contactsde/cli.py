@@ -17,17 +17,10 @@ byte-identical across runs and worker counts.
 The run configuration is a single JSON document; individual flags override
 fields.  Reports embed the fully resolved "effective config", which reloads
 to an equivalent run.
-
-A process builds the argument parser once, at its first ``main`` call, and
-keeps one built system per catalog id: a command whose params have the same
-``repr`` (sorted by name, so ``-0.0`` and ``0.0`` differ) reuses it, and
-other params replace it.  A system never changes what it computes, so the
-reuse changes no output byte; inline systems are built on every command.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -157,26 +150,10 @@ def load_config(path: Optional[str], args) -> RunConfig:
     return cfg
 
 
-# Catalog id -> (repr of its sorted params, the system built from them).  An
-# entry is read and replaced whole, so concurrent callers at worst build twice.
-_SYSTEMS: dict = {}
-
-
-def _catalog_system(entry: cat.CatalogEntry, params: dict) -> geo.HamiltonianSystem:
-    """``entry``'s system for ``params``, built once per id and params."""
-    key = repr(sorted(params.items()))
-    kept = _SYSTEMS.get(entry.id)
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    system = entry.system(**params)
-    _SYSTEMS[entry.id] = (key, system)
-    return system
-
-
 def resolve_system(cfg: RunConfig) -> geo.HamiltonianSystem:
     if isinstance(cfg.system, str):
         entry = cat.get_entry(cfg.system)
-        system = _catalog_system(entry, cfg.params)
+        system = entry.system(**cfg.params)
         if cfg.initial_state is None:
             cfg.initial_state = list(entry.default_initial_state)
         if cfg.conformal_factor is None and entry.conformal_factor_source is not None:
@@ -261,7 +238,7 @@ def cmd_list_systems(args) -> int:
     entries = []
     for name in sorted(cat.CATALOG):
         entry = cat.CATALOG[name]
-        system = _catalog_system(entry, {})
+        system = entry.system()
         entries.append({
             "id": entry.id,
             "description": entry.description,
@@ -376,15 +353,23 @@ def cmd_convergence(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process.  Parsing leaves it unchanged: the
-    append action of ``--integral`` copies its default list."""
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is listed, but only those named
+    in ``commands`` (all when None) get their options: a parse reads only
+    the subparser that an argument equal to its name selects, so a parser
+    built for the words of ``argv`` parses ``argv``, and prints its help
+    and errors, as the full one does."""
     parser = argparse.ArgumentParser(
         prog="contactsde",
         description="Simulate and verify stochastic contact Hamiltonian systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help, func, options):
+        p = sub.add_parser(name, help=help)
+        if commands is None or name in commands:
+            options(p)
+        p.set_defaults(func=func)
 
     def common(p):
         p.add_argument("--config", default=None, help="path to a JSON run configuration")
@@ -394,53 +379,47 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None, help="worker processes")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    def levels(p):
+        common(p)
+        p.add_argument("--levels", type=int, default=3, help="number of nested dt levels")
 
-    p = sub.add_parser("verify-contact", help="contact-structure preservation report")
-    common(p)
-    p.add_argument("--levels", type=int, default=3, help="number of nested dt levels")
-    p.set_defaults(func=cmd_verify_contact)
+    def check_integrability(p):
+        common(p)
+        p.add_argument("--integral", action="append", default=[],
+                       help="first integral source (repeatable; first must be 1)")
+        p.add_argument("--samples", type=int, default=100, help="number of sampled states")
+        p.add_argument("--tol", type=float, default=1e-10, help="bracket tolerance")
+        p.add_argument("--report-only", action="store_true",
+                       help="always exit 0; report the outcome only")
 
-    p = sub.add_parser("check-integrability", help="involution/independence report")
-    common(p)
-    p.add_argument("--integral", action="append", default=[],
-                   help="first integral source (repeatable; first must be 1)")
-    p.add_argument("--samples", type=int, default=100, help="number of sampled states")
-    p.add_argument("--tol", type=float, default=1e-10, help="bracket tolerance")
-    p.add_argument("--report-only", action="store_true",
-                   help="always exit 0; report the outcome only")
-    p.set_defaults(func=cmd_check_integrability)
+    def bracket(p):
+        common(p)
+        p.add_argument("-f", required=True, help="first expression")
+        p.add_argument("-g", required=True, help="second expression")
+        p.add_argument("--state", default=None, help="comma-separated state (default: initial state)")
 
-    p = sub.add_parser("bracket", help="Jacobi bracket of two expressions")
-    common(p)
-    p.add_argument("-f", required=True, help="first expression")
-    p.add_argument("-g", required=True, help="second expression")
-    p.add_argument("--state", default=None, help="comma-separated state (default: initial state)")
-    p.set_defaults(func=cmd_bracket)
+    def monte_carlo(p):
+        common(p)
+        p.add_argument("--observable", required=True, help="expression over chart coordinates")
+        p.add_argument("--paths", type=int, default=1000, help="number of noise streams")
 
-    p = sub.add_parser("monte-carlo", help="ensemble statistics of an observable")
-    common(p)
-    p.add_argument("--observable", required=True, help="expression over chart coordinates")
-    p.add_argument("--paths", type=int, default=1000, help="number of noise streams")
-    p.set_defaults(func=cmd_monte_carlo)
+    def list_systems(p):
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("convergence", help="strong self-convergence study")
-    common(p)
-    p.add_argument("--levels", type=int, default=3, help="number of nested dt levels")
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("list-systems", help="available catalog systems")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.set_defaults(func=cmd_list_systems)
-
+    add("simulate", "integrate one trajectory to CSV", cmd_simulate, common)
+    add("verify-contact", "contact-structure preservation report", cmd_verify_contact, levels)
+    add("check-integrability", "involution/independence report", cmd_check_integrability,
+        check_integrability)
+    add("bracket", "Jacobi bracket of two expressions", cmd_bracket, bracket)
+    add("monte-carlo", "ensemble statistics of an observable", cmd_monte_carlo, monte_carlo)
+    add("convergence", "strong self-convergence study", cmd_convergence, levels)
+    add("list-systems", "available catalog systems", cmd_list_systems, list_systems)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.func(args)
     except _CONFIG_ERRORS as e:

@@ -523,14 +523,19 @@ def _source(roots, slots, prefix: str = "t") -> tuple:
     parameters of the enclosing ``make``, not literals (``1e400`` parses to
     ``inf``), so the text depends only on the shape of ``roots``; walking
     the same roots again with other slots and another prefix names the same
-    constants."""
+    constants.  A subtree shared by reference is walked once: its second
+    visit would add no line and return the same name."""
     names, consts, lines = {}, [], []
+    done = {}  # id of a walked Const, BinOp or Func node -> its name
 
     def walk(node):
         if isinstance(node, Var):
             if node.name not in slots:
                 raise UnknownIdentifier(node.name)
             return slots[node.name]
+        name = done.get(id(node))
+        if name is not None:
+            return name
         if isinstance(node, Const):
             # Keyed by bits: 0.0 == -0.0, yet 0.0 - x and -0.0 - x differ at x = 0.
             key = struct.pack("<d", node.value)
@@ -545,6 +550,7 @@ def _source(roots, slots, prefix: str = "t") -> tuple:
             else:
                 names[key] = f"{prefix}{len(lines)}"
                 lines.append(f"{names[key]} = {_FORMATS[key[0]].format(*key[1:])}")
+        done[id(node)] = names[key]
         return names[key]
 
     results = [walk(root) for root in roots]

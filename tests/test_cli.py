@@ -1,13 +1,12 @@
+import contextlib
+import io
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from contactsde import catalog, cli
+from contactsde import cli
 
 
 def run_cli(capsys, *argv):
@@ -506,118 +505,47 @@ def test_inline_noise_must_be_a_list_of_expressions(tmp_path, capsys, noise):
 
 
 # ---------------------------------------------------------------------------
-# One parser per process, one built system per catalog id
+# The parser holds the options of the subcommands that argv names
 # ---------------------------------------------------------------------------
 
-_SE_INTEGRALS = ["--integral", "1", "--integral", "(1/3)*cos(theta1)",
-                 "--integral", "(1/3)*cos(theta2)"]
+def _parse(parser, argv) -> tuple:
+    """(exit code or parsed options, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
 
 
-def _fresh_process(*argv) -> str:
-    """stdout of one command in a new interpreter, through ``cli.main``."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from contactsde import cli; sys.exit(cli.main(sys.argv[1:]))",
-         *argv],
-        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=src),
-    )
-    return proc.stdout.decode()
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["simulate", "-h"],
+    ["check-integrability", "--help"],
+    ["verify-contact", "--config", "se.json", "--levels", "4"],
+    ["check-integrability", "--config", "se.json", "--integral", "1", "--integral", "z",
+     "--samples", "9", "--report-only"],
+    ["monte-carlo", "--observable", "simulate", "--paths", "8"],
+    ["bracket", "-f", "q1"],
+    ["list-systems", "--seed", "1"],
+    ["simulate", "--levels", "2"],
+    ["simulat", "--seed", "1"],
+    ["--seed", "1", "simulate", "--dt", "0.5"],
+    ["--", "convergence", "--levels", "2"],
+    ["convergence", "--levels", "x"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_a_parser_for_the_words_of_argv_parses_as_the_full_one(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(cli.build_parser(set(argv)), argv) == _parse(cli.build_parser(), argv)
 
 
-def test_a_session_run_twice_in_one_process_repeats_its_bytes(tmp_path, capsys, monkeypatch):
-    # The first session builds both systems, the second reuses them.
-    monkeypatch.setattr(cli, "_SYSTEMS", {})
-    se = write_config(tmp_path, "se.json", system="sasaki-einstein-t11", T=0.048, dt=5e-4, seed=1)
-    dis = write_config(tmp_path, "dis.json", system="dissipative-2d", T=0.1, dt=0.01, seed=3)
-
-    def session(csv):
-        results = [run_cli(capsys, *argv) for argv in (
-            ["verify-contact", "--config", se, "--levels", "3"],
-            ["convergence", "--config", se, "--levels", "3"],
-            ["simulate", "--config", se, "--out", str(csv)],
-            ["check-integrability", "--config", se, *_SE_INTEGRALS],
-            ["monte-carlo", "--config", dis, "--observable", "z", "--paths", "64"],
-        )]
-        assert [code for code, _, _ in results] == [0] * 5, results
-        return results, csv.read_bytes()
-
-    first = session(tmp_path / "first.csv")
-    built = {name: system for name, (_, system) in cli._SYSTEMS.items()}
-    assert sorted(built) == ["dissipative-2d", "sasaki-einstein-t11"]
-    assert session(tmp_path / "second.csv") == first
-    assert all(cli._SYSTEMS[name][1] is system for name, system in built.items())
-
-
-def test_changed_params_replace_the_kept_system(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_SYSTEMS", {})
-    configs = {gamma: write_config(tmp_path, f"{gamma}.json", system="dissipative-2d", T=0.1,
-                                   dt=0.005, seed=3, params={"gamma": gamma})
-               for gamma in (0.5, 0.7)}
-    fresh = {gamma: _fresh_process("verify-contact", "--config", path)
-             for gamma, path in configs.items()}
-    assert fresh[0.5] != fresh[0.7]
-    for gamma in (0.5, 0.7, 0.5):
-        assert run_cli(capsys, "verify-contact", "--config", configs[gamma]) == (0, fresh[gamma], "")
-
-
-def _signed_zero_systems(resolve) -> list:
-    """The dissipative-2d systems that ``resolve`` gives eps = 0.0, then -0.0."""
-    return [resolve({"eps": eps}) for eps in (0.0, -0.0)]
-
-
-def _distinct_with_their_signs(systems) -> bool:
-    return (systems[0] is not systems[1]
-            and [math.copysign(1.0, s.constants["eps"]) for s in systems] == [1.0, -1.0])
-
-
-def test_signed_zero_params_resolve_to_distinct_systems(monkeypatch):
-    monkeypatch.setattr(cli, "_SYSTEMS", {})
-    systems = _signed_zero_systems(
-        lambda params: cli.resolve_system(cli.RunConfig("dissipative-2d", params=params)))
-    assert _distinct_with_their_signs(systems)
-
-
-def test_negative_control_a_memo_keyed_by_equality():
-    # 0.0 == -0.0, so a memo keyed by == hands the eps = -0.0 config the
-    # system built for 0.0, whose eps reads +0.0.
-    entry = catalog.get_entry("dissipative-2d")
-    memo = []
-
-    def resolve(params):
-        for kept, system in memo:
-            if kept == params:
-                return system
-        memo.append((params, entry.system(**params)))
-        return memo[-1][1]
-
-    systems = _signed_zero_systems(resolve)
-    assert systems[0] is systems[1]
-    assert math.copysign(1.0, systems[1].constants["eps"]) == 1.0
-    assert not _distinct_with_their_signs(systems)
-
-
-@pytest.mark.parametrize("params, message", [
-    ({"gamma": -1.0}, "gamma must be positive"),
-    ({"gamm": 1.0}, "unknown parameters for 'dissipative-2d': ['gamm']"),
-])
-def test_a_bad_param_after_a_kept_system_is_still_a_config_error(
-        tmp_path, capsys, monkeypatch, params, message):
-    monkeypatch.setattr(cli, "_SYSTEMS", {})
-    good = write_config(tmp_path, "good.json", system="dissipative-2d", T=0.1, dt=0.005, seed=3)
-    bad = write_config(tmp_path, "bad.json", system="dissipative-2d", T=0.1, dt=0.005, seed=3,
-                       params=params)
-    rejected = (2, "", f"config error: {message}\n")
-    assert run_cli(capsys, "verify-contact", "--config", bad) == rejected
-    code, out, _ = run_cli(capsys, "verify-contact", "--config", good)
-    assert code == 0
-    assert run_cli(capsys, "verify-contact", "--config", bad) == rejected
-    assert run_cli(capsys, "verify-contact", "--config", good) == (0, out, "")
-
-
-def test_integrals_do_not_carry_over_to_the_next_command(tmp_path, capsys):
-    # The parser is built once; its --integral list starts empty on every call.
-    cfg = write_config(tmp_path, system="sasaki-einstein-t11", T=0.1, dt=1e-3, seed=5)
-    assert run_cli(capsys, "check-integrability", "--config", cfg, *_SE_INTEGRALS)[0] == 0
-    assert cli.build_parser() is cli.build_parser()
-    assert run_cli(capsys, "check-integrability", "--config", cfg) == (
-        2, "", "config error: at least one --integral is required\n")
+def test_negative_control_a_parser_without_the_named_subcommand():
+    # Built for no subcommand, a parser still lists them all but rejects the
+    # options of the one argv names: the comparison above can tell.
+    argv = ["simulate", "--seed", "1"]
+    full, bare = _parse(cli.build_parser(), argv), _parse(cli.build_parser(set()), argv)
+    assert full[0]["seed"] == 1
+    assert bare[0] == 2
+    assert "unrecognized arguments: --seed 1" in bare[2]

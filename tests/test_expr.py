@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -330,6 +331,40 @@ def test_tape_set_keys_constants_by_bits():
     assert got == (0.0, -0.0)
     assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
     assert [np.signbit(v).tolist() for v in tape([np.zeros(2)])] == [[False, False], [True, True]]
+
+
+def _unshared(e):
+    """``e`` rebuilt node by node, so no two of its subtrees are one object."""
+    if isinstance(e, expr.BinOp):
+        return expr.BinOp(e.op, _unshared(e.left), _unshared(e.right))
+    if isinstance(e, expr.Func):
+        return expr.Func(e.fn, _unshared(e.arg))
+    return dataclasses.replace(e)
+
+
+def _node_ids(roots) -> list:
+    out, stack = [], list(roots)
+    while stack:
+        e = stack.pop()
+        out.append(id(e))
+        stack.extend(getattr(e, f) for f in ("left", "right", "arg") if hasattr(e, f))
+    return out
+
+
+def test_a_shared_subtree_compiles_to_the_text_of_its_copies(rng):
+    # The code generator walks a subtree shared by reference once; the text
+    # must be the one that unshared, equal subtrees give.
+    names = ["x", "y", "w"]
+    slots = {n: f"values[{i}]" for i, n in enumerate(names)}
+    for _ in range(20):
+        base = [_random_expr(rng, names, 4) for _ in range(3)]
+        shared = [*base, *(expr.differentiate(e, n) for e in base for n in names),
+                  expr.mul(base[0], base[1]), expr.add(base[2], base[2]), base[0]]
+        copies = [_unshared(e) for e in shared]
+        ids = _node_ids(shared)
+        assert len(set(ids)) < len(ids)
+        assert len(set(_node_ids(copies))) == len(_node_ids(copies))
+        assert expr._source(shared, slots, "s") == expr._source(copies, slots, "s")
 
 
 @pytest.mark.parametrize("sources, z", [

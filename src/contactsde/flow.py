@@ -237,6 +237,14 @@ def _check_seed(master_seed, stream_index=0) -> None:
         raise ConfigError(f"stream index must be an integer >= 0, got {stream_index!r}")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """The rule of every count argument (``d``, ``n_steps``, ``n_paths``,
+    ``batch_size``): an ``int``, not a ``bool``, at least ``minimum``.
+    Anything else is an ``InvalidStep`` that names the value."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InvalidStep(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _draw_increments(out: np.ndarray, dt: float, master_seed: int, start: int) -> None:
     """Fill ``out``, (count, d * n_steps), with the increments of noise
     streams ``start .. start + count - 1``, one row each: a stream's normals
@@ -317,11 +325,12 @@ def sample_brownian(
     """Draw a reproducible Brownian path on a uniform grid starting at ``t0``.
 
     ``d = 0`` yields an empty increment matrix (the deterministic case).
+    ``d`` and ``n_steps`` must be integers >= 0, not booleans.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidStep(f"dt must be finite and positive, got {dt!r}")
-    if n_steps < 0 or d < 0:
-        raise InvalidStep("n_steps and d must be nonnegative")
+    _check_count("d", d, 0)
+    _check_count("n_steps", n_steps, 0)
     inc = np.empty((d, n_steps))
     _draw_increments(inc.reshape(1, d * n_steps), dt, master_seed, stream_index)
     inc.setflags(write=False)

@@ -52,15 +52,17 @@ floats and a batch on numpy rows: the same update text, but the tape's
 ``math`` and numpy functions may round ``exp``, ``log`` and ``^`` apart in
 the last bit, so a path alone can differ from the same path in a batch.
 The augmented roots per Hamiltonian are X_H, each entry of DX_H J summed
-left to right in ascending c, and -R(H), as expressions over x, J and
-log_lambda, so constant folding drops the structural zeros of DX_H.
+left to right in ascending c over the c where DX_H[a,c] is not a constant
+zero, and -R(H), as expressions over x, J and log_lambda.
 
 Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
 its caller passes: numbers for the numeric brackets, expressions for
 ``jacobi_bracket_expr``.  The numeric ones come from one engine,
 ``_brackets``, which compiles the jets ``(X_f..., f, R(f))`` of its
 functions as one tape set, guards the states once, evaluates d_eta's entries
-once and screens jets and brackets alike for non-finite values.
+once and screens jets and brackets alike for non-finite values.  The
+integrability check runs one SVD per distinct matrix of its integrals'
+fields, keyed by the matrix's bits.
 """
 from __future__ import annotations
 
@@ -88,6 +90,13 @@ __all__ = [
 ]
 
 MARGIN = 1e-9  # reject a state at which a chart margin's absolute value is below this
+# ``_jet_keys``' odd multiplier (2**64 over the golden ratio) and fold shift.
+_KEY_MULTIPLIER, _KEY_SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(32)
+
+
+def _is_zero(e) -> bool:
+    """A constant zero, 0.0 or -0.0: a structural zero of a stage's roots."""
+    return isinstance(e, expr.Const) and e.value == 0.0
 
 
 def _eval(tape, x: np.ndarray) -> np.ndarray:
@@ -133,9 +142,9 @@ class _Stage:
     rows.
 
     A single path's Heun step has one more generated form, ``heun_step(y,
-    w, dt)``: both tape evaluations written out inline from the tape's own
-    subterm walk, their values in locals, with Euler's predictor and Heun's
-    trapezoid between and after them.  Per root and row it performs exactly
+    w, dt)``: both tape evaluations written out inline from one subterm walk
+    of the tape's roots, named once per evaluation, their values in locals,
+    with Euler's predictor and Heun's trapezoid between and after them.  Per root and row it performs exactly
     the operations of ``fields`` and ``advance``, in the same order, so its
     bits are theirs.  Its inline margin test is generated from ``MARGIN``:
     a margin below it at either evaluation, or a ``ZeroDivisionError``,
@@ -149,8 +158,7 @@ class _Stage:
         self.d = d
         roots = (*drift, *diffusion)
         slot = itertools.count()
-        slots = [None if isinstance(e, expr.Const) and e.value == 0.0 else next(slot)
-                 for e in roots]
+        slots = [None if _is_zero(e) else next(slot) for e in roots]
         kept = [e for e, s in zip(roots, slots) if s is not None]
         self.tape = expr.compile_tape([*kept, *chart.margin_exprs], layout)
         self._margins = len(kept)  # the slot of the first margin
@@ -193,13 +201,17 @@ class _Stage:
 
         # The kernel: y_r and w_c unpacked, the first evaluation's values in
         # s-locals, the predictor in p_r and the second evaluation's in t-locals.
+        # One walk of the roots, its slots and temporaries named by the fields
+        # {y} and {s}, gives both evaluations' texts.
         layout = self.tape.layout
+        lines, results, consts = expr._source(
+            self.tape.exprs, {n: f"{{y}}{i}" for i, n in enumerate(layout)}, "{s}")
 
-        def walk(slot, prefix):
-            return expr._source(self.tape.exprs, {n: f"{slot}{i}" for i, n in enumerate(layout)},
-                                prefix)
+        def named(y, s):
+            return ([line.format(y=y, s=s) for line in lines],
+                    [r.format(y=y, s=s) for r in results])
 
-        (s_lines, k0, consts), (t_lines, k1, _) = walk("y", "s"), walk("p", "t")
+        (s_lines, k0), (t_lines, k1) = named("y", "s"), named("p", "t")
 
         def evaluation(lines, k):
             text = ("        try:\n" + "".join(f"            {line}\n" for line in lines)
@@ -570,17 +582,24 @@ class HamiltonianSystem:
     @functools.cached_property
     def _augmented_stage(self) -> _Stage:
         """x, J row-major, then log_lambda; per H the roots are X_H, DX_H J
-        with each entry summed in ascending c, and -R(H)."""
+        and -R(H).  Entry (a, b) of DX_H J sums ``DX_H[a,c] * J[c,b]`` left to
+        right in ascending c over the c where ``DX_H[a,c]`` is not a constant
+        zero, a constant 0.0 where there is none: the tree that summing every
+        product gives, since ``expr.mul`` folds a zero factor to 0.0 and
+        ``expr.add`` drops a 0.0 term, without forming the zero products."""
         dim = self.dim
         jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
-        roots = [(
-            *comps,
-            *(functools.reduce(expr.add, (expr.mul(dx[a * dim + c], jac[c * dim + b])
-                                          for c in range(dim)))
-              for a in range(dim) for b in range(dim)),
-            expr.negate(rate),
-        ) for comps, dx, rate in zip(self.vector_field_exprs, self._jacobian_exprs,
-                                     self._rate_exprs)]
+
+        def product(dx):
+            rows = [[(dx[a * dim + c], c) for c in range(dim) if not _is_zero(dx[a * dim + c])]
+                    for a in range(dim)]
+            return (functools.reduce(expr.add, (expr.mul(e, jac[c * dim + b]) for e, c in row),
+                                     expr.const(0.0))
+                    for row in rows for b in range(dim))
+
+        roots = [(*comps, *product(dx), expr.negate(rate))
+                 for comps, dx, rate in zip(self.vector_field_exprs, self._jacobian_exprs,
+                                            self._rate_exprs)]
         return self._stage(roots, (*self.chart.names, *(v.name for v in jac), "log(lambda)"))
 
     @functools.cached_property
@@ -775,6 +794,42 @@ def weak_leibniz_diagnostic(sys: HamiltonianSystem, f, g, h, x):
     return flat, scaled
 
 
+def _jet_keys(columns) -> np.ndarray:
+    """A 64-bit hash per state of its words ``columns`` (uint64 arrays (B,)).
+    Each word is xored in, multiplied by an odd constant, and the high half
+    folded into the low half.  A multiply moves bits only upward: without
+    the fold, two words that differ only in their sign bits cancel (FNV-1a
+    over words merged 77 of SE's 476 distinct matrices into shared keys).
+    Equal words give equal keys, and unequal words may too."""
+    keys = np.zeros(len(columns[0]), np.uint64)
+    for column in columns:
+        keys ^= column
+        keys *= _KEY_MULTIPLIER
+        keys ^= keys >> _KEY_SHIFT
+    return keys
+
+
+def _min_singular_value(mats: np.ndarray) -> float:
+    """The smallest singular value over the matrices ``mats`` (B, r, c), from
+    one SVD per distinct matrix.  Each matrix is keyed by its exact float64
+    bits (so -0.0 and 0.0 stay apart) through ``_jet_keys``, and the states
+    are sorted by key.  A matrix is left out only when its bits equal those
+    of its predecessor in that order, so a hash collision never lets one
+    matrix stand in for another: it costs one more SVD."""
+    bits = mats.view(np.uint64)
+    columns = [bits[:, i, j] for i in range(mats.shape[1]) for j in range(mats.shape[2])]
+    keys = _jet_keys(columns)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeated = keys[1:] == keys[:-1]  # entry i: sorted state i + 1 repeats state i
+    if repeated.any():
+        for column in columns:
+            column = column[order]
+            repeated &= column[1:] == column[:-1]
+        mats = mats[np.concatenate((order[:1], order[1:][~repeated]))]
+    return np.linalg.svd(mats, compute_uv=False)[:, -1].min()
+
+
 @dataclass(eq=False)
 class IntegrabilityReport:
     """Outcome of the involution/independence check for n+1 first integrals."""
@@ -809,9 +864,13 @@ def check_integrability(
     Reports the largest pairwise bracket |[h_i, h_j]| (i, j >= 1), the
     largest Reeb bracket |[h_i, 1]|, and the smallest singular value of the
     (n+1) x (2n+1) matrix of Hamiltonian vector fields over the samples.
-    ``tol`` and ``independence_tol`` must be finite numbers >= 0.
+    That minimum runs one SVD per distinct matrix (``_min_singular_value``)
+    and keeps the bits of one SVD per state: a matrix left out has the bits
+    of one that is kept, whose SVD is the one it would have had, and a
+    minimum does not depend on the order of its values.
+    ``tol`` and ``independence_tol`` must be finite numbers >= 0, not booleans.
     """
-    if not all(isinstance(t, (int, float)) and 0.0 <= t < math.inf
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) and 0.0 <= t < math.inf
                for t in (tol, independence_tol)):
         raise ConfigError(f"tol and independence_tol must be finite numbers >= 0, "
                           f"got {tol!r} and {independence_tol!r}")
@@ -834,7 +893,7 @@ def check_integrability(
     pairs += [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     jets, brackets = _brackets(sys, "check_integrability", funcs, pairs, states)
     reeb, pair = np.array(brackets[:n]), np.array(brackets[n:])
-    min_sv = np.linalg.svd(jets[:, :, :sys.dim], compute_uv=False)[:, -1].min()
+    min_sv = _min_singular_value(jets[:, :, :sys.dim])
     max_reeb = np.abs(reeb).max()
     max_pair = np.abs(pair).max(initial=0.0)
 

@@ -31,6 +31,7 @@ from .flow import (
     integrate_augmented,
     integrate_batch_final,
     _channels,
+    _check_count,
     _check_seed,
     _conformal_factor,
     _draw_increments,
@@ -313,14 +314,13 @@ def monte_carlo(
     Paths are processed in fixed-size batches ordered by stream index, so the
     result is bit-identical for any worker count.  ``zero_channels`` is a
     diagnostic knob that switches off individual noise channels (0-indexed,
-    each in 0..d-1); ``batch_size`` must be at least 1.
+    each in 0..d-1); ``n_paths`` must be an integer of at least 2 and
+    ``batch_size`` one of at least 1.
     """
-    if n_paths < 2:
-        raise InvalidStep("n_paths must be >= 2")
+    _check_count("n_paths", n_paths, 2)
     _check_seed(master_seed)
     n_steps = _n_steps(T - t0, dt)
-    if batch_size < 1:
-        raise InvalidStep(f"batch_size must be >= 1, got {batch_size!r}")
+    _check_count("batch_size", batch_size, 1)
     zero_channels = _channels(zero_channels, sys.d)
     tape = expr.compile_tape([sys.prepare(observable)], sys.chart.names)
     observable_source = observable if isinstance(observable, str) else expr.to_source(observable)

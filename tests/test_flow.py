@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -54,6 +55,11 @@ def test_brownian_invalid_step():
     for dt in (math.nan, math.inf):
         with pytest.raises(InvalidStep, match="dt must be finite and positive"):
             flow.sample_brownian(1, 3, dt, 0)
+    # d and n_steps: a negative, a float or a bool is named in the message.
+    for d, n_steps, bad in ((-1, 10, "d.*-1"), (1, -1, "n_steps.*-1"), (1, 10.0, "n_steps.*10.0"),
+                            (1.0, 10, "d.*1.0"), (True, 10, "d.*True"), (1, False, "n_steps.*False")):
+        with pytest.raises(InvalidStep, match=f"{bad}$"):
+            flow.sample_brownian(d, n_steps, 1e-3, 1)
 
 
 def test_brownian_moments():
@@ -688,6 +694,60 @@ _INLINE_DARBOUX = ("(p1^2 + p2^2)/2 + exp(-q1^2/4)*z + log(2 + q2^2)",
 def _kernel_systems():
     inline = geo.HamiltonianSystem(geo.DarbouxChart(2), *_INLINE_DARBOUX)
     return [catalog.dissipative_system(), catalog.sasaki_einstein_system(), inline]
+
+
+# An SE system whose drift reads psi, so DX_H has psi columns the catalog's lacks.
+_INLINE_SE = ("1 + psi*cos(theta1)/3 + sin(psi)*phi2", ["1", "(1/3)*cos(theta1)", "psi*phi1"])
+
+
+def _every_product_stage(system, order=range):
+    """The augmented stage built from roots in which entry (a, b) of DX_H J
+    sums every product ``DX_H[a,c] * J[c,b]``, zero factors included, over
+    c in ``order(dim)``; ascending is how the stage was once built."""
+    dim = system.dim
+    jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
+    roots = [(
+        *comps,
+        *(functools.reduce(expr.add, (expr.mul(dx[a * dim + c], jac[c * dim + b])
+                                      for c in order(dim)))
+          for a in range(dim) for b in range(dim)),
+        expr.negate(rate),
+    ) for comps, dx, rate in zip(system.vector_field_exprs, system._jacobian_exprs,
+                                 system._rate_exprs)]
+    return system._stage(roots, (*system.chart.names, *(v.name for v in jac), "log(lambda)"))
+
+
+def _augmented_systems():
+    return {"dissipative": catalog.dissipative_system(),
+            "se": catalog.sasaki_einstein_system(),
+            "inline_darboux": geo.HamiltonianSystem(geo.DarbouxChart(2), *_INLINE_DARBOUX),
+            "inline_se": geo.HamiltonianSystem(geo.SasakiEinsteinChart(), *_INLINE_SE)}
+
+
+@pytest.mark.parametrize("name", ["dissipative", "se", "inline_darboux", "inline_se"])
+def test_augmented_stage_skips_zero_products_with_equal_roots(name):
+    # The stage forms DX_H[a,c] * J[c,b] only where DX_H[a,c] is not a
+    # constant zero; its roots equal those that forming every product gives.
+    # The tape holds the roots that are not constant zeros, and rows says
+    # where the zeros are.
+    system = _augmented_systems()[name]
+    ours, theirs = system._augmented_stage, _every_product_stage(system)
+    assert ours.tape.exprs == theirs.tape.exprs
+    assert ours.rows == theirs.rows
+    assert ours.tape.layout == theirs.tape.layout
+
+
+@pytest.mark.parametrize("name", ["inline_darboux", "inline_se"])
+def test_augmented_stage_root_comparison_sees_the_summation_order(name):
+    # Negative control: summing in descending c gives other trees wherever a
+    # row of DX_H has two nonzeros: 30 of the 68 tape roots on the inline
+    # Darboux system and 35 of 59 on the inline SE system differ.
+    system = _augmented_systems()[name]
+    ours = system._augmented_stage
+    theirs = _every_product_stage(system, lambda dim: range(dim - 1, -1, -1))
+    assert ours.rows == theirs.rows
+    differ = sum(a != b for a, b in zip(ours.tape.exprs, theirs.tape.exprs))
+    assert differ > 0
 
 
 def _extended_state(stage, x, rng):

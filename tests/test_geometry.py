@@ -600,8 +600,8 @@ def test_integrability_validates_sample_states(darboux1):
 
 
 @pytest.mark.parametrize("tolerances", [
-    {"tol": math.nan}, {"tol": -1e-10}, {"tol": math.inf}, {"tol": "1e-10"},
-    {"independence_tol": math.nan}, {"independence_tol": -1.0},
+    {"tol": math.nan}, {"tol": -1e-10}, {"tol": math.inf}, {"tol": "1e-10"}, {"tol": True},
+    {"independence_tol": math.nan}, {"independence_tol": -1.0}, {"independence_tol": False},
 ])
 def test_integrability_validates_tolerances(darboux1, tolerances):
     states = geo.sample_states(darboux1.chart, 5, seed=1)
@@ -628,6 +628,81 @@ def test_integrability_brackets_match_per_state(chart, integrals):
     reeb = max(abs(geo.jacobi_bracket(system, h, "1", x)) for x in states for h in integrals[1:])
     assert report.max_pairwise_bracket == pair
     assert report.max_reeb_bracket == reeb
+
+
+# Three families over 5000 states (seed 1): SE's has 476 distinct matrices of
+# fields with numpy 2.4.6 on x86-64 (X_1 and X_{cos(theta_i)/3} are constant
+# up to rounding, so the count depends on how sin and cos round), Darboux
+# 1, p1, p2 has one, and the oscillator family has no two alike.
+_SVD_FAMILIES = {
+    "se": ("sasaki-einstein-t11", ["1", "(1/3)*cos(theta1)", "(1/3)*cos(theta2)"]),
+    "darboux": ("dissipative-2d", ["1", "p1", "p2"]),
+    "oscillator": ("dissipative-2d", ["1", "p1^2+q1^2", "p2^2+q2^2"]),
+}
+
+
+def _svd_family(name):
+    """The system, integrals, states and matrices of fields (B, n+1, dim) of
+    a family, the fields from one single-Hamiltonian system per integral."""
+    system_id, integrals = _SVD_FAMILIES[name]
+    system = catalog.get_entry(system_id).system()
+    states = geo.sample_states(system.chart, 5000, seed=1)
+    mats = np.stack([geo.HamiltonianSystem(system.chart, f).vector_field(0, states)
+                     for f in integrals], axis=1)
+    return system, integrals, states, mats
+
+
+def _per_state_min(mats):
+    return min(np.linalg.svd(m, compute_uv=False)[-1] for m in mats)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("forced_collision", [False, True], ids=["keys", "one_key"])
+@pytest.mark.parametrize("family", sorted(_SVD_FAMILIES))
+def test_min_singular_value_equals_one_svd_per_state(family, forced_collision, monkeypatch):
+    system, integrals, states, mats = _svd_family(family)
+    distinct = len({m.tobytes() for m in mats})
+    assert {"se": distinct < len(states) // 2, "darboux": distinct == 1,
+            "oscillator": distinct == len(states)}[family]
+    expected = _per_state_min(mats)
+    if forced_collision:  # every matrix shares one key: only the bit check tells them apart
+        monkeypatch.setattr(geo, "_jet_keys", lambda columns: np.zeros(len(columns[0]), np.uint64))
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(len(a)) or svd(a, **kw))
+    report = geo.check_integrability(system, integrals, states)
+    assert _bits(report.min_singular_value) == _bits(expected)
+    if not forced_collision:
+        assert seen == [distinct]  # one SVD per distinct matrix, in one call
+
+
+def test_min_singular_value_keeps_signed_zeros_apart(monkeypatch):
+    # Matrices that differ only in the sign of a zero are two matrices.
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(len(a)) or svd(a, **kw))
+    mats = np.array([[[0.0, 2.0]], [[-0.0, 2.0]], [[0.0, 2.0]]])
+    assert geo._min_singular_value(mats) == 2.0
+    assert seen == [2]
+
+
+def test_min_singular_value_control_that_trusts_the_key_misses():
+    # Negative control: one SVD per key, without the bit check, under a key
+    # every matrix shares.  It reads state 0's smallest singular value only:
+    # it misses the per-state minimum by 4.4e-16 on the SE family (every
+    # value lies within 6e-16 of 1) and by 0.76 on the oscillator family.
+    # Darboux 1, p1, p2 has one distinct matrix, so no key can merge two.
+    def trusting_min(mats, keys):
+        _, first = np.unique(keys, return_index=True)
+        return np.linalg.svd(mats[first], compute_uv=False)[:, -1].min()
+
+    misses = {}
+    for family in ("se", "oscillator"):
+        _, _, _, mats = _svd_family(family)
+        misses[family] = trusting_min(mats, np.zeros(len(mats), np.uint64)) - _per_state_min(mats)
+    assert 0.0 < misses["se"] < 1e-15
+    assert misses["oscillator"] > 0.5
 
 
 def test_integrability_report_roundtrip(sasaki_einstein):

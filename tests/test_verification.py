@@ -381,11 +381,16 @@ def test_monte_carlo_validation(dissipative):
     for T, dt in ((0.1, math.nan), (math.inf, 0.01), (math.nan, 0.01), (0.1, 0.0)):
         with pytest.raises(InvalidStep):
             ver.monte_carlo(dissipative, x0, T=T, dt=dt, n_paths=4, master_seed=0, observable="z")
-    for bad in ({"batch_size": 0}, {"batch_size": -1},
-                {"zero_channels": (-1,)}, {"zero_channels": (1,)}):
-        with pytest.raises(InvalidStep):
-            ver.monte_carlo(dissipative, x0, T=0.1, dt=0.01, n_paths=4, master_seed=0,
-                            observable="z", **bad)
+    # Each message names the bad value.
+    for bad, named in (({"batch_size": 0}, "got 0"), ({"batch_size": -1}, "got -1"),
+                       ({"zero_channels": (-1,)}, r"got \[-1\]"),
+                       ({"zero_channels": (1,)}, r"got \[1\]"),
+                       ({"n_paths": 2.5}, "got 2.5"), ({"n_paths": True}, "got True"),
+                       ({"n_paths": 4.0}, "got 4.0"), ({"batch_size": True}, "got True"),
+                       ({"batch_size": 2.0}, "got 2.0")):
+        with pytest.raises(InvalidStep, match=f"{named}$"):
+            ver.monte_carlo(dissipative, x0, T=0.1, dt=0.01, master_seed=0, observable="z",
+                            **{"n_paths": 4, **bad})
 
 
 def test_ensemble_stats_roundtrip():

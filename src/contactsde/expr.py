@@ -18,11 +18,13 @@ keeps differentiation closed over the node types below.
 Compiled tapes (:func:`compile_tape`) do all of the package's numeric
 evaluation, on one state or on a batch.  A tape compiles one expression or a
 set of them into one generated straight-line Python function that computes
-each distinct subterm once.  The tree evaluator (:func:`evaluate`) is the
-reference oracle: a tape in scalar mode performs the same operations on
-every root and agrees with it bit for bit.  The tree evaluator alone holds
-the domain messages; a tape whose scalar evaluation faults hands its roots
-to it in order.  A tape alone owns the domain rule of a batch as well.
+each distinct subterm once; on a batch it runs a second text from the same
+walk, in which like operations on several roots are one numpy call.  The
+tree evaluator (:func:`evaluate`) is the reference oracle: a tape in scalar
+mode performs the same operations on every root and agrees with it bit for
+bit.  The tree evaluator alone holds the domain messages; a tape whose
+scalar evaluation faults hands its roots to it in order.  A tape alone owns
+the domain rule of a batch as well.
 
 Expression trees and compiled tapes are immutable and safe to share across
 threads; evaluation contexts are caller-owned.  The only simplifications ever
@@ -511,31 +513,34 @@ _FORMATS = {
     "neg": "-{}", "sin": "sin({})", "cos": "cos({})", "exp": "exp({})", "log": "log({})",
 }
 _SCALAR_FUNCTIONS = (math.pow, math.sin, math.cos, math.exp, math.log)
-_ARRAY_FUNCTIONS = (np.power, np.sin, np.cos, np.exp, np.log)
+# The numpy function of each operation in array mode, by its name there.
+_ARRAY_NAMES = {
+    "+": "add", "-": "subtract", "*": "multiply", "/": "divide", "^": "power",
+    "neg": "negative", "sin": "sin", "cos": "cos", "exp": "exp", "log": "log",
+}
+_ARRAY_FUNCTIONS = tuple(getattr(np, name) for name in _ARRAY_NAMES.values())
 
 
-def _source(roots, slots, prefix: str = "t") -> tuple:
-    """``(lines, results, constants)`` of straight-line code that computes
-    each distinct subterm of ``roots`` once, in tree-evaluator order: one
-    line ``<prefix><n> = ...`` per operation, and per root the name that
-    holds its value (a slot's text, a constant ``c<i>`` or a temporary).
-    ``slots`` maps each free name to the text that reads it.  Constants are
-    parameters of the enclosing ``make``, not literals (``1e400`` parses to
-    ``inf``), so the text depends only on the shape of ``roots``; walking
-    the same roots again with other slots and another prefix names the same
-    constants.  A subtree shared by reference is walked once: its second
-    visit would add no line and return the same name."""
-    names, consts, lines = {}, [], []
-    done = {}  # id of a walked Const, BinOp or Func node -> its name
+def _walk(roots, layout) -> tuple:
+    """``(ops, results, consts)``: each distinct subterm of ``roots`` once, in
+    tree-evaluator order.  ``ops[n]`` is ``(op, *operands)``; an operand or a
+    result is a reference, ``("y", i)`` to slot i of ``layout``, ``("c", i)``
+    to ``consts[i]`` or ``("t", n)`` to the value of ``ops[n]``.  Every text
+    generated for a tape is formatted from its one walk.  A subtree shared
+    by reference is walked once: its second visit would add no operation and
+    return the same reference."""
+    index = {name: i for i, name in enumerate(layout)}
+    refs, consts, ops = {}, [], []
+    done = {}  # id of a walked Const, BinOp or Func node -> its reference
 
     def walk(node):
         if isinstance(node, Var):
-            if node.name not in slots:
+            if node.name not in index:
                 raise UnknownIdentifier(node.name)
-            return slots[node.name]
-        name = done.get(id(node))
-        if name is not None:
-            return name
+            return ("y", index[node.name])
+        ref = done.get(id(node))
+        if ref is not None:
+            return ref
         if isinstance(node, Const):
             # Keyed by bits: 0.0 == -0.0, yet 0.0 - x and -0.0 - x differ at x = 0.
             key = struct.pack("<d", node.value)
@@ -543,18 +548,34 @@ def _source(roots, slots, prefix: str = "t") -> tuple:
             key = (node.op, walk(node.left), walk(node.right))
         else:
             key = (node.fn, walk(node.arg))
-        if key not in names:
+        if key not in refs:
             if isinstance(node, Const):
-                names[key] = f"c{len(consts)}"
+                refs[key] = ("c", len(consts))
                 consts.append(node.value)
             else:
-                names[key] = f"{prefix}{len(lines)}"
-                lines.append(f"{names[key]} = {_FORMATS[key[0]].format(*key[1:])}")
-        done[id(node)] = names[key]
-        return names[key]
+                refs[key] = ("t", len(ops))
+                ops.append(key)
+        done[id(node)] = refs[key]
+        return refs[key]
 
-    results = [walk(root) for root in roots]
-    return lines, results, consts
+    results = tuple(walk(root) for root in roots)
+    return tuple(ops), results, consts
+
+
+def _lines(walk, slots, prefix: str = "t") -> tuple:
+    """``(lines, results)``: the per-root straight-line text of ``walk``, one
+    line ``<prefix><n> = ...`` per operation, and per root the name that
+    holds its value.  Slot i reads as ``slots[i]`` and constant i as the
+    parameter ``c<i>`` of the enclosing ``make``, not as a literal
+    (``1e400`` parses to ``inf``), so the text depends only on the shape of
+    the roots."""
+    ops, results, consts = walk
+    names = {"y": slots, "c": [f"c{i}" for i in range(len(consts))],
+             "t": [f"{prefix}{n}" for n in range(len(ops))]}
+    temps = names["t"]
+    lines = [f"{temps[n]} = {_FORMATS[op].format(*[names[k][i] for k, i in args])}"
+             for n, (op, *args) in enumerate(ops)]
+    return lines, [names[k][i] for k, i in results]
 
 
 def _params(consts) -> str:
@@ -571,11 +592,104 @@ def _factory(source: str):
     return namespace["make"]
 
 
+def _slice(source: str, start: int, step: int, count: int, size) -> str:
+    """The basic slice of ``source`` that reads its rows ``start, start +
+    step, ...``, ``count`` of them.  One row, or a step of 0, is a block of
+    one row, which broadcasts; all ``size`` rows in order are ``source``."""
+    if count == 1 or step == 0:
+        return source if size == 1 else f"{source}[{start}:{start + 1}]"
+    if (start, step, count) == (0, 1, size):
+        return source
+    stop = start + step * count
+    return f"{source}[{start}:{'' if stop < 0 else stop}" + ("]" if step == 1 else f":{step}]")
+
+
+@functools.lru_cache(maxsize=256)
+def _grouped_source(ops, results, many: bool, n_consts: int) -> str:
+    """The array-mode text of the walk ``(ops, results)``, in which like
+    operations on several roots run as one numpy call on a block of rows.
+
+    An operation's level is one above its deepest array operand's, a slot's
+    being 0; an operation that reads no slot computes a scalar, on a line
+    of its own, first.  Operations of one level form a group when they share
+    the op and their scalar operands, and each of their array operands,
+    position by position, is a row of one source: the input ``rows`` or an
+    earlier group.  Members are ordered by their operands' rows, and a group
+    splits where those rows stop forming an arithmetic progression, so each
+    operand is a basic slice, never a gather.  A group writes (``out=``)
+    into the buffer of an earlier group of as many rows that no later line
+    reads, if there is one, so never into ``rows`` or into a group that
+    holds a returned row.  Every element goes through the operations of the
+    per-root text in the same order."""
+    depth, by_level, lines = {}, {}, []  # depth: an array operation's level
+    for n, (op, *args) in enumerate(ops):
+        levels = [0 if kind == "y" else depth[i]
+                  for kind, i in args if kind == "y" or kind == "t" and i in depth]
+        if levels:
+            depth[n] = max(levels) + 1
+            by_level.setdefault(depth[n], []).append(n)
+        else:
+            lines.append(f"t{n} = {_ARRAY_NAMES[op]}({', '.join(f'{k}{i}' for k, i in args)})")
+
+    def step(a, b):
+        return tuple(y - x for x, y in zip(a, b))
+
+    where, sizes, calls = {}, {}, []  # where: an array operation -> (group, row)
+    for level in sorted(by_level):
+        buckets = {}  # (op, per operand its source, or (name,) if scalar) -> members
+        for n in by_level[level]:
+            op, *args = ops[n]
+            placed = [("rows", i) if kind == "y" else where.get((kind, i)) for kind, i in args]
+            key = (op, *(p[0] if p else (f"{kind}{i}",) for p, (kind, i) in zip(placed, args)))
+            buckets.setdefault(key, []).append((tuple(p[1] for p in placed if p), n))
+        for (op, *sources), members in buckets.items():
+            runs = []
+            for member in sorted(members):
+                run = runs[-1] if runs else ()
+                if len(run) == 1 or run and step(run[-2][0], run[-1][0]) == step(run[-1][0], member[0]):
+                    run.append(member)
+                else:
+                    runs.append([member])
+            for run in runs:
+                name, first, count = f"g{len(calls)}", run[0][0], len(run)
+                starts = iter(zip(first, step(first, run[1][0]) if count > 1 else [0] * len(first)))
+                operands = [_slice(s, *next(starts), count, sizes.get(s))
+                            if isinstance(s, str) else s[0] for s in sources]
+                for j, (_, n) in enumerate(run):
+                    where[("t", n)] = (name, j)
+                sizes[name] = count
+                calls.append((name, op, operands, [s for s in sources if isinstance(s, str)]))
+
+    # A group's buffer is free after the last line that reads it, unless a
+    # returned row lives in it.
+    returned = {where[r][0] for r in results if r in where}
+    last = {s: c for c, (*_, read) in enumerate(calls) for s in read}
+    dies = {}
+    for s, c in last.items():
+        if s != "rows" and s not in returned:
+            dies.setdefault(c, []).append(s)
+    free = {}
+    for c, (name, op, operands, _) in enumerate(calls):
+        spare = free.get(sizes[name])
+        out = f", out={spare.pop()}" if spare else ""
+        lines.append(f"{name} = {_ARRAY_NAMES[op]}({', '.join(operands)}{out})")
+        for s in dies.get(c, ()):
+            free.setdefault(sizes[s], []).append(s)
+    values = ["{}[{}]".format(*where[r]) if r in where else
+              f"rows[{r[1]}]" if r[0] == "y" else f"{r[0]}{r[1]}" for r in results]
+    value = "(" + "".join(f"{v}, " for v in values) + ")" if many else values[0]
+    return (f"def make({', '.join(_ARRAY_NAMES.values())}{_params(range(n_consts))}):\n"
+            "    def tape(rows):\n" + "".join(f"        {line}\n" for line in lines)
+            + f"        return {value}\n    return tape\n")
+
+
 class EvalTape:
     """``exprs``, one expression or a tuple of them (a tape set), run as one
     generated straight-line Python function, compiled once per distinct
     shape.  A call returns the value, or the tuple of values in order;
-    ``len(tape)`` counts the distinct operations the set runs.
+    ``len(tape)`` counts the distinct operations the set runs.  Both of its
+    texts are formatted from one walk of the roots (``_walk``), which the
+    tape keeps for ``geometry._Stage`` to format its stepping kernel from.
 
     Scalar mode (slot values are Python floats; other scalars are converted)
     calls ``math`` functions and performs, for every root, exactly the
@@ -583,39 +697,47 @@ class EvalTape:
     Python raises (division by zero, a math domain error, an overflow), the
     tree evaluator, which alone holds the domain messages, evaluates the
     roots in order, so the first faulting root raises its ``DomainError``.
+
     When the first slot value is a numpy array the tape runs in array mode
-    on a batch, an (n, B) array or n rows with one column per path, with
-    numpy ufuncs and float64 constants, under the one domain rule of a
-    batch: it raises the ``DomainError`` that its first faulting path raises
-    alone.  Array mode runs with numpy's floating-point flags raising; on a
-    flag the paths are replayed in scalar mode, in order, and if none raises
-    (an overflow, say) the batch is evaluated again with the flags ignored.
-    numpy may round ``exp``, ``log`` and ``pow`` apart from ``math`` in the
-    last bit.  A tape pickles as ``(exprs, layout)``.
+    on a batch, an (n, B) array or n rows with one column per path, made
+    one C-contiguous float64 array once.  Array mode runs a second text,
+    built on its first call (``_grouped_source``): like operations on
+    several roots, such as the same op on ``q1`` and ``q2``, run as one
+    numpy ufunc call on a block of rows, each operand a basic slice (no
+    fancy-index gather), each result written into a dead buffer of its
+    shape where there is one.  Every element goes through the operations of
+    the per-root text in the same order, so no bit depends on the grouping.
+    A returned row is a view into a buffer of the call.  Array mode runs
+    under the one domain rule of a batch: it raises the ``DomainError`` that
+    its first faulting path raises alone.  It runs with numpy's
+    floating-point flags raising; on a flag the paths are replayed in
+    scalar mode, in order, and if none raises (an overflow, say) the batch
+    is evaluated again with the flags ignored.  numpy may round ``exp``,
+    ``log`` and ``pow`` apart from ``math`` in the last bit.  A tape pickles
+    as ``(exprs, layout)``.
     """
 
-    __slots__ = ("exprs", "layout", "_size", "_scalar", "_array")
+    __slots__ = ("exprs", "layout", "_walk", "_scalar", "_array")
 
     def __init__(self, exprs, layout):
         self.exprs = exprs if isinstance(exprs, NODE_TYPES) else tuple(exprs)
         self.layout = tuple(layout)
         many = isinstance(self.exprs, tuple)
-        lines, results, consts = _source(
-            self.exprs if many else (self.exprs,),
-            {name: f"values[{i}]" for i, name in enumerate(self.layout)})
+        self._walk = _walk(self.exprs if many else (self.exprs,), self.layout)
+        lines, results = _lines(self._walk, [f"values[{i}]" for i in range(len(self.layout))])
         value = "(" + "".join(f"{r}, " for r in results) + ")" if many else results[0]
-        self._size = len(lines)
+        consts = self._walk[2]
         make = _factory(f"def make(pow, sin, cos, exp, log{_params(consts)}):\n"
                         "    def tape(values):\n"
                         + "".join(f"        {line}\n" for line in lines)
                         + f"        return {value}\n    return tape\n")
         self._scalar = make(*_SCALAR_FUNCTIONS, *consts)
-        self._array = make(*_ARRAY_FUNCTIONS, *map(np.float64, consts))
+        self._array = None  # the grouped text, bound on the first array-mode call
 
     def __call__(self, values):
         if self.layout and type(values[0]) is not float:
             if isinstance(values[0], np.ndarray):
-                return self._batch(list(values))
+                return self._batch(np.ascontiguousarray(values, dtype=np.float64))
             values = [float(v) for v in values]
         try:
             return self._scalar(values)
@@ -626,7 +748,12 @@ class EvalTape:
             return tuple(_eval_tree(root, ctx) for root in self.exprs)
         return _eval_tree(self.exprs, ctx)
 
-    def _batch(self, rows: list):
+    def _batch(self, rows: np.ndarray):
+        if self._array is None:
+            ops, results, consts = self._walk
+            make = _factory(_grouped_source(ops, results, isinstance(self.exprs, tuple),
+                                            len(consts)))
+            self._array = make(*_ARRAY_FUNCTIONS, *map(np.float64, consts))
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 return self._array(rows)
@@ -640,10 +767,10 @@ class EvalTape:
         return EvalTape, (self.exprs, self.layout)
 
     def __len__(self):
-        return self._size
+        return len(self._walk[0])
 
     def __repr__(self):
-        return f"EvalTape({self._size} operations, layout={self.layout})"
+        return f"EvalTape({len(self)} operations, layout={self.layout})"
 
 
 def compile_tape(e, layout: Sequence[str]) -> EvalTape:

@@ -239,7 +239,8 @@ def _check_seed(master_seed, stream_index=0) -> None:
 
 def _check_count(name: str, value, minimum: int) -> None:
     """The rule of every count argument (``d``, ``n_steps``, ``n_paths``,
-    ``batch_size``): an ``int``, not a ``bool``, at least ``minimum``.
+    ``batch_size``, ``workers``, a coarsening ``factor``, a study's
+    ``levels``): an ``int``, not a ``bool``, at least ``minimum``.
     Anything else is an ``InvalidStep`` that names the value."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise InvalidStep(f"{name} must be an integer >= {minimum}, got {value!r}")
@@ -342,8 +343,10 @@ def sample_brownian(
 
 def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
     """The same sample path on a grid coarsened by ``factor`` (consecutive
-    increments summed in blocks)."""
-    if factor < 1 or path.n_steps % factor != 0:
+    increments summed in blocks).  ``factor`` is a count (``_check_count``)
+    that divides the path's steps, else ``IndivisibleFactor``."""
+    _check_count("factor", factor, 1)
+    if path.n_steps % factor != 0:
         raise IndivisibleFactor(f"factor {factor} does not divide {path.n_steps} steps")
     if factor == 1:
         return path

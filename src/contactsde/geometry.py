@@ -142,14 +142,15 @@ class _Stage:
     rows.
 
     A single path's Heun step has one more generated form, ``heun_step(y,
-    w, dt)``: both tape evaluations written out inline from one subterm walk
-    of the tape's roots, named once per evaluation, their values in locals,
-    with Euler's predictor and Heun's trapezoid between and after them.  Per root and row it performs exactly
-    the operations of ``fields`` and ``advance``, in the same order, so its
-    bits are theirs.  Its inline margin test is generated from ``MARGIN``:
-    a margin below it at either evaluation, or a ``ZeroDivisionError``,
-    ``ValueError`` or ``OverflowError``, sends the step to
-    ``_composed_heun``, which raises exactly their errors.  No other
+    w, dt)``: both tape evaluations written out inline, formatted from the
+    tape's own subterm walk of its roots (``expr._lines``) with one set of
+    names per evaluation, their values in locals, with Euler's predictor
+    and Heun's trapezoid between and after them.  Per root and row it
+    performs exactly the operations of ``fields`` and ``advance``, in the
+    same order, so its bits are theirs.  Its inline margin test is
+    generated from ``MARGIN``: a margin below it at either evaluation, or a
+    ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``, sends the
+    step to ``_composed_heun``, which raises exactly their errors.  No other
     module of the package reads ``rows``: ``flow`` drives a stage through
     ``fields``, ``advance`` and ``heun_step`` only."""
 
@@ -201,17 +202,11 @@ class _Stage:
 
         # The kernel: y_r and w_c unpacked, the first evaluation's values in
         # s-locals, the predictor in p_r and the second evaluation's in t-locals.
-        # One walk of the roots, its slots and temporaries named by the fields
-        # {y} and {s}, gives both evaluations' texts.
-        layout = self.tape.layout
-        lines, results, consts = expr._source(
-            self.tape.exprs, {n: f"{{y}}{i}" for i, n in enumerate(layout)}, "{s}")
-
-        def named(y, s):
-            return ([line.format(y=y, s=s) for line in lines],
-                    [r.format(y=y, s=s) for r in results])
-
-        (s_lines, k0), (t_lines, k1) = named("y", "s"), named("p", "t")
+        # Both evaluations' texts are formatted from the tape's one walk.
+        walk, slots = self.tape._walk, range(len(self.tape.layout))
+        consts = walk[2]
+        s_lines, k0 = expr._lines(walk, [f"y{i}" for i in slots], "s")
+        t_lines, k1 = expr._lines(walk, [f"p{i}" for i in slots], "t")
 
         def evaluation(lines, k):
             text = ("        try:\n" + "".join(f"            {line}\n" for line in lines)
@@ -227,7 +222,7 @@ class _Stage:
         make = expr._factory(
             f"def make(pow, sin, cos, exp, log, cold, margin{expr._params(consts)}):\n"
             "    def heun_step(y, w, dt):\n"
-            "        " + "".join(f"y{i}, " for i in range(len(layout))) + "= y\n"
+            "        " + "".join(f"y{i}, " for i in slots) + "= y\n"
             + ("        " + "".join(f"w{c}, " for c in range(self.d)) + "= w\n" if self.d else "")
             + evaluation(s_lines, k0)
             + "".join(f"        p{r} = {t}\n" for r, t in enumerate(predictor))

@@ -225,8 +225,7 @@ def finite_difference_jacobian(
 # ---------------------------------------------------------------------------
 
 def _check_levels(path: BrownianPath, levels: int) -> None:
-    if levels < 3:
-        raise InvalidStep("levels must be >= 3")
+    _check_count("levels", levels, 3)
     if path.n_steps % (2 ** (levels - 1)) != 0:
         raise IndivisibleFactor(
             f"finest grid of {path.n_steps} steps is not divisible by 2^{levels - 1}"
@@ -314,13 +313,14 @@ def monte_carlo(
     Paths are processed in fixed-size batches ordered by stream index, so the
     result is bit-identical for any worker count.  ``zero_channels`` is a
     diagnostic knob that switches off individual noise channels (0-indexed,
-    each in 0..d-1); ``n_paths`` must be an integer of at least 2 and
-    ``batch_size`` one of at least 1.
+    each in 0..d-1); ``n_paths`` must be an integer of at least 2, and
+    ``batch_size`` and ``workers`` integers of at least 1.
     """
     _check_count("n_paths", n_paths, 2)
     _check_seed(master_seed)
     n_steps = _n_steps(T - t0, dt)
     _check_count("batch_size", batch_size, 1)
+    _check_count("workers", workers, 1)
     zero_channels = _channels(zero_channels, sys.d)
     tape = expr.compile_tape([sys.prepare(observable)], sys.chart.names)
     observable_source = observable if isinstance(observable, str) else expr.to_source(observable)

@@ -251,7 +251,7 @@ def test_levels_rule_shared_by_commands(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, command, "--config", cfg, "--levels", "4")
     assert (code, err) == (2, "config error: finest grid of 100 steps is not divisible by 2^3\n")
     code, _, err = run_cli(capsys, command, "--config", cfg, "--levels", "2")
-    assert (code, err) == (2, "config error: levels must be >= 3\n")
+    assert (code, err) == (2, "config error: levels must be an integer >= 3, got 2\n")
 
 
 def test_unknown_system_exit_code(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactsde import catalog, expr
+from contactsde import catalog, expr, geometry as geo
 from contactsde.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
 NAMES = ["q1", "q2", "p1", "p2", "z", "m", "gamma", "theta1", "phi1"]
@@ -355,7 +357,7 @@ def test_a_shared_subtree_compiles_to_the_text_of_its_copies(rng):
     # The code generator walks a subtree shared by reference once; the text
     # must be the one that unshared, equal subtrees give.
     names = ["x", "y", "w"]
-    slots = {n: f"values[{i}]" for i, n in enumerate(names)}
+    slots = [f"values[{i}]" for i in range(len(names))]
     for _ in range(20):
         base = [_random_expr(rng, names, 4) for _ in range(3)]
         shared = [*base, *(expr.differentiate(e, n) for e in base for n in names),
@@ -364,7 +366,9 @@ def test_a_shared_subtree_compiles_to_the_text_of_its_copies(rng):
         ids = _node_ids(shared)
         assert len(set(ids)) < len(ids)
         assert len(set(_node_ids(copies))) == len(_node_ids(copies))
-        assert expr._source(shared, slots, "s") == expr._source(copies, slots, "s")
+        walk = expr._walk(shared, names)
+        assert walk == expr._walk(copies, names)
+        assert expr._lines(walk, slots, "s") == expr._lines(expr._walk(copies, names), slots, "s")
 
 
 @pytest.mark.parametrize("sources, z", [
@@ -417,6 +421,192 @@ def test_augmented_tape_set_computes_shared_subterms_once(system_id, bound):
     assert len(tape.exprs) == (system.d + 1) * (system.dim * (system.dim + 1) + 1)
     assert len(tape) <= bound
     assert len(system._augmented_stage.tape) <= _AUGMENTED_STAGE_BOUND[system_id]
+
+
+# ---------------------------------------------------------------------------
+# array mode: grouped calls against the per-root text
+# ---------------------------------------------------------------------------
+
+def _per_root_array(tape):
+    """The oracle: the tape's per-root text bound to numpy functions and
+    float64 constants, one ufunc call per operation, as array mode ran before
+    like operations were grouped."""
+    consts = tape._walk[2]
+    lines, names = expr._lines(tape._walk, [f"values[{i}]" for i in range(len(tape.layout))])
+    value = "(" + "".join(f"{n}, " for n in names) + ")" if isinstance(tape.exprs, tuple) else names[0]
+    namespace = {}
+    exec(f"def make(pow, sin, cos, exp, log{expr._params(consts)}):\n    def tape(values):\n"
+         + "".join(f"        {line}\n" for line in lines) + f"        return {value}\n    return tape\n",
+         namespace)
+    run = namespace["make"](np.power, np.sin, np.cos, np.exp, np.log, *map(np.float64, consts))
+
+    def oracle(rows):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            return run(list(rows))
+    return oracle
+
+
+def _grouped_text(tape):
+    ops, results, consts = tape._walk
+    return expr._grouped_source(ops, results, isinstance(tape.exprs, tuple), len(consts))
+
+
+def _calls(text) -> int:
+    """The numpy calls of a grouped text: one per assignment line."""
+    return sum(" = " in line for line in text.splitlines())
+
+
+def _dense_system():
+    return geo.HamiltonianSystem(
+        geo.DarbouxChart(2), "exp(0.1*q1)*p1^2/2 + log(2 + q2^2)*p2^2 + sin(q1)*cos(q2) + z^3/3",
+        ["0.1*sin(p1)", "cos(q2)*p2 - z"])
+
+
+def _array_mode_tapes() -> dict:
+    out = {}
+    for system_id in ("dissipative-2d", "sasaki-einstein-t11"):
+        system = catalog.get_entry(system_id).system()
+        for stage in ("state", "augmented", "conformal"):
+            out[f"{system_id}/{stage}"] = (system, getattr(system, f"_{stage}_stage").tape)
+    se = catalog.get_entry("sasaki-einstein-t11").system()
+    jets = [e for f in ("1", "(1/3)*cos(theta1)", "(1/3)*cos(theta2)")
+            for e in geo._jet(se.chart, se.prepare(f))]
+    out["sasaki-einstein-t11/jets"] = (se, expr.compile_tape(jets, se.chart.names))
+    dense = _dense_system()
+    for stage in ("state", "augmented"):
+        out[f"dense/{stage}"] = (dense, getattr(dense, f"_{stage}_stage").tape)
+    return out
+
+
+_ARRAY_MODE_TAPES = _array_mode_tapes()
+
+
+def _batch(system, tape, width, seed=0):
+    """(n, width) C-ordered inputs: chart states, then uniform J and log lambda."""
+    rng = np.random.default_rng(seed)
+    states = system.chart.sample_states(width, rng).T
+    return np.ascontiguousarray(
+        np.vstack([states, rng.uniform(-1, 1, size=(len(tape.layout) - len(states), width))]))
+
+
+def _bits(values) -> list:
+    return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+@pytest.mark.parametrize("width", [1, 7, 1024, 1031, 5000])
+@pytest.mark.parametrize("name", list(_ARRAY_MODE_TAPES))
+def test_grouped_array_mode_matches_the_per_root_text_bit_for_bit(name, width):
+    system, tape = _ARRAY_MODE_TAPES[name]
+    rows = _batch(system, tape, width)
+    expected = _bits(_per_root_array(tape)(rows))
+    transposed = np.ascontiguousarray(rows.T).T  # as _eval passes x.T
+    for layout in (rows, transposed, [row.copy() for row in rows]):
+        assert _bits(tape(layout)) == expected
+
+
+@pytest.mark.parametrize("sources, layout, texts", [
+    (["q1*p1", "q1*p2"], ["q1", "q2", "p1", "p2"], ["multiply(rows[0:1], rows[2:4])"]),
+    (["q1*p2", "q2*p1"], ["q1", "q2", "p1", "p2"], ["multiply(rows[0:2], rows[3:1:-1])"]),
+    (["q1*q2", "q2*q1"], ["q1", "q2"], ["multiply(rows[0:2], rows[1::-1])"]),
+    (["sin(q1) + 1", "sin(p1) + 1", "sin(q2) + 2"], ["q1", "p1", "q2"],
+     ["sin(rows[0:3])", "add(g0[0:2], c0)", "add(g0[2:3], c1)"]),
+])
+def test_grouped_slices_read_the_rows_of_the_per_root_text(sources, layout, texts):
+    # A repeated row broadcasts as a one-row block, a falling row is a
+    # negative step, and a group splits where its constant operand differs.
+    tape = expr.compile_tape([expr.parse(source, NAMES) for source in sources], layout)
+    assert all(text in _grouped_text(tape) for text in texts)
+    for width in (7, 1031):
+        rows = np.random.default_rng(width).uniform(0.5, 2.0, size=(len(layout), width))
+        assert _bits(tape(rows)) == _bits(_per_root_array(tape)(rows))
+
+
+def test_grouped_text_runs_fewer_calls_than_operations():
+    counts = {name: (len(tape), _calls(_grouped_text(tape)))
+              for name, (_, tape) in _ARRAY_MODE_TAPES.items()}
+    assert all(calls < ops for ops, calls in counts.values())
+    assert counts["dissipative-2d/state"] == (34, 16)
+    assert counts["sasaki-einstein-t11/state"] == (26, 13)
+    assert counts["sasaki-einstein-t11/jets"] == (24, 12)
+
+
+def test_grouped_text_writes_no_input_and_no_returned_row():
+    # Every operand is a basic slice, and out= names only a group that no
+    # later line reads and no returned row lives in.  (A returned row written
+    # over would fail the bit-for-bit test above.)
+    for name, (system, tape) in _ARRAY_MODE_TAPES.items():
+        *body, returned, _ = _grouped_text(tape).splitlines()[2:]
+        assert not any("[[" in line or "take(" in line for line in body)
+        for n, line in enumerate(body):
+            if "out=" in line:
+                target = re.search(r"out=(g\d+)\)$", line).group(1)
+                later = [re.sub(r", out=g\d+\)$", ")", b.split(" = ", 1)[1]) for b in body[n:]]
+                assert not any(re.search(rf"\b{target}\b", b) for b in [*later, returned]), \
+                    (name, line)
+        rows = _batch(system, tape, 7)
+        before = rows.tobytes()
+        tape(rows)
+        assert rows.tobytes() == before
+
+
+@pytest.mark.parametrize("system_id", ["dissipative-2d", "sasaki-einstein-t11"])
+def test_grouped_text_control_with_two_members_swapped_misses(system_id):
+    # Negative control: the first two-member group of the state tape reads
+    # its input rows in swapped order.  On these 1024 states it misses the
+    # per-root text by 1.98 on dissipative-2d (gamma*p1 and gamma*p2 swap,
+    # in both p rows) and on SE by 26.9 in the theta rows (3/sin(theta_i))
+    # and by 0.89 in the margins (sin(theta1) and sin(theta2) swap).
+    system, tape = _ARRAY_MODE_TAPES[f"{system_id}/state"]
+    text = _grouped_text(tape)
+    start = next(int(a) for a, b in re.findall(r"rows\[(\d+):(\d+)\]", text) if int(b) - int(a) == 2)
+    swapped = text.replace(f"rows[{start}:{start + 2}]",
+                           f"rows[{start + 1}:{start - 1 if start else ''}:-1]", 1)
+    assert swapped != text
+    namespace = {}
+    exec(swapped, namespace)
+    consts = tape._walk[2]
+    control = namespace["make"](*expr._ARRAY_FUNCTIONS, *map(np.float64, consts))
+    rows = _batch(system, tape, 1024)
+    expected = _per_root_array(tape)(rows)
+    got = control(rows)
+    miss = max(float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) for a, b in zip(got, expected))
+    assert miss > 0.5
+    assert _bits(tape(rows)) == _bits(expected)
+
+
+@pytest.mark.parametrize("column, first", [
+    ([[1.0, 2.0, -1.0], [1.0, -1.0, 2.0]], "log(p1)"),   # path 1 faults in p1, path 2 in q1
+    ([[1.0, -1.0, 2.0], [1.0, 2.0, -1.0]], "log(q1)"),
+    ([[1.0, -1.0], [1.0, -1.0]], "log(q1)"),             # both roots of path 1: q1 first
+])
+def test_a_fault_inside_a_grouped_call_raises_its_first_faulting_paths_error(column, first):
+    e = expr.parse("log(q1) + log(p1)", NAMES)
+    tape = expr.compile_tape([e], ["q1", "p1"])
+    assert "log(rows[0:2])" in _grouped_text(tape)  # both logs are one call
+    fault = {"log(q1)": expr.Func("log", expr.Var("q1")), "log(p1)": expr.Func("log", expr.Var("p1"))}
+    for rows in (np.array(column), [np.array(c) for c in column], np.array(column).T.copy().T):
+        with pytest.raises(DomainError) as err:
+            tape(rows)
+        assert err.value.node == fault[first]
+
+
+def test_shared_tape_is_thread_safe_in_array_mode():
+    from concurrent.futures import ThreadPoolExecutor
+
+    system, _ = _ARRAY_MODE_TAPES["sasaki-einstein-t11/state"]
+    batches = [_batch(system, system._state_stage.tape, 64 + i, seed=i) for i in range(32)]
+    expected = [_bits(system._state_stage.tape(b)) for b in batches]
+    # A fresh tape of the same roots builds its grouped text on a first call
+    # that several threads may make at once.
+    tape = expr.compile_tape(system._state_stage.tape.exprs, system._state_stage.tape.layout)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda b: _bits(tape(b)), batches, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
 
 
 def test_eval_accepts_tape():

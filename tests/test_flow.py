@@ -92,6 +92,11 @@ def test_coarsen_indivisible():
     p = flow.sample_brownian(1, 10, 0.1, 1)
     with pytest.raises(IndivisibleFactor):
         flow.coarsen(p, 3)
+    # A factor is a count: a float or a bool once raised a bare TypeError or
+    # acted as factor 1.  Each message names the value.
+    for bad in (2.0, True, 0, -2):
+        with pytest.raises(InvalidStep, match=f"factor.*got {bad}$"):
+            flow.coarsen(p, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +753,43 @@ def test_augmented_stage_root_comparison_sees_the_summation_order(name):
     assert ours.rows == theirs.rows
     differ = sum(a != b for a, b in zip(ours.tape.exprs, theirs.tape.exprs))
     assert differ > 0
+
+
+# sha256 (first 16 hex digits) of every text compiled while a catalog system
+# and its three stages are built, in order: the chart's tapes, then per stage
+# its tape, its _euler/_heun text and its heun_step, as the design before the
+# stage formatted the tape's own walk generated them.
+_GENERATED_TEXTS = {
+    "dissipative-2d": [
+        "02c6710e22189157", "850ffe8969e48bb4", "0081402f9970dfdc", "e5f2f8ceddd508c7",
+        "fd43eac0d00869da", "ba11da22af1561f4", "5950ca0dbfc78d4a", "7afa43b747fdb69e",
+        "347230010ec8ed5a", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "441a301e0e2def2c"],
+    "sasaki-einstein-t11": [
+        "094f41a45cacdc3f", "66e3e2e90469ace5", "0a8dd713468064c8", "e7e4854a2ada57ed",
+        "ca6fbde4ee11e68c", "7b9bd1dbef0ede27", "73b38312a488668d", "25558edd6948ff9b",
+        "aca7e33cd8e9111b", "e7e4854a2ada57ed", "12a154ebfc524550", "3510b0643e56f407"],
+}
+
+
+@pytest.mark.parametrize("system_id", list(_GENERATED_TEXTS))
+def test_every_generated_text_is_unchanged(system_id, monkeypatch):
+    # Each stage formats its tape's one walk of the roots instead of walking
+    # them again; the texts (tape, _euler and _heun, heun_step) stay string
+    # for string what they were.  Array mode's grouped text is built on the
+    # first array-mode call, so no build compiles it.
+    import hashlib
+
+    texts, factory = [], expr._factory
+
+    def recording(source):
+        texts.append(source)
+        return factory(source)
+
+    monkeypatch.setattr(expr, "_factory", recording)
+    system = catalog.get_entry(system_id).system()
+    system._state_stage, system._augmented_stage, system._conformal_stage
+    assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] \
+        == _GENERATED_TEXTS[system_id]
 
 
 def _extended_state(stage, x, rng):

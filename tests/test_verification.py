@@ -292,6 +292,10 @@ def test_convergence_validation(dissipative):
     p_odd = make_path(dissipative, 102, 1e-3, 0)
     with pytest.raises(IndivisibleFactor):
         ver.convergence_study(dissipative, [1.0, 0, 2.0, 0, 0], p_odd, levels=3)
+    # levels is a count; each message names the value.
+    for bad in (2, 3.0, True):
+        with pytest.raises(InvalidStep, match=f"levels.*got {bad}$"):
+            ver.convergence_study(dissipative, [1.0, 0, 2.0, 0, 0], p, levels=bad)
 
 
 def test_convergence_report_roundtrip():
@@ -387,7 +391,8 @@ def test_monte_carlo_validation(dissipative):
                        ({"zero_channels": (1,)}, r"got \[1\]"),
                        ({"n_paths": 2.5}, "got 2.5"), ({"n_paths": True}, "got True"),
                        ({"n_paths": 4.0}, "got 4.0"), ({"batch_size": True}, "got True"),
-                       ({"batch_size": 2.0}, "got 2.0")):
+                       ({"batch_size": 2.0}, "got 2.0"), ({"workers": 0}, "got 0"),
+                       ({"workers": 2.5}, "got 2.5"), ({"workers": True}, "got True")):
         with pytest.raises(InvalidStep, match=f"{named}$"):
             ver.monte_carlo(dissipative, x0, T=0.1, dt=0.01, master_seed=0, observable="z",
                             **{"n_paths": 4, **bad})

@@ -604,77 +604,153 @@ def _slice(source: str, start: int, step: int, count: int, size) -> str:
     return f"{source}[{start}:{'' if stop < 0 else stop}" + ("]" if step == 1 else f":{step}]")
 
 
+def _step(a, b) -> tuple:
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def _runs(members) -> list:
+    """``members``, pairs ``(rows, item)``, sorted and split into runs whose
+    rows, position by position, form an arithmetic progression."""
+    runs = []
+    for member in sorted(members):
+        run = runs[-1] if runs else ()
+        if len(run) == 1 or run and _step(run[-2][0], run[-1][0]) == _step(run[-1][0], member[0]):
+            run.append(member)
+        else:
+            runs.append([member])
+    return runs
+
+
+def _scalar(kind, i) -> str:
+    """The text of a scalar reference: ``("s", text)`` is a name or a
+    literal of the enclosing text, any other ``(kind, i)`` reads ``<kind><i>``."""
+    return i if kind == "s" else f"{kind}{i}"
+
+
+def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), check=None,
+              names=_ARRAY_NAMES) -> tuple:
+    """``(lines, where)``: the grouped array-mode lines of ``ops``, a walk's
+    operations ``(op, *operands)``, and where each array operation's value
+    lives, ``(source, row)``.
+
+    ``phases`` is a list ``(members, tested)``: the operations of each phase
+    run, in order, after those of the phases before it.  Within a phase an
+    operation's level is one above its deepest array operand's, an input
+    row's or an earlier phase's value being 0; an operation that reads no
+    array computes a scalar, on a line of its own, first.  Operations of one
+    level form a group when they share the op and their scalar operands, and
+    each of their array operands, position by position, is a row of one
+    source: an input (``inputs`` maps a reference kind to the array it reads
+    rows of) or an earlier group.  Members are ordered by their operands'
+    rows, and a group splits where those rows stop forming an arithmetic
+    progression, so each operand is a basic slice, never a gather.  After a
+    phase, ``check`` formats the text of a test from the basic slices or
+    scalars that hold the values ``tested`` (no test when it is empty).
+
+    ``targets`` maps an operation to the row ``(array, r)`` of a caller's
+    array that it writes (``out=``); members of a group write rows that are
+    a progression too.  Any other group writes (``out=``) into the buffer of
+    an earlier group of as many rows that no later line reads, if there is
+    one, so never into an input, a target or a group that holds a value of
+    ``kept``.  ``sizes`` gives the rows of inputs and targets, so that a
+    block of all of them reads as the bare name.  Every element goes
+    through the operations of ``ops`` in the same order."""
+    sizes, targets = dict(sizes), dict(targets)
+    where, groups, entries = {}, set(), []  # entries: (line or call, groups it reads)
+    calls = 0
+
+    def place(kind, i):
+        return (inputs[kind], i) if kind in inputs else where.get((kind, i))
+
+    for members, tested in phases:
+        depth, by_level = {}, {}  # depth: an array operation's level in this phase
+        for n in members:
+            op, *args = ops[n]
+            levels = [0 if kind in inputs else depth.get(i, 0) for kind, i in args
+                      if kind in inputs or kind == "t" and (i in depth or (kind, i) in where)]
+            if levels:
+                depth[n] = max(levels) + 1
+                by_level.setdefault(depth[n], []).append(n)
+            else:
+                entries.append((f"t{n} = {names[op]}({', '.join(_scalar(*a) for a in args)})", ()))
+        for level in sorted(by_level):
+            buckets = {}  # (op, target, per operand its source, or (text,) if scalar) -> members
+            for n in by_level[level]:
+                op, *args = ops[n]
+                placed = [place(*a) for a in args]
+                target = targets.get(n)
+                key = (op, target and target[0],
+                       *(p[0] if p else (_scalar(*a),) for p, a in zip(placed, args)))
+                rows = tuple(p[1] for p in placed if p) + (target[1:] if target else ())
+                buckets.setdefault(key, []).append((rows, n))
+            for (op, target, *sources), bucket in buckets.items():
+                for run in _runs(bucket):
+                    name, first, count = f"g{calls}", run[0][0], len(run)
+                    calls += 1
+                    starts = iter(zip(first, _step(first, run[1][0]) if count > 1
+                                      else [0] * len(first)))
+                    operands = [_slice(s, *next(starts), count, sizes.get(s))
+                                if isinstance(s, str) else s[0] for s in sources]
+                    if target:
+                        out = _slice(target, *next(starts), count, sizes.get(target))
+                        for _, n in run:
+                            where[("t", n)] = targets[n]
+                    else:
+                        out = None
+                        for j, (_, n) in enumerate(run):
+                            where[("t", n)] = (name, j)
+                        sizes[name] = count
+                        groups.add(name)
+                    reads = [s for s in sources if s in groups]
+                    entries.append(((name, op, operands, out), reads))
+        if tested:
+            blocks, buckets = [], {}
+            for ref in tested:
+                p = place(*ref)
+                if p:
+                    buckets.setdefault(p[0], []).append(((p[1],), ref))
+                else:
+                    blocks.append(_scalar(*ref))
+            for source, bucket in buckets.items():
+                for run in _runs(bucket):
+                    start, = run[0][0]
+                    blocks.append(_slice(source, start, run[1][0][0] - start if len(run) > 1 else 0,
+                                         len(run), sizes.get(source)))
+            entries.append((check(blocks), list(buckets)))
+
+    # A group's buffer is free after the last line that reads it, unless a
+    # value of ``kept`` lives in it.
+    kept = {where[r][0] for r in kept if r in where}
+    last = {s: c for c, (_, reads) in enumerate(entries) for s in reads}
+    dies = {}
+    for s, c in last.items():
+        if s in groups and s not in kept:
+            dies.setdefault(c, []).append(s)
+    lines, free = [], {}
+    for c, (entry, _) in enumerate(entries):
+        if isinstance(entry, str):
+            lines.append(entry)
+        else:
+            name, op, operands, out = entry
+            if out:
+                lines.append(f"{names[op]}({', '.join(operands)}, out={out})")
+            else:
+                spare = free.get(sizes[name])
+                out = f", out={spare.pop()}" if spare else ""
+                lines.append(f"{name} = {names[op]}({', '.join(operands)}{out})")
+        for s in dies.get(c, ()):
+            free.setdefault(sizes[s], []).append(s)
+    return lines, where
+
+
 @functools.lru_cache(maxsize=256)
 def _grouped_source(ops, results, many: bool, n_consts: int) -> str:
     """The array-mode text of the walk ``(ops, results)``, in which like
-    operations on several roots run as one numpy call on a block of rows.
-
-    An operation's level is one above its deepest array operand's, a slot's
-    being 0; an operation that reads no slot computes a scalar, on a line
-    of its own, first.  Operations of one level form a group when they share
-    the op and their scalar operands, and each of their array operands,
-    position by position, is a row of one source: the input ``rows`` or an
-    earlier group.  Members are ordered by their operands' rows, and a group
-    splits where those rows stop forming an arithmetic progression, so each
-    operand is a basic slice, never a gather.  A group writes (``out=``)
-    into the buffer of an earlier group of as many rows that no later line
-    reads, if there is one, so never into ``rows`` or into a group that
-    holds a returned row.  Every element goes through the operations of the
-    per-root text in the same order."""
-    depth, by_level, lines = {}, {}, []  # depth: an array operation's level
-    for n, (op, *args) in enumerate(ops):
-        levels = [0 if kind == "y" else depth[i]
-                  for kind, i in args if kind == "y" or kind == "t" and i in depth]
-        if levels:
-            depth[n] = max(levels) + 1
-            by_level.setdefault(depth[n], []).append(n)
-        else:
-            lines.append(f"t{n} = {_ARRAY_NAMES[op]}({', '.join(f'{k}{i}' for k, i in args)})")
-
-    def step(a, b):
-        return tuple(y - x for x, y in zip(a, b))
-
-    where, sizes, calls = {}, {}, []  # where: an array operation -> (group, row)
-    for level in sorted(by_level):
-        buckets = {}  # (op, per operand its source, or (name,) if scalar) -> members
-        for n in by_level[level]:
-            op, *args = ops[n]
-            placed = [("rows", i) if kind == "y" else where.get((kind, i)) for kind, i in args]
-            key = (op, *(p[0] if p else (f"{kind}{i}",) for p, (kind, i) in zip(placed, args)))
-            buckets.setdefault(key, []).append((tuple(p[1] for p in placed if p), n))
-        for (op, *sources), members in buckets.items():
-            runs = []
-            for member in sorted(members):
-                run = runs[-1] if runs else ()
-                if len(run) == 1 or run and step(run[-2][0], run[-1][0]) == step(run[-1][0], member[0]):
-                    run.append(member)
-                else:
-                    runs.append([member])
-            for run in runs:
-                name, first, count = f"g{len(calls)}", run[0][0], len(run)
-                starts = iter(zip(first, step(first, run[1][0]) if count > 1 else [0] * len(first)))
-                operands = [_slice(s, *next(starts), count, sizes.get(s))
-                            if isinstance(s, str) else s[0] for s in sources]
-                for j, (_, n) in enumerate(run):
-                    where[("t", n)] = (name, j)
-                sizes[name] = count
-                calls.append((name, op, operands, [s for s in sources if isinstance(s, str)]))
-
-    # A group's buffer is free after the last line that reads it, unless a
-    # returned row lives in it.
-    returned = {where[r][0] for r in results if r in where}
-    last = {s: c for c, (*_, read) in enumerate(calls) for s in read}
-    dies = {}
-    for s, c in last.items():
-        if s != "rows" and s not in returned:
-            dies.setdefault(c, []).append(s)
-    free = {}
-    for c, (name, op, operands, _) in enumerate(calls):
-        spare = free.get(sizes[name])
-        out = f", out={spare.pop()}" if spare else ""
-        lines.append(f"{name} = {_ARRAY_NAMES[op]}({', '.join(operands)}{out})")
-        for s in dies.get(c, ()):
-            free.setdefault(sizes[s], []).append(s)
+    operations on several roots run as one numpy call on a block of rows
+    (``_schedule``), read from the input ``rows``.  No group that holds a
+    returned row is written over.  Every element goes through the
+    operations of the per-root text in the same order."""
+    lines, where = _schedule(ops, [(range(len(ops)), ())], {"y": "rows"}, kept=results)
     values = ["{}[{}]".format(*where[r]) if r in where else
               f"rows[{r[1]}]" if r[0] == "y" else f"{r[0]}{r[1]}" for r in results]
     value = "(" + "".join(f"{v}, " for v in values) + ")" if many else values[0]

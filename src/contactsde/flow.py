@@ -35,27 +35,31 @@ Schemes
               ``max|dy| <= 1e-13 * max(1, max|y|)``.
 
 One stepping core serves single paths and batches of every stage: one
-stepper per scheme and one loop, ``_run``, drive a stage through two calls.
-``fields(y)`` evaluates the drift and diffusion at a single path, a list of
-m Python floats, or at a batch of paths ``(m, B)``, one row per coordinate
-and the paths on the last axis; ``advance`` applies them, as ``y + a dt +
-g dw`` or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``,
-through straight-line code that the stage generated from its structure
-when it was built: one text for a list and for numpy rows.  The stages are
-``geometry._Stage`` objects, which each ``HamiltonianSystem`` builds on
-first use and which alone know their structure and summation order.
+stepper per scheme and one loop, ``_run``.  A stage's ``fields(y)``
+evaluates the drift and diffusion at a single path, a list of m Python
+floats, or at a batch of paths ``(m, B)``, one row per coordinate and the
+paths on the last axis; ``advance`` applies them, as ``y + a dt + g dw`` or
+as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, through
+straight-line code that the stage generated from its structure when it
+was built.  The stages are ``geometry._Stage`` objects, which each
+``HamiltonianSystem`` builds on first use and which alone know their
+structure and summation order.
 
-A single path's Heun step runs through one more generated form of its
-stage, ``heun_step``: both evaluations written out inline, with the
-predictor and the trapezoid, performing exactly the operations of
-``fields`` and ``advance`` in the same order, so the bits are theirs.  Off
-the hot path it falls back to ``fields`` and ``advance``: when a margin at
-either evaluation is below ``geometry.MARGIN``, or when an evaluation
-raises ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``.  The
-fallback raises exactly their errors, ``SingularChartPoint`` ahead of
-``DomainError``.  ``_run`` binds a single path's kernel once and calls it
-on every step.  A batch's Heun step, and every midpoint step, goes through
-``fields`` and ``advance``.
+The hot paths run generated forms of the stage that perform exactly the
+operations of ``fields`` and ``advance`` in the same order, so the bits
+are theirs.  A single path's Heun step runs through ``heun_step``, both
+evaluations written out inline on Python floats.  A batch's Heun step runs
+through ``batch_heun`` and each midpoint sweep's image through
+``batch_image``: grouped numpy texts that write into ``(m, B)`` buffers of
+the run, which ``_run`` allocates per call, so a shared system stays
+thread-safe.  The midpoint sweep does its own arithmetic in place on those
+buffers too.  Off the hot path a form falls back to ``fields`` and
+``advance``: when a margin at an evaluation is below ``geometry.MARGIN``,
+or when an evaluation raises ``ZeroDivisionError``, ``ValueError`` or
+``OverflowError`` (a single path) or sets a floating-point flag (a batch).
+The fallback raises exactly their errors, ``SingularChartPoint`` ahead of
+``DomainError``.  A single path's midpoint step goes through ``fields``
+and ``advance``.
 
 ``_run`` carries a single path as a list of floats from ``x0`` to the
 history write: it reads the increments once, one list per step, so the
@@ -96,7 +100,7 @@ from .errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from .geometry import HamiltonianSystem, _composed_heun
+from .geometry import HamiltonianSystem
 
 __all__ = [
     "BrownianPath", "sample_brownian", "coarsen",
@@ -360,17 +364,19 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # One-step maps and the stepping loop (a single path (m,) or a batch (m, B))
 # ---------------------------------------------------------------------------
 
-def _sup(a):
-    """max|a| over the first axis: one value per path."""
-    return np.abs(a).max(axis=0)
+def _heun_step(stage, y, dw, dt, own):
+    """Heun's step of a batch, by its stage's generated ``batch_heun``: the
+    predictor goes into the run's buffer ``own[0]``, the step into whichever
+    of ``own[1]`` and ``own[2]`` is not ``y``."""
+    return stage.batch_heun(y, dw, dt, own[0], own[2] if y is own[1] else own[1])
 
 
-def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
-    def image(z):
-        return stage.advance(y, dw, dt, stage.fields(z))
+def _midpoint_step(stage, y, dw, dt, own=None, tol=1e-13, max_iter=50):
+    if own is None:  # a single path, a list of floats
+        def image(z):
+            return stage.advance(y, dw, dt, stage.fields(z))
 
-    y_new = image(y)
-    if type(y) is list:
+        y_new = image(y)
         for _ in range(max_iter):
             y_next = image([0.5 * (u + v) for u, v in zip(y, y_new)])
             # max may skip a NaN of y_next, but that entry fails its own test.
@@ -379,13 +385,21 @@ def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
                 return y_next
             y_new = y_next
     else:
+        # A batch sweeps in place on three of the run's buffers ``own`` that
+        # are not ``y``, with the operations of an out-of-place sweep: z holds
+        # the midpoint and then the sweep's differences, and each image goes
+        # into the buffer that the last sweep's value has left.
+        y_new, z, spare = [b for b in own if b is not y][:3]
+        y_new = stage.batch_image(y, dw, dt, y, y_new)
         done = np.zeros(y.shape[1:], dtype=bool)
         for _ in range(max_iter):
-            y_next = image(0.5 * (y + y_new))
-            err = _sup(y_next - y_new)
+            np.multiply(0.5, np.add(y, y_new, out=z), out=z)
+            y_next = stage.batch_image(y, dw, dt, z, spare)
+            err = np.abs(np.subtract(y_next, y_new, out=z), out=z).max(axis=0)
             # A path that has met its own test keeps that sweep's value.
-            y_new = np.where(done, y_new, y_next)
-            done |= err <= tol * np.maximum(1.0, _sup(y_new))
+            np.copyto(y_next, y_new, where=done)
+            spare, y_new = y_new, y_next
+            done |= err <= tol * np.maximum(1.0, np.abs(y_new, out=z).max(axis=0))
             if done.all():
                 return y_new
     raise MidpointDivergence(
@@ -393,9 +407,8 @@ def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
     )
 
 
-# Heun steps a batch through ``fields`` and ``advance``; ``_run`` steps a
-# single path by its stage's kernel instead.
-_STEPPERS = {"heun": _composed_heun, "midpoint": _midpoint_step}
+# A single path's Heun step is its stage's ``heun_step``, bound by ``_run``.
+_STEPPERS = {"heun": _heun_step, "midpoint": _midpoint_step}
 
 
 def _stepper(scheme: str):
@@ -414,7 +427,10 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     A single path is carried as a list of floats, and its increments are
     read once, one list per step; under Heun it is stepped by its stage's
     ``heun_step``.  A batch gathers each step's increments once into
-    contiguous memory."""
+    contiguous memory and is stepped by its stage's generated batch forms,
+    ``batch_heun`` or ``batch_image``, into (m, B) buffers that this call
+    allocates, so no two runs, and no two threads, share one; the final
+    value is one of them."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[1]
     if keep:
@@ -422,8 +438,10 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     single = y.ndim == 1
     if single:
         y, dws = y.tolist(), increments.T.tolist()
-    advance = (stage.heun_step if single and stepper is _composed_heun
-               else functools.partial(stepper, stage))
+        advance = (stage.heun_step if stepper is _heun_step
+                   else functools.partial(stepper, stage))
+    else:
+        advance = functools.partial(stepper, stage, own=[np.empty(y.shape) for _ in range(4)])
     with np.errstate(all="ignore"):
         for j in range(n_steps + 1):
             # A sum of finite floats is non-finite only when it overflows:

@@ -47,13 +47,18 @@ diffusion is applied over its structural nonzeros only (the roots that are
 not a constant 0.0 or -0.0), summed left to right in ascending channel
 order, ``((g_r,k1 dw_k1 + g_r,k2 dw_k2) + ...)``, so the bits depend on no
 matrix product's summation order.  Each stage generates that update once as
-straight-line code, like a tape.  A single path runs on a list of Python
-floats and a batch on numpy rows: the same update text, but the tape's
-``math`` and numpy functions may round ``exp``, ``log`` and ``^`` apart in
-the last bit, so a path alone can differ from the same path in a batch.
-The augmented roots per Hamiltonian are X_H, each entry of DX_H J summed
-left to right in ascending c over the c where DX_H[a,c] is not a constant
-zero, and -R(H), as expressions over x, J and log_lambda.
+straight-line code, like a tape, for a single path (a list of Python
+floats) and for numpy rows.  A batch steps through two more generated
+forms, built on its first batch call: Heun's step and the midpoint image,
+each one grouped text in which the tape's operations, an inline margin
+test and the update are scheduled together and write into arrays the
+caller owns.  Every form performs the operations of the per-row update in
+the same order, but the tape's ``math`` and numpy functions may round
+``exp``, ``log`` and ``^`` apart in the last bit, so a path alone can
+differ from the same path in a batch.  The augmented roots per Hamiltonian
+are X_H, each entry of DX_H J summed left to right in ascending c over the
+c where DX_H[a,c] is not a constant zero, and -R(H), as expressions over x,
+J and log_lambda.
 
 Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
 its caller passes: numbers for the numeric brackets, expressions for
@@ -115,10 +120,16 @@ def _eval(tape, x: np.ndarray) -> np.ndarray:
 
 def _composed_heun(stage, y, w, dt):
     """Heun's step composed of ``stage.fields`` and ``stage.advance``: a
-    batch's step, and a single path's off its stage's generated kernel."""
+    step off its stage's generated forms."""
     k0 = stage.fields(y)
     k1 = stage.fields(stage.advance(y, w, dt, k0))
     return stage.advance(y, w, dt, k0, k1)
+
+
+def _composed_image(stage, y, w, dt, z):
+    """The midpoint image ``y + a(z) dt + g(z) dw`` composed of
+    ``stage.fields`` and ``stage.advance``: a batch's off ``batch_image``."""
+    return stage.advance(y, w, dt, stage.fields(z))
 
 
 class _Stage:
@@ -150,9 +161,28 @@ class _Stage:
     same order, so its bits are theirs.  Its inline margin test is
     generated from ``MARGIN``: a margin below it at either evaluation, or a
     ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``, sends the
-    step to ``_composed_heun``, which raises exactly their errors.  No other
-    module of the package reads ``rows``: ``flow`` drives a stage through
-    ``fields``, ``advance`` and ``heun_step`` only."""
+    step to ``_composed_heun``, which raises exactly their errors.
+
+    A batch, (m, B) rows, has two generated forms of its own, built on the
+    first batch call (``_generate_batch``): ``batch_heun(y, w, dt, p,
+    out)``, Heun's step, and ``batch_image(y, w, dt, z, out)``, the
+    midpoint image ``advance(y, w, dt, fields(z))``.  Each is one grouped
+    text (``expr._schedule``, the scheduler of a tape's array mode): the
+    tape's operations at ``y`` (or ``z``), a margin test generated from
+    ``MARGIN``, then the update; Heun's form writes its predictor into
+    ``p``, evaluates the tape there, tests the margins again and writes
+    its trapezoid into ``out``.  Like operations of several rows run as one
+    numpy call on basic slices of the buffers the tape's values live in,
+    and each row's last operation writes (``out=``) into the caller's
+    array, so nothing is restacked.  Per element the operations and their
+    order are those of ``fields`` and ``advance``, so the bits are theirs.
+    The text runs with numpy's floating-point flags raising; a flag, or a
+    margin below ``MARGIN``, sends the whole step to ``_composed_heun`` or
+    ``_composed_image``, which raise exactly their errors, and the result
+    goes into ``out`` either way.  The arrays belong to the caller, so a
+    shared stage stays thread-safe.  No other module of the package reads
+    ``rows``: ``flow`` drives a stage through ``fields``, ``advance``,
+    ``heun_step``, ``batch_heun`` and ``batch_image`` only."""
 
     def __init__(self, chart, drift, diffusion, d: int, layout):
         self.chart = chart
@@ -233,9 +263,117 @@ class _Stage:
         self.heun_step = make(*expr._SCALAR_FUNCTIONS, functools.partial(_composed_heun, self),
                               MARGIN, *consts)
 
+    def _generate_batch(self) -> None:
+        """Compile the two batch forms, ``batch_heun`` and ``batch_image``,
+        through ``expr``'s cached text compiler and bind them on the
+        instance, over the class methods that call here first."""
+        ops, refs, targets = [], {}, {}
+        walk, m = self.tape._walk, len(self.rows)
+
+        def emit(key, target=None):
+            # An operation on like operands is done once, except one that
+            # writes a row of the caller's arrays.
+            if target is None and key in refs:
+                return refs[key]
+            ref = ("t", len(ops))
+            if target is None:
+                refs[key] = ref
+            else:
+                targets[len(ops)] = target
+            ops.append(key)
+            return ref
+
+        def evaluate(read):
+            """The tape's operations at the state whose slot i ``read(i)``
+            references: ``(phase, values)``."""
+            start, mapped = len(ops), []
+
+            def ref(kind, i):
+                return read(i) if kind == "y" else mapped[i] if kind == "t" else (kind, i)
+            for op, *args in walk[0]:
+                mapped.append(emit((op, *(ref(*a) for a in args))))
+            return range(start, len(ops)), [ref(*r) for r in walk[1]]
+
+        def update(k, dt, half, target):
+            """The operations of ``_updates``' rows, row r written into
+            ``(target, r)``: ``(phase, the operations that write the rows)``."""
+            start, written = len(ops), []
+            for r, (a, row) in enumerate(self.rows):
+                terms = [emit(("*", dt, k(a)))] if a is not None else []
+                if row:
+                    noise = functools.reduce(lambda s, p: emit(("+", s, p)),
+                                             (emit(("*", k(i), ("w", c))) for c, i in row))
+                    terms.append(emit(("*", ("s", "0.5"), noise)) if half else noise)
+                value = ("y", r)
+                for j, term in enumerate(terms):
+                    value = emit(("+", value, term), (target, r) if j == len(terms) - 1 else None)
+                written.append(emit(("copy", value), (target, r)) if not terms else value)
+            return range(start, len(ops)), written
+
+        def margins(values):
+            return values[self._margins:]
+
+        def check(blocks):
+            # A margin below the bound leaves the hot text as a flag does.
+            tests = " and ".join(f"absolute({b}).min(initial=margin) >= margin" for b in blocks)
+            return f"if not ({tests}):\n    raise FloatingPointError"
+
+        sizes = {"y": m, "z": m, "p": m, "out": m, "w": self.d}
+        names = {**expr._ARRAY_NAMES, "copy": "positive"}
+
+        def body(signature, phases, inputs, cold, head=""):
+            lines, _ = expr._schedule(ops, phases, inputs, sizes, targets, check=check, names=names)
+            return (f"    def {signature}:\n{head}        try:\n"
+                    "            with errstate(divide='raise', invalid='raise', over='raise'):\n"
+                    + "".join(f"                {t}\n" for line in lines for t in line.split("\n"))
+                    + "                return out\n        except ArithmeticError:\n"
+                    f"            pass\n        copyto(out, {cold})\n        return out\n")
+
+        # Heun: the tape at y, the predictor into p, the tape at p, the trapezoid into out.
+        first, k0 = evaluate(lambda i: ("y", i))
+        predict, p = update(k0.__getitem__, ("s", "dt"), False, "p")
+        second, k1 = evaluate(p.__getitem__)
+        trapezoid, _ = update(lambda i: emit(("+", k0[i], k1[i])), ("s", "h_dt"), True, "out")
+        heun = body("heun(y, w, dt, p, out)",
+                    [(first, margins(k0)), (predict, ()), (second, margins(k1)), (trapezoid, ())],
+                    {"y": "y", "w": "w"}, "cold_heun(y, w, dt)", "        h_dt = 0.5 * dt\n")
+        # The midpoint image: the tape at z, the Euler update from y into out.
+        # Its text computes no value of Heun's, so it shares none of its operations.
+        refs.clear()
+        at_z, k = evaluate(lambda i: ("z", i))
+        euler, _ = update(k.__getitem__, ("s", "dt"), False, "out")
+        image = body("image(y, w, dt, z, out)", [(at_z, margins(k)), (euler, ())],
+                     {"z": "z", "y": "y", "w": "w"}, "cold_image(y, w, dt, z)")
+        consts = walk[2]
+        make = expr._factory(
+            f"def make({', '.join(expr._ARRAY_NAMES.values())}, positive, absolute, errstate, "
+            f"copyto, cold_heun, cold_image, margin{expr._params(consts)}):\n"
+            + heun + image
+            + "    return heun, image\n")
+        self.batch_heun, self.batch_image = make(
+            *expr._ARRAY_FUNCTIONS, np.positive, np.absolute, np.errstate, np.copyto,
+            functools.partial(_composed_heun, self), functools.partial(_composed_image, self),
+            MARGIN, *map(np.float64, consts))
+
+    def batch_heun(self, y, w, dt, p, out):
+        """Heun's step of a batch ``y`` (m, B) with increments ``w`` (d, B):
+        the predictor written into ``p`` and the step into ``out``, (m, B)
+        arrays of the caller that alias neither ``y`` nor each other;
+        returns ``out``.  Generated on the first call (``_generate_batch``)."""
+        self._generate_batch()
+        return self.batch_heun(y, w, dt, p, out)
+
+    def batch_image(self, y, w, dt, z, out):
+        """The midpoint image ``advance(y, w, dt, fields(z))`` of a batch,
+        written into the caller's (m, B) array ``out``, which aliases neither
+        ``y`` nor ``z``; returns ``out``."""
+        self._generate_batch()
+        return self.batch_image(y, w, dt, z, out)
+
     # A generated function does not pickle: an unpickled stage generates its own.
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k not in ("_euler", "_heun", "heun_step")}
+        return {k: v for k, v in vars(self).items()
+                if k not in ("_euler", "_heun", "heun_step", "batch_heun", "batch_image")}
 
     def __setstate__(self, state):
         vars(self).update(state)

@@ -166,6 +166,19 @@ def test_check_integrability_pass_fail(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_integrability_dependent_family_fails(tmp_path, capsys):
+    # 1, p1, 2*p1 on dissipative-2d: every bracket vanishes, so the
+    # independence test alone fails the family.  The fields' matrix has rank
+    # 2 at every state, and its smallest singular value is exactly 0.0.
+    cfg = write_config(tmp_path, system="dissipative-2d", seed=1)
+    code, out, _ = run_cli(capsys, "check-integrability", "--config", cfg,
+                           "--integral", "1", "--integral", "p1", "--integral", "2*p1")
+    report = json.loads(out)
+    assert code == 1
+    assert report["passed"] is False and report["min_singular_value"] == 0.0
+    assert report["max_pairwise_bracket"] == report["max_reeb_bracket"] == 0.0
+
+
 def test_bracket_command(tmp_path, capsys):
     cfg = write_config(tmp_path, system="dissipative-2d", T=1.0, dt=1e-3)
     code, out, _ = run_cli(capsys, "bracket", "--config", cfg, "-f", "q1", "-g", "p1")

@@ -299,8 +299,9 @@ def test_conformal_factor_overflow_is_a_numerical_failure():
 # ---------------------------------------------------------------------------
 
 class _ZeroStage:
-    """A stage with zero fields, stepped by its Heun kernel, that counts its
-    steps; after step ``k`` it writes ``value`` into the last entry."""
+    """A stage with zero fields, stepped by its Heun kernel or its batch
+    form, that counts its steps; after step ``k`` it writes ``value`` into
+    the last entry."""
 
     def __init__(self, k=None, value=None):
         self.k, self.value, self.steps = k, value, 0
@@ -308,6 +309,16 @@ class _ZeroStage:
     def heun_step(self, y, w, dt):
         self.steps += 1
         return [*y[:-1], self.value] if self.steps == self.k else list(y)
+
+    def batch_heun(self, y, w, dt, p, out):
+        # The run hands over two buffers of its own, neither of them y.
+        assert p.shape == out.shape == y.shape
+        assert not (np.shares_memory(p, y) or np.shares_memory(out, y) or np.shares_memory(p, out))
+        self.steps += 1
+        out[...] = y
+        if self.steps == self.k:
+            out[-1] = self.value
+        return out
 
 
 def _screened_run(stage, y0, n_steps=5):
@@ -331,6 +342,19 @@ def test_single_path_screen_stops_at_the_first_non_finite_state(base, value, k):
     y0 = [*base[:-1], value] if k == 0 else base
     with pytest.raises(NumericalFailure) as err:
         _screened_run(stage, y0)
+    assert (err.value.operation, str(err.value)) == ("screen", "non-finite values")
+    assert stage.steps == k
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [0, 3])
+def test_batch_screen_stops_at_the_first_non_finite_state(value, k):
+    # A batch of two paths, the second finite throughout: the run stops at
+    # the first non-finite state of any path and never steps it.
+    stage = _ZeroStage(k, value)
+    y0 = np.array([[0.1, 0.2], [1e308, 0.3], [value if k == 0 else 0.5, 0.4]])
+    with pytest.raises(NumericalFailure) as err:
+        flow._run(stage, y0, np.zeros((0, 5, 2)), 0.1, "heun", "screen", False)
     assert (err.value.operation, str(err.value)) == ("screen", "non-finite values")
     assert stage.steps == k
 
@@ -521,28 +545,34 @@ def _cancelling_stage():
 
 def _advance_both_forms(stage):
     """``advance`` at u = 0, dw = 1: (Euler, Heun) for a single path and for
-    a batch of one."""
+    a batch of one, and Euler's form by the batch's generated image."""
     out = []
     for y, dw in (([0.0], [1.0, 1.0, 1.0]), (np.zeros((1, 1)), np.ones((3, 1)))):
         k = stage.fields(y)
         out.append((stage.advance(y, dw, 0.1, k), stage.advance(y, dw, 0.1, k, k)))
-    return out
+    y, dw = np.zeros((1, 1)), np.ones((3, 1))
+    return out, stage.batch_image(y, dw, 0.1, y, np.empty((1, 1)))
 
 
 def test_stage_sums_cancelling_noise_left_to_right():
     # (1 + 1e16) + -1e16 rounds to 0.0; any other order gives 1.0.
-    for single, batch in zip(*_advance_both_forms(_cancelling_stage())):
+    forms, image = _advance_both_forms(_cancelling_stage())
+    for single, batch in zip(*forms):
         assert np.array(single).tobytes() == batch.tobytes() == np.zeros(1).tobytes()
+    assert image.tobytes() == np.zeros(1).tobytes()
 
 
 def test_stage_sums_cancelling_noise_negative_control():
     # The same row summed right to left: (-1e16 + 1e16) + 1 reads 1.0 in both
-    # forms and both representations, missing the left-to-right 0.0 by 1.0.
+    # forms and both representations, and in the batch's generated image,
+    # missing the left-to-right 0.0 by 1.0.
     control = _cancelling_stage()
     control.rows = tuple((a, row[::-1]) for a, row in control.rows)
     control._generate()
-    for single, batch in zip(*_advance_both_forms(control)):
+    forms, image = _advance_both_forms(control)
+    for single, batch in zip(*forms):
         assert single == [1.0] and batch.tolist() == [[1.0]]
+    assert image.tolist() == [[1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +885,244 @@ def test_heun_kernel_cold_path_raises_the_composed_steps_error(case):
         ours = _outcome(stage.heun_step, y, w, 1e-3)
         assert ours is not None and ours[0] is expected
         assert ours == _outcome(geo._composed_heun, stage, y, w, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the generated batch forms: Heun's step and the midpoint image
+# ---------------------------------------------------------------------------
+
+def _batch_inputs(system, stage, width, seed):
+    """(y, w, z): (m, width) states on the chart, extended with normal J and
+    log_lambda rows, increments of step 1e-3, and a second such batch."""
+    rng = np.random.default_rng(seed)
+
+    def states():
+        x = system.chart.sample_states(width, rng).T
+        rest = rng.normal(size=(len(stage.rows) - len(x), width))
+        return np.ascontiguousarray(np.vstack([x, rest]))
+    y, z = states(), states()
+    return y, np.ascontiguousarray(rng.normal(0.0, math.sqrt(1e-3), (system.d, width))), z
+
+
+def _batch_forms(stage, y, w, z):
+    """Heun's step and the midpoint image of the generated batch forms, each
+    checked to write into and return its ``out`` and to leave its inputs
+    alone."""
+    inputs = [a.copy() for a in (y, w, z)]
+    p, out, image_out = (np.empty_like(y) for _ in range(3))
+    heun = stage.batch_heun(y, w, 1e-3, p, out)
+    image = stage.batch_image(y, w, 1e-3, z, image_out)
+    assert heun is out and image is image_out
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((y, w, z), inputs))
+    return heun, image
+
+
+@pytest.mark.parametrize("width", [1, 7, 1024, 1031])
+@pytest.mark.parametrize("stage_name", ["_state_stage", "_augmented_stage", "_conformal_stage"])
+@pytest.mark.parametrize("system_index", range(3), ids=["dissipative", "se", "inline"])
+def test_batch_forms_match_fields_and_advance(system_index, stage_name, width, monkeypatch):
+    # Per element the generated forms perform the operations of fields and
+    # advance in the same order: the same bits, signs of zero included.
+    system = _kernel_systems()[system_index]
+    stage = getattr(system, stage_name)
+    y, w, z = _batch_inputs(system, stage, width, 23 + system_index)
+    with np.errstate(all="ignore"):
+        theirs = (geo._composed_heun(stage, y, w, 1e-3), stage.advance(y, w, 1e-3, stage.fields(z)))
+
+    def no_tape(tape, values):
+        raise AssertionError("a batch form fell back to fields and advance")
+
+    # On the chart and on the fields' domain no step leaves the hot text.
+    monkeypatch.setattr(expr.EvalTape, "__call__", no_tape)
+    ours = _batch_forms(stage, y, w, z)
+    assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+
+
+@pytest.mark.parametrize("control", ["rows", "order"])
+def test_batch_forms_control_with_the_update_order_changed_misses(control):
+    # Negative control, on SE's state stage at 1024 states.  The theta rows'
+    # updates swapped ("rows") miss fields and advance by up to 261 (Heun)
+    # and 2.3 (image), on all 1024 paths.  Every row's noise terms summed
+    # right to left ("order"; only the psi row has more than one) miss by
+    # 1.8e-15 in 34 (Heun) and 23 (image) of the 1024 paths.
+    system = catalog.sasaki_einstein_system()
+    stage = system._state_stage
+    rows = list(stage.rows)
+    if control == "rows":
+        rows[0], rows[1] = rows[1], rows[0]
+    else:
+        rows = [(a, noise[::-1]) for a, noise in rows]
+    changed = object.__new__(geo._Stage)  # a copy whose forms are generated from rows
+    vars(changed).update(stage.__getstate__(), rows=tuple(rows))
+    y, w, z = _batch_inputs(system, stage, 1024, 29)
+    with np.errstate(all="ignore"):
+        theirs = (geo._composed_heun(stage, y, w, 1e-3), stage.advance(y, w, 1e-3, stage.fields(z)))
+    ours = _batch_forms(changed, y, w, z)
+    misses = [float(np.abs(a - b).max()) for a, b in zip(ours, theirs)]
+    differing = [int((a != b).any(axis=0).sum()) for a, b in zip(ours, theirs)]
+    print(f"batch form control {control}: max miss {misses}, differing paths {differing}")
+    assert all(m > 0.0 for m in misses) and all(n > 0 for n in differing)
+
+
+def _reference_midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
+    """A batch's midpoint step as it ran before its sweep moved onto the
+    run's buffers: out of place, each image composed of fields and advance,
+    with its own tolerance and sweep limit."""
+    def image(z):
+        return stage.advance(y, dw, dt, stage.fields(z))
+
+    y_new = image(y)
+    done = np.zeros(y.shape[1:], dtype=bool)
+    for _ in range(max_iter):
+        y_next = image(0.5 * (y + y_new))
+        err = np.abs(y_next - y_new).max(axis=0)
+        y_new = np.where(done, y_new, y_next)
+        done |= err <= tol * np.maximum(1.0, np.abs(y_new).max(axis=0))
+        if done.all():
+            return y_new
+    raise MidpointDivergence("reference midpoint did not converge")
+
+
+@pytest.mark.parametrize("system_id, T, dt", [("sasaki-einstein-t11", 0.005, 1e-5),
+                                               ("dissipative-2d", 0.1, 1e-3)])
+def test_batch_midpoint_matches_the_out_of_place_sweep(system_id, T, dt):
+    # Streams 0-63 of master seed 1 from the default state, in one batch of
+    # 64 and in batches of 7: every path's final state has the bits of the
+    # reference sweep, which tests each path against 1e-13 within 50 sweeps.
+    # A sweep tolerance of 1e-6 for 1e-13 in flow._midpoint_step changes 64
+    # of the 64 SE paths and 64 of the 64 dissipative-2d paths.
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    n_steps = round(T / dt)
+    increments = np.stack([flow.sample_brownian(system.d, n_steps, dt, 1, stream_index=s).increments
+                           for s in range(64)])
+    states = np.tile(entry.default_initial_state, (64, 1))
+    y = np.ascontiguousarray(states.T)
+    with np.errstate(all="ignore"):
+        for j in range(n_steps):
+            y = _reference_midpoint_step(system._state_stage, y,
+                                         np.ascontiguousarray(increments[:, :, j].T), dt)
+    expected = y.T
+    whole = flow.integrate_batch_final(system, states, increments, dt, "midpoint")
+    sevens = np.concatenate([
+        flow.integrate_batch_final(system, states[i:i + 7], increments[i:i + 7], dt, "midpoint")
+        for i in range(0, 64, 7)])
+    differing = [int((a != expected).any(axis=1).sum()) for a in (whole, sevens)]
+    assert differing == [0, 0], differing
+
+
+_DENSE_LOG = geo.HamiltonianSystem(geo.DarbouxChart(2), _INLINE_DARBOUX[0] + " + log(q1)",
+                                   _INLINE_DARBOUX[1])
+_LOG_MESSAGE = "log of non-positive value in Func(fn='log', arg=Var(name='q1'))"
+_DIVISION_MESSAGE = \
+    "division by zero in BinOp(op='/', left=Const(value=1.0), right=Var(name='q1'))"
+
+
+def _cold_cases():
+    """(system, states (B, dim), increments (B, d, n), dt, error per scheme)."""
+    se = catalog.sasaki_einstein_system()
+    x0 = catalog.get_entry("sasaki-einstein-t11").default_initial_state
+    se_states = np.tile(x0, (5, 1))
+    se_states[3, 0] = 1e-12
+    singular = (SingularChartPoint, None, "|sin(theta1)| below 1e-09 at state "
+                "(1e-12, 1.5707963267948966, 0.3, -0.4, 0.25)")
+    # Path 2 sits at q1 = 0, where X_H's 1/q1 divides by zero ahead of
+    # H's log(q1); path 4 at q1 = -0.5, where log(q1) faults first.
+    dense = np.tile([1.0, 0.5, 0.2, -0.3, 0.1], (6, 1))
+    dense[2, 0], dense[4, 0] = 0.0, -0.5
+    # H = q1*p1 moves q1 by q1 dt: path 1's predictor overflows, so its
+    # second evaluation reads inf - inf.
+    linear = geo.HamiltonianSystem(geo.DarbouxChart(1), "q1*p1", ["0.1*z"])
+    overflow = np.tile([1.0, 0.5, 0.2], (4, 1))
+    overflow[1, 0] = 1e308
+    se_increments = np.stack([flow.sample_brownian(5, 4, 1e-5, 1, s).increments for s in range(5)])
+    return {
+        "se_off_chart": (se, se_states, se_increments, 1e-5, dict.fromkeys(flow.SCHEMES, singular)),
+        "dense_division_first": (_DENSE_LOG, dense, np.zeros((6, 2, 4)), 1e-3, dict.fromkeys(
+            flow.SCHEMES, (DomainError, None, _DIVISION_MESSAGE))),
+        "dense_log_first": (_DENSE_LOG, dense[::-1], np.zeros((6, 2, 4)), 1e-3, dict.fromkeys(
+            flow.SCHEMES, (DomainError, None, _LOG_MESSAGE))),
+        "overflowing_update": (linear, overflow, np.zeros((4, 1, 3)), 1.0, {
+            "heun": (NumericalFailure, "integrate_batch_final", "non-finite values"),
+            "midpoint": (MidpointDivergence, None,
+                         "midpoint fixed point did not reach 1e-13 within 50 sweeps")}),
+    }
+
+
+def _error(call):
+    try:
+        call()
+    except ContactSDEError as err:
+        return type(err), getattr(err, "operation", None), str(err)
+    return None
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("case", ["se_off_chart", "dense_division_first", "dense_log_first",
+                                  "overflowing_update"])
+def test_batch_cold_path_raises_todays_errors(case, scheme):
+    # A margin below the bound, a flag or an overflow sends the whole step to
+    # fields and advance, which raise what a batch raised before the
+    # generated forms: the first faulting path's error, in today's words.
+    system, states, increments, dt, errors = _cold_cases()[case]
+    assert _error(lambda: flow.integrate_batch_final(system, states, increments, dt, scheme)) \
+        == errors[scheme]
+
+
+def test_batch_runs_own_their_buffers():
+    # Back-to-back runs on one stage return arrays that share no memory.
+    system = catalog.dissipative_system()
+    x0 = np.tile(catalog.get_entry("dissipative-2d").default_initial_state, (16, 1))
+    increments = np.stack([flow.sample_brownian(1, 5, 1e-3, 1, s).increments for s in range(16)])
+    for scheme in flow.SCHEMES:
+        a = flow.integrate_batch_final(system, x0, increments, 1e-3, scheme)
+        b = flow.integrate_batch_final(system, x0, increments, 1e-3, scheme)
+        assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+
+
+def test_batch_forms_on_a_shared_system_are_thread_safe():
+    # Eight threads step batches on one system, whose stages and batch forms
+    # are built on first use by whichever threads get there: each gets the
+    # bits of a serial run.
+    import concurrent.futures
+    import sys
+
+    entry = catalog.get_entry("sasaki-einstein-t11")
+    x0 = np.tile(entry.default_initial_state, (9, 1))
+    jobs = [(scheme, np.stack([flow.sample_brownian(5, 20, 1e-5, 2, 9 * i + s).increments
+                               for s in range(9)]))
+            for i, scheme in enumerate(flow.SCHEMES * 8)]
+
+    def run(system, job):
+        scheme, increments = job
+        return flow.integrate_batch_final(system, x0, increments, 1e-5, scheme).tobytes()
+
+    serial = [run(entry.system(), job) for job in jobs]
+    shared = entry.system()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(run, shared, job) for job in jobs]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_a_stage_with_batch_forms_pickles():
+    # The generated forms are dropped from the pickle and generated again on
+    # the unpickled stage's first batch call, with the same bits.
+    import pickle
+
+    system = catalog.sasaki_einstein_system()
+    stage = system._state_stage
+    y, w, z = _batch_inputs(system, stage, 7, 31)
+    ours = _batch_forms(stage, y, w, z)
+    assert "batch_heun" in vars(stage)
+    clone = pickle.loads(pickle.dumps(stage))
+    assert "batch_heun" not in vars(clone)
+    assert [a.tobytes() for a in _batch_forms(clone, y, w, z)] == [a.tobytes() for a in ours]
 
 
 @pytest.mark.parametrize("system_id", sorted(_BATCH_DT))

@@ -584,6 +584,17 @@ def test_integrability_darboux_z_fails(darboux1):
     assert report.max_reeb_bracket == pytest.approx(1.0, abs=1e-12)
 
 
+def test_integrability_dependent_family_fails(dissipative):
+    # Involutive and commuting with 1, but p1 and 2*p1 have parallel fields:
+    # only the independence test can fail this family, and it does, with a
+    # smallest singular value of exactly 0.0 against the bound 1e-6.
+    states = geo.sample_states(dissipative.chart, 100, seed=24)
+    report = geo.check_integrability(dissipative, ["1", "p1", "2*p1"], states)
+    assert report.max_pairwise_bracket == report.max_reeb_bracket == 0.0
+    assert report.min_singular_value == 0.0
+    assert not report.passed
+
+
 def test_integrability_wrong_count(darboux1):
     states = geo.sample_states(darboux1.chart, 5, seed=1)
     with pytest.raises(WrongIntegralCount):

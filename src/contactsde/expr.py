@@ -627,11 +627,13 @@ def _scalar(kind, i) -> str:
     return i if kind == "s" else f"{kind}{i}"
 
 
-def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), check=None,
-              names=_ARRAY_NAMES) -> tuple:
-    """``(lines, where)``: the grouped array-mode lines of ``ops``, a walk's
-    operations ``(op, *operands)``, and where each array operation's value
-    lives, ``(source, row)``.
+def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), names=_ARRAY_NAMES) -> tuple:
+    """``(program, where)``: the grouped array-mode program of ``ops``, a
+    walk's operations ``(op, *operands)``, and where each array operation's
+    value lives, ``(source, row)``.  ``program`` lists, in order, scalar
+    lines (text), group calls ``(name, function, operands, out, reused,
+    rows)`` and tests (a list of ``(block, rows)``); ``_call_lines`` and
+    ``_bound_lines`` format it.
 
     ``phases`` is a list ``(members, tested)``: the operations of each phase
     run, in order, after those of the phases before it.  Within a phase an
@@ -644,8 +646,8 @@ def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), check=None,
     rows of) or an earlier group.  Members are ordered by their operands'
     rows, and a group splits where those rows stop forming an arithmetic
     progression, so each operand is a basic slice, never a gather.  After a
-    phase, ``check`` formats the text of a test from the basic slices or
-    scalars that hold the values ``tested`` (no test when it is empty).
+    phase comes a test of the basic slices or scalars (``rows`` None) that
+    hold the values ``tested`` (no test when it is empty).
 
     ``targets`` maps an operation to the row ``(array, r)`` of a caller's
     array that it writes (``out=``); members of a group write rows that are
@@ -714,9 +716,10 @@ def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), check=None,
             for source, bucket in buckets.items():
                 for run in _runs(bucket):
                     start, = run[0][0]
-                    blocks.append(_slice(source, start, run[1][0][0] - start if len(run) > 1 else 0,
-                                         len(run), sizes.get(source)))
-            entries.append((check(blocks), list(buckets)))
+                    step = run[1][0][0] - start if len(run) > 1 else 0
+                    blocks.append((_slice(source, start, step, len(run), sizes.get(source)),
+                                   len(run) if step else 1))
+            entries.append((blocks, list(buckets)))
 
     # A group's buffer is free after the last line that reads it, unless a
     # value of ``kept`` lives in it.
@@ -726,21 +729,76 @@ def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), check=None,
     for s, c in last.items():
         if s in groups and s not in kept:
             dies.setdefault(c, []).append(s)
-    lines, free = [], {}
+    program, free = [], {}
     for c, (entry, _) in enumerate(entries):
-        if isinstance(entry, str):
-            lines.append(entry)
-        else:
+        if isinstance(entry, tuple):
             name, op, operands, out = entry
-            if out:
-                lines.append(f"{names[op]}({', '.join(operands)}, out={out})")
-            else:
-                spare = free.get(sizes[name])
-                out = f", out={spare.pop()}" if spare else ""
-                lines.append(f"{name} = {names[op]}({', '.join(operands)}{out})")
+            spare = None if out else free.get(sizes[name])
+            entry = (name, names[op], operands, out, spare.pop() if spare else None,
+                     sizes.get(name))
+        program.append(entry)
         for s in dies.get(c, ()):
             free.setdefault(sizes[s], []).append(s)
-    return lines, where
+    return program, where
+
+
+def _call_lines(program) -> list:
+    """The lines of a ``_schedule`` program without tests as array mode runs
+    it: each group call returns its array, written (``out=``) into the dead
+    buffer it reuses, if any, and a call with a target writes it."""
+    lines = []
+    for entry in program:
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        name, function, operands, out, reused, _ = entry
+        args = ", ".join(operands)
+        lines.append(f"{function}({args}, out={out})" if out else
+                     f"{name} = {function}({args}{f', out={reused}' if reused else ''})")
+    return lines
+
+
+def _bound_lines(program, check) -> tuple:
+    """``(shared, bind, step)``: a ``_schedule`` program as lines bound once
+    and a step that only calls.  ``shared``, run once per ``width``, gives
+    each group that reuses no dead buffer an array of its rows, names a
+    group that reuses one by that buffer, gives each tested array block an
+    array for its absolute values and makes every basic slice of a group a
+    view.  ``bind``, run once per set of the caller's arrays, makes their
+    slices views.  ``step`` runs the scalar lines, every call with its
+    output last and positional, and the tests, which ``check`` formats from
+    ``(block, array or None)`` pairs; it allocates no array."""
+    shared, bind, step, views, groups = [], [], [], {}, set()
+
+    def view(text):
+        source, bracket, _ = text.partition("[")
+        if not bracket:
+            return text
+        if text not in views:
+            views[text] = f"v{len(views)}"
+            (shared if source in groups else bind).append(f"{views[text]} = {text}")
+        return views[text]
+
+    for entry in program:
+        if isinstance(entry, str):
+            step.append(entry)
+        elif isinstance(entry, list):
+            blocks = []
+            for block, rows in entry:
+                absolute = None
+                if rows:
+                    absolute = f"a{len(shared)}"
+                    shared.append(f"{absolute} = empty(({rows}, width))")
+                blocks.append((view(block), absolute))
+            step.append(check(blocks))
+        else:
+            name, function, operands, out, reused, rows = entry
+            if not out:
+                out = name
+                groups.add(name)
+                shared.append(f"{name} = {reused or f'empty(({rows}, width))'}")
+            step.append(f"{function}({', '.join(map(view, (*operands, out)))})")
+    return shared, bind, step
 
 
 @functools.lru_cache(maxsize=256)
@@ -750,7 +808,8 @@ def _grouped_source(ops, results, many: bool, n_consts: int) -> str:
     (``_schedule``), read from the input ``rows``.  No group that holds a
     returned row is written over.  Every element goes through the
     operations of the per-root text in the same order."""
-    lines, where = _schedule(ops, [(range(len(ops)), ())], {"y": "rows"}, kept=results)
+    program, where = _schedule(ops, [(range(len(ops)), ())], {"y": "rows"}, kept=results)
+    lines = _call_lines(program)
     values = ["{}[{}]".format(*where[r]) if r in where else
               f"rows[{r[1]}]" if r[0] == "y" else f"{r[0]}{r[1]}" for r in results]
     value = "(" + "".join(f"{v}, " for v in values) + ")" if many else values[0]

@@ -48,18 +48,25 @@ structure and summation order.
 The hot paths run generated forms of the stage that perform exactly the
 operations of ``fields`` and ``advance`` in the same order, so the bits
 are theirs.  A single path's Heun step runs through ``heun_step``, both
-evaluations written out inline on Python floats.  A batch's Heun step runs
-through ``batch_heun`` and each midpoint sweep's image through
-``batch_image``: grouped numpy texts that write into ``(m, B)`` buffers of
-the run, which ``_run`` allocates per call, so a shared system stays
-thread-safe.  The midpoint sweep does its own arithmetic in place on those
-buffers too.  Off the hot path a form falls back to ``fields`` and
-``advance``: when a margin at an evaluation is below ``geometry.MARGIN``,
-or when an evaluation raises ``ZeroDivisionError``, ``ValueError`` or
-``OverflowError`` (a single path) or sets a floating-point flag (a batch).
-The fallback raises exactly their errors, ``SingularChartPoint`` ahead of
-``DomainError``.  A single path's midpoint step goes through ``fields``
-and ``advance``.
+evaluations written out inline on Python floats.  A batch run binds its
+stage's generated batch steps once (``heun_binder`` and ``image_binder``)
+to ``(m, B)`` buffers of the run, which ``_run`` allocates per call, so a
+shared system stays thread-safe: one Heun step per parity of its two state
+buffers, or one midpoint image per pair of buffers it reads and writes.
+Each is a closure of ``dt`` whose grouped numpy calls run on views and
+scratch arrays made when it was bound, with their outputs positional, and
+with numpy's floating-point flags raising, which ``_run`` sets once per
+batch run.  The increments of a step are copied into a buffer of the run,
+and the finiteness screen and the midpoint sweep's arithmetic and
+reductions write into arrays of the run, so no step allocates one.  The
+sweep's arithmetic runs with the flags ignored, as every single path and
+every fallback does.  Off the hot path a form falls back to ``fields``
+and ``advance``: when a margin at an evaluation is below
+``geometry.MARGIN``, or when an evaluation raises ``ZeroDivisionError``,
+``ValueError`` or ``OverflowError`` (a single path) or sets a
+floating-point flag (a batch).  The fallback raises exactly their errors,
+``SingularChartPoint`` ahead of ``DomainError``.  A single path's midpoint
+step goes through ``fields`` and ``advance``.
 
 ``_run`` carries a single path as a list of floats from ``x0`` to the
 history write: it reads the increments once, one list per step, so the
@@ -364,51 +371,87 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # One-step maps and the stepping loop (a single path (m,) or a batch (m, B))
 # ---------------------------------------------------------------------------
 
-def _heun_step(stage, y, dw, dt, own):
-    """Heun's step of a batch, by its stage's generated ``batch_heun``: the
-    predictor goes into the run's buffer ``own[0]``, the step into whichever
-    of ``own[1]`` and ``own[2]`` is not ``y``."""
-    return stage.batch_heun(y, dw, dt, own[0], own[2] if y is own[1] else own[1])
+def _diverged(tol, max_iter) -> MidpointDivergence:
+    return MidpointDivergence(
+        f"midpoint fixed point did not reach {tol:g} within {max_iter} sweeps")
 
 
-def _midpoint_step(stage, y, dw, dt, own=None, tol=1e-13, max_iter=50):
-    if own is None:  # a single path, a list of floats
-        def image(z):
-            return stage.advance(y, dw, dt, stage.fields(z))
-
-        y_new = image(y)
-        for _ in range(max_iter):
-            y_next = image([0.5 * (u + v) for u, v in zip(y, y_new)])
-            # max may skip a NaN of y_next, but that entry fails its own test.
-            bound = tol * max(1.0, *map(abs, y_next))
-            if all(abs(u - v) <= bound for u, v in zip(y_next, y_new)):
-                return y_next
-            y_new = y_next
-    else:
-        # A batch sweeps in place on three of the run's buffers ``own`` that
-        # are not ``y``, with the operations of an out-of-place sweep: z holds
-        # the midpoint and then the sweep's differences, and each image goes
-        # into the buffer that the last sweep's value has left.
-        y_new, z, spare = [b for b in own if b is not y][:3]
-        y_new = stage.batch_image(y, dw, dt, y, y_new)
-        done = np.zeros(y.shape[1:], dtype=bool)
-        for _ in range(max_iter):
-            np.multiply(0.5, np.add(y, y_new, out=z), out=z)
-            y_next = stage.batch_image(y, dw, dt, z, spare)
-            err = np.abs(np.subtract(y_next, y_new, out=z), out=z).max(axis=0)
-            # A path that has met its own test keeps that sweep's value.
-            np.copyto(y_next, y_new, where=done)
-            spare, y_new = y_new, y_next
-            done |= err <= tol * np.maximum(1.0, np.abs(y_new, out=z).max(axis=0))
-            if done.all():
-                return y_new
-    raise MidpointDivergence(
-        f"midpoint fixed point did not reach {tol:g} within {max_iter} sweeps"
-    )
+def _heun_step(stage, y, dw, dt):
+    """A single path's Heun step: its stage's generated ``heun_step``, which
+    ``_run`` binds itself."""
+    return stage.heun_step(y, dw, dt)
 
 
-# A single path's Heun step is its stage's ``heun_step``, bound by ``_run``.
+def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
+    """A single path's midpoint step, a list of floats."""
+    def image(z):
+        return stage.advance(y, dw, dt, stage.fields(z))
+
+    y_new = image(y)
+    for _ in range(max_iter):
+        y_next = image([0.5 * (u + v) for u, v in zip(y, y_new)])
+        # max may skip a NaN of y_next, but that entry fails its own test.
+        bound = tol * max(1.0, *map(abs, y_next))
+        if all(abs(u - v) <= bound for u, v in zip(y_next, y_new)):
+            return y_next
+        y_new = y_next
+    raise _diverged(tol, max_iter)
+
+
+def _heun_steps(stage, y, w):
+    """A batch run's Heun steps, bound once to its buffers: the state ``y``
+    (m, B) and a second state buffer take turns as a step's state and its
+    result, so step j runs the ``j % 2``-th of the two; both read the
+    increments ``w`` (d, B) and share one predictor buffer."""
+    bind = stage.heun_binder(y.shape[1])
+    p, other = np.empty_like(y), np.empty_like(y)
+    return bind(y, w, p, other), bind(other, w, p, y)
+
+
+def _midpoint_steps(stage, y, w, tol=1e-13, max_iter=50):
+    """A batch run's midpoint steps, bound as ``_heun_steps``' are.  Each
+    sweeps in place on the run's buffers with the operations of an
+    out-of-place sweep, tested per path: ``z`` holds the midpoint and then
+    the sweep's differences, each image goes into ``spare``, and a path that
+    has not met its test yet takes it into the step's result.  Reductions
+    and masks go into arrays of the run, so a sweep allocates none."""
+    bind = stage.image_binder(y.shape[1])
+    other, z, spare = (np.empty_like(y) for _ in range(3))
+    err, bound = np.empty(y.shape[1]), np.empty(y.shape[1])
+    done, todo, met = (np.empty(y.shape[1], dtype=bool) for _ in range(3))
+
+    def steps(y, y_new):
+        first, sweep = bind(y, w, y, y_new), bind(y, w, z, spare)
+
+        def step(dt):
+            # The images run under the run's raising flags, the sweep's own
+            # arithmetic with them ignored, in one block per sweep.
+            first(dt)
+            done.fill(False)
+            with np.errstate(all="ignore"):
+                np.multiply(0.5, np.add(y, y_new, out=z), out=z)
+            for _ in range(max_iter):
+                sweep(dt)
+                with np.errstate(all="ignore"):
+                    np.maximum.reduce(np.absolute(np.subtract(spare, y_new, out=z), out=z),
+                                      axis=0, out=err)
+                    # A path that has met its own test keeps that sweep's value.
+                    np.copyto(y_new, spare, where=np.logical_not(done, out=todo))
+                    np.maximum.reduce(np.absolute(y_new, out=z), axis=0, out=bound)
+                    np.multiply(tol, np.maximum(1.0, bound, out=bound), out=bound)
+                    np.logical_or(done, np.less_equal(err, bound, out=met), out=done)
+                    if done.all():
+                        return y_new
+                    np.multiply(0.5, np.add(y, y_new, out=z), out=z)
+            raise _diverged(tol, max_iter)
+        return step
+    return steps(y, other), steps(other, y)
+
+
+# A single path's step per scheme, ``(stage, y, dw, dt)``, and a batch run's
+# steps bound to its buffers, ``(stage, y, w)``.
 _STEPPERS = {"heun": _heun_step, "midpoint": _midpoint_step}
+_BATCH_STEPPERS = {"heun": _heun_steps, "midpoint": _midpoint_steps}
 
 
 def _stepper(scheme: str):
@@ -426,11 +469,12 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     one included, so no stage ever evaluates the fields of a blown-up state.
     A single path is carried as a list of floats, and its increments are
     read once, one list per step; under Heun it is stepped by its stage's
-    ``heun_step``.  A batch gathers each step's increments once into
-    contiguous memory and is stepped by its stage's generated batch forms,
-    ``batch_heun`` or ``batch_image``, into (m, B) buffers that this call
-    allocates, so no two runs, and no two threads, share one; the final
-    value is one of them."""
+    ``heun_step``.  A batch is copied into a state buffer of this call and
+    stepped by its stage's generated batch steps, bound once to buffers
+    that this call allocates (``_BATCH_STEPPERS``), so no two runs, and no
+    two threads, share one.  Each step's increments are copied into one of
+    them and the finiteness screen writes into another, so no step
+    allocates an array; the final value is one of the state buffers."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[1]
     if keep:
@@ -441,18 +485,28 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
         advance = (stage.heun_step if stepper is _heun_step
                    else functools.partial(stepper, stage))
     else:
-        advance = functools.partial(stepper, stage, own=[np.empty(y.shape) for _ in range(4)])
-    with np.errstate(all="ignore"):
+        y, w, finite = y.copy(), np.empty(increments.shape[::2]), np.empty(y.shape, dtype=bool)
+        steps = _BATCH_STEPPERS[scheme](stage, y, w)
+    # A batch's bound steps run with numpy's floating-point flags raising,
+    # set once per run; their fallback and the midpoint sweep's arithmetic
+    # ignore them.
+    with (np.errstate(all="ignore") if single
+          else np.errstate(divide="raise", invalid="raise", over="raise")):
         for j in range(n_steps + 1):
             # A sum of finite floats is non-finite only when it overflows:
             # then the entries are screened one by one.
             if not ((math.isfinite(sum(y)) or all(map(math.isfinite, y))) if single
-                    else np.isfinite(y).all()):
+                    else np.isfinite(y, out=finite).all()):
                 raise NumericalFailure(operation, "non-finite values")
             if keep:
                 history[j] = y
-            if j < n_steps:
-                y = advance(y, dws[j] if single else np.ascontiguousarray(increments[:, j]), dt)
+            if j == n_steps:
+                break
+            if single:
+                y = advance(y, dws[j], dt)
+            else:
+                np.copyto(w, increments[:, j])
+                y = steps[j & 1](dt)
     return history if keep else np.asarray(y)
 
 
@@ -491,7 +545,7 @@ def step(sys: HamiltonianSystem, x, dw, dt: float, scheme: str = "heun") -> np.n
     if dw.ndim not in (1, 2):
         raise InvalidStep(f"increments must be (d,) or (B, d), got shape {dw.shape}")
     x = _initial_state(sys, x, dw.shape[-1], dt, dw.shape[:-1])
-    return _run(sys._state_stage, np.ascontiguousarray(x.T), dw.T[:, None],
+    return _run(sys._state_stage, x.T, dw.T[:, None],
                 float(dt), scheme, "step", False).T
 
 
@@ -612,5 +666,5 @@ def integrate_batch_final(
     if increments.ndim != 3:
         raise InvalidStep(f"increments must be (B, d, n_steps), got shape {increments.shape}")
     states = _initial_state(sys, initial_states, increments.shape[1], dt, increments.shape[:1])
-    return _run(sys._state_stage, np.ascontiguousarray(states.T),
+    return _run(sys._state_stage, states.T,
                 np.moveaxis(increments, 0, -1), dt, scheme, "integrate_batch_final", False).T

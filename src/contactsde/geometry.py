@@ -51,14 +51,14 @@ straight-line code, like a tape, for a single path (a list of Python
 floats) and for numpy rows.  A batch steps through two more generated
 forms, built on its first batch call: Heun's step and the midpoint image,
 each one grouped text in which the tape's operations, an inline margin
-test and the update are scheduled together and write into arrays the
-caller owns.  Every form performs the operations of the per-row update in
-the same order, but the tape's ``math`` and numpy functions may round
-``exp``, ``log`` and ``^`` apart in the last bit, so a path alone can
-differ from the same path in a batch.  The augmented roots per Hamiltonian
-are X_H, each entry of DX_H J summed left to right in ascending c over the
-c where DX_H[a,c] is not a constant zero, and -R(H), as expressions over x,
-J and log_lambda.
+test and the update are scheduled together, bound once to arrays the
+caller owns and then only called.  Every form performs the operations of
+the per-row update in the same order, but the tape's ``math`` and numpy
+functions may round ``exp``, ``log`` and ``^`` apart in the last bit, so a
+path alone can differ from the same path in a batch.  The augmented roots
+per Hamiltonian are X_H, each entry of DX_H J summed left to right in
+ascending c over the c where DX_H[a,c] is not a constant zero, and -R(H),
+as expressions over x, J and log_lambda.
 
 Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
 its caller passes: numbers for the numeric brackets, expressions for
@@ -128,7 +128,7 @@ def _composed_heun(stage, y, w, dt):
 
 def _composed_image(stage, y, w, dt, z):
     """The midpoint image ``y + a(z) dt + g(z) dw`` composed of
-    ``stage.fields`` and ``stage.advance``: a batch's off ``batch_image``."""
+    ``stage.fields`` and ``stage.advance``: a batch's off its bound image."""
     return stage.advance(y, w, dt, stage.fields(z))
 
 
@@ -164,25 +164,32 @@ class _Stage:
     step to ``_composed_heun``, which raises exactly their errors.
 
     A batch, (m, B) rows, has two generated forms of its own, built on the
-    first batch call (``_generate_batch``): ``batch_heun(y, w, dt, p,
-    out)``, Heun's step, and ``batch_image(y, w, dt, z, out)``, the
-    midpoint image ``advance(y, w, dt, fields(z))``.  Each is one grouped
-    text (``expr._schedule``, the scheduler of a tape's array mode): the
-    tape's operations at ``y`` (or ``z``), a margin test generated from
+    first batch call (``_generate_batch``), each bound before it steps:
+    ``heun_binder(B)(y, w, p, out)`` returns Heun's step and
+    ``image_binder(B)(y, w, z, out)`` the midpoint image ``advance(y, w,
+    dt, fields(z))``, each a closure of ``dt``.  Each is one grouped text
+    (``expr._schedule``, the scheduler of a tape's array mode): the tape's
+    operations at ``y`` (or ``z``), a margin test generated from
     ``MARGIN``, then the update; Heun's form writes its predictor into
-    ``p``, evaluates the tape there, tests the margins again and writes
-    its trapezoid into ``out``.  Like operations of several rows run as one
+    ``p``, evaluates the tape there, tests the margins again and writes its
+    trapezoid into ``out``.  Like operations of several rows run as one
     numpy call on basic slices of the buffers the tape's values live in,
-    and each row's last operation writes (``out=``) into the caller's
-    array, so nothing is restacked.  Per element the operations and their
-    order are those of ``fields`` and ``advance``, so the bits are theirs.
-    The text runs with numpy's floating-point flags raising; a flag, or a
-    margin below ``MARGIN``, sends the whole step to ``_composed_heun`` or
-    ``_composed_image``, which raise exactly their errors, and the result
-    goes into ``out`` either way.  The arrays belong to the caller, so a
-    shared stage stays thread-safe.  No other module of the package reads
-    ``rows``: ``flow`` drives a stage through ``fields``, ``advance``,
-    ``heun_step``, ``batch_heun`` and ``batch_image`` only."""
+    and each row's last operation writes into the caller's array, so
+    nothing is restacked.  The text is emitted bound (``expr._bound_lines``):
+    ``heun_binder(B)`` gives each group of operations a scratch array, or
+    the dead one it reuses, and makes their slices views, once; ``bind``
+    makes the slices of the caller's arrays views, once; the step is only
+    calls with their outputs positional, and allocates no array.  Per
+    element the operations and their order are those of ``fields`` and
+    ``advance``, so the bits are theirs.  The step is called with numpy's
+    floating-point flags raising, which its caller sets (``flow._run``, once
+    per run); a flag, or a margin below ``MARGIN``, sends the whole step to
+    ``_composed_heun`` or ``_composed_image``, which run with the flags
+    ignored and raise exactly their errors, and the result goes into
+    ``out`` either way.  Every array belongs to the caller's run, so a shared stage
+    stays thread-safe.  No other module of the package reads ``rows``:
+    ``flow`` drives a stage through ``fields``, ``advance``, ``heun_step``,
+    ``heun_binder`` and ``image_binder`` only."""
 
     def __init__(self, chart, drift, diffusion, d: int, layout):
         self.chart = chart
@@ -264,9 +271,9 @@ class _Stage:
                               MARGIN, *consts)
 
     def _generate_batch(self) -> None:
-        """Compile the two batch forms, ``batch_heun`` and ``batch_image``,
-        through ``expr``'s cached text compiler and bind them on the
-        instance, over the class methods that call here first."""
+        """Compile the two batch forms' binders, ``heun_binder`` and
+        ``image_binder``, through ``expr``'s cached text compiler and set
+        them on the instance, over the class methods that call here first."""
         ops, refs, targets = [], {}, {}
         walk, m = self.tape._walk, len(self.rows)
 
@@ -315,65 +322,80 @@ class _Stage:
 
         def check(blocks):
             # A margin below the bound leaves the hot text as a flag does.
-            tests = " and ".join(f"absolute({b}).min(initial=margin) >= margin" for b in blocks)
+            tests = " and ".join(f"absolute({b}{f', {a}' if a else ''}).min(initial=margin)"
+                                 " >= margin" for b, a in blocks)
             return f"if not ({tests}):\n    raise FloatingPointError"
 
         sizes = {"y": m, "z": m, "p": m, "out": m, "w": self.d}
         names = {**expr._ARRAY_NAMES, "copy": "positive"}
 
-        def body(signature, phases, inputs, cold, head=""):
-            lines, _ = expr._schedule(ops, phases, inputs, sizes, targets, check=check, names=names)
-            return (f"    def {signature}:\n{head}        try:\n"
-                    "            with errstate(divide='raise', invalid='raise', over='raise'):\n"
-                    + "".join(f"                {t}\n" for line in lines for t in line.split("\n"))
-                    + "                return out\n        except ArithmeticError:\n"
-                    f"            pass\n        copyto(out, {cold})\n        return out\n")
+        def block(depth, lines):
+            return "".join(f"{'    ' * depth}{t}\n" for line in lines for t in line.split("\n"))
+
+        def binder(name, arrays, phases, inputs, cold, head=()):
+            program, _ = expr._schedule(ops, phases, inputs, sizes, targets, names=names)
+            shared, bind, step = expr._bound_lines(program, check)
+            return (f"    def {name}(width):\n" + block(2, shared)
+                    + f"        def bind({arrays}):\n" + block(3, bind)
+                    + "            def step(dt):\n" + block(4, [*head, "try:"])
+                    + block(5, [*step, "return out"])
+                    + block(4, ["except ArithmeticError:", "    pass",
+                                "with errstate(all='ignore'):", f"    copyto(out, {cold})",
+                                "return out"])
+                    + "            return step\n        return bind\n")
 
         # Heun: the tape at y, the predictor into p, the tape at p, the trapezoid into out.
         first, k0 = evaluate(lambda i: ("y", i))
         predict, p = update(k0.__getitem__, ("s", "dt"), False, "p")
         second, k1 = evaluate(p.__getitem__)
         trapezoid, _ = update(lambda i: emit(("+", k0[i], k1[i])), ("s", "h_dt"), True, "out")
-        heun = body("heun(y, w, dt, p, out)",
-                    [(first, margins(k0)), (predict, ()), (second, margins(k1)), (trapezoid, ())],
-                    {"y": "y", "w": "w"}, "cold_heun(y, w, dt)", "        h_dt = 0.5 * dt\n")
+        heun = binder("heun_binder", "y, w, p, out",
+                      [(first, margins(k0)), (predict, ()), (second, margins(k1)), (trapezoid, ())],
+                      {"y": "y", "w": "w"}, "cold_heun(y, w, dt)", ["h_dt = 0.5 * dt"])
         # The midpoint image: the tape at z, the Euler update from y into out.
         # Its text computes no value of Heun's, so it shares none of its operations.
         refs.clear()
         at_z, k = evaluate(lambda i: ("z", i))
         euler, _ = update(k.__getitem__, ("s", "dt"), False, "out")
-        image = body("image(y, w, dt, z, out)", [(at_z, margins(k)), (euler, ())],
-                     {"z": "z", "y": "y", "w": "w"}, "cold_image(y, w, dt, z)")
+        image = binder("image_binder", "y, w, z, out", [(at_z, margins(k)), (euler, ())],
+                       {"z": "z", "y": "y", "w": "w"}, "cold_image(y, w, dt, z)")
         consts = walk[2]
         make = expr._factory(
-            f"def make({', '.join(expr._ARRAY_NAMES.values())}, positive, absolute, errstate, "
-            f"copyto, cold_heun, cold_image, margin{expr._params(consts)}):\n"
+            f"def make({', '.join(expr._ARRAY_NAMES.values())}, positive, absolute, empty, "
+            f"errstate, copyto, cold_heun, cold_image, margin{expr._params(consts)}):\n"
             + heun + image
-            + "    return heun, image\n")
-        self.batch_heun, self.batch_image = make(
-            *expr._ARRAY_FUNCTIONS, np.positive, np.absolute, np.errstate, np.copyto,
+            + "    return heun_binder, image_binder\n")
+        self.heun_binder, self.image_binder = make(
+            *expr._ARRAY_FUNCTIONS, np.positive, np.absolute, np.empty, np.errstate, np.copyto,
             functools.partial(_composed_heun, self), functools.partial(_composed_image, self),
-            MARGIN, *map(np.float64, consts))
+            MARGIN, *map(np.array, consts))
 
-    def batch_heun(self, y, w, dt, p, out):
-        """Heun's step of a batch ``y`` (m, B) with increments ``w`` (d, B):
-        the predictor written into ``p`` and the step into ``out``, (m, B)
-        arrays of the caller that alias neither ``y`` nor each other;
-        returns ``out``.  Generated on the first call (``_generate_batch``)."""
+    def heun_binder(self, width):
+        """Heun's step of a batch of ``width`` paths, bound in two stages:
+        ``heun_binder(width)`` makes the step's scratch arrays and returns
+        ``bind(y, w, p, out)``, which binds them to the caller's arrays, the
+        state ``y`` (m, width), increments ``w`` (d, width), the predictor
+        ``p`` and the step ``out``, (m, width) arrays that alias neither
+        ``y`` nor each other.  ``bind`` returns ``step(dt)``, which writes
+        the step into ``out`` and returns it, to be called with numpy's
+        floating-point flags raising; the steps bound from one
+        ``heun_binder(width)`` share its scratch arrays, so they run one at
+        a time.  Generated on the first call (``_generate_batch``)."""
         self._generate_batch()
-        return self.batch_heun(y, w, dt, p, out)
+        return self.heun_binder(width)
 
-    def batch_image(self, y, w, dt, z, out):
+    def image_binder(self, width):
         """The midpoint image ``advance(y, w, dt, fields(z))`` of a batch,
-        written into the caller's (m, B) array ``out``, which aliases neither
-        ``y`` nor ``z``; returns ``out``."""
+        bound as ``heun_binder`` is: ``image_binder(width)`` returns
+        ``bind(y, w, z, out)``, whose ``step(dt)`` writes the image into
+        ``out``, which aliases neither ``y`` nor ``z``, and returns it."""
         self._generate_batch()
-        return self.batch_image(y, w, dt, z, out)
+        return self.image_binder(width)
 
     # A generated function does not pickle: an unpickled stage generates its own.
     def __getstate__(self):
         return {k: v for k, v in vars(self).items()
-                if k not in ("_euler", "_heun", "heun_step", "batch_heun", "batch_image")}
+                if k not in ("_euler", "_heun", "heun_step", "heun_binder", "image_binder")}
 
     def __setstate__(self, state):
         vars(self).update(state)

@@ -213,11 +213,17 @@ def test_criterion_11_random_conformal_factor():
            f"closed-form miss={closed_miss:.1e}, slope={slope:.3f}")
 
 
+def _into(out, value):
+    """``value`` written into ``out``, as a bound batch step returns it."""
+    np.copyto(out, value)
+    return out
+
+
 class _FlippedNoiseReeb:
     """``system``'s augmented stage with the sign of every noise term of
     log lambda flipped, +R(H_k) for -R(H_k) (k >= 1): ``fields`` negates the
     slots of the last row's noise and ``advance`` delegates.  A single
-    path's Heun step, and a batch's forms, are composed of the two."""
+    path's Heun step, and a batch's bound steps, are composed of the two."""
 
     def __init__(self, system):
         self.stage = system._augmented_stage
@@ -232,11 +238,11 @@ class _FlippedNoiseReeb:
     def heun_step(self, y, w, dt):
         return geo._composed_heun(self, y, w, dt)
 
-    def batch_heun(self, y, w, dt, p, out):
-        return geo._composed_heun(self, y, w, dt)
+    def heun_binder(self, width):
+        return lambda y, w, p, out: lambda dt: _into(out, geo._composed_heun(self, y, w, dt))
 
-    def batch_image(self, y, w, dt, z, out):
-        return geo._composed_image(self, y, w, dt, z)
+    def image_binder(self, width):
+        return lambda y, w, z, out: lambda dt: _into(out, geo._composed_image(self, y, w, dt, z))
 
 
 def test_criterion_11_negative_control_flipped_noise_reeb_rate(monkeypatch):
@@ -305,7 +311,7 @@ class _DroppedChannelTangent:
     dropped from the tangent flow: ``fields`` zeroes the slots that channel
     k feeds into J's rows (dim <= r < dim + dim^2) and ``advance``
     delegates, so the state and log_lambda are stepped as before.  A single
-    path's Heun step, and a batch's forms, are composed of the two, as a
+    path's Heun step, and a batch's bound steps, are composed of the two, as a
     stage's generated forms are off the chart."""
 
     def __init__(self, system, k):
@@ -322,11 +328,11 @@ class _DroppedChannelTangent:
     def heun_step(self, y, w, dt):
         return geo._composed_heun(self, y, w, dt)
 
-    def batch_heun(self, y, w, dt, p, out):
-        return geo._composed_heun(self, y, w, dt)
+    def heun_binder(self, width):
+        return lambda y, w, p, out: lambda dt: _into(out, geo._composed_heun(self, y, w, dt))
 
-    def batch_image(self, y, w, dt, z, out):
-        return geo._composed_image(self, y, w, dt, z)
+    def image_binder(self, width):
+        return lambda y, w, z, out: lambda dt: _into(out, geo._composed_image(self, y, w, dt, z))
 
 
 def test_criterion_4_negative_control_dropped_tangent_channel(monkeypatch):

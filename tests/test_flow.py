@@ -15,6 +15,9 @@ from contactsde.errors import (
     SingularChartPoint,
 )
 
+# The flag mode in which flow._run calls a batch's bound steps.
+_RAISING = {"divide": "raise", "invalid": "raise", "over": "raise"}
+
 
 # ---------------------------------------------------------------------------
 # Brownian paths
@@ -299,9 +302,9 @@ def test_conformal_factor_overflow_is_a_numerical_failure():
 # ---------------------------------------------------------------------------
 
 class _ZeroStage:
-    """A stage with zero fields, stepped by its Heun kernel or its batch
-    form, that counts its steps; after step ``k`` it writes ``value`` into
-    the last entry."""
+    """A stage with zero fields, stepped by its Heun kernel or its bound
+    batch steps, that counts its steps; after step ``k`` it writes ``value``
+    into the last entry."""
 
     def __init__(self, k=None, value=None):
         self.k, self.value, self.steps = k, value, 0
@@ -310,15 +313,21 @@ class _ZeroStage:
         self.steps += 1
         return [*y[:-1], self.value] if self.steps == self.k else list(y)
 
-    def batch_heun(self, y, w, dt, p, out):
-        # The run hands over two buffers of its own, neither of them y.
-        assert p.shape == out.shape == y.shape
-        assert not (np.shares_memory(p, y) or np.shares_memory(out, y) or np.shares_memory(p, out))
-        self.steps += 1
-        out[...] = y
-        if self.steps == self.k:
-            out[-1] = self.value
-        return out
+    def heun_binder(self, width):
+        def bind(y, w, p, out):
+            # The run binds three buffers of its own, no two of them shared.
+            assert p.shape == out.shape == y.shape == (y.shape[0], width)
+            assert not (np.shares_memory(p, y) or np.shares_memory(out, y)
+                        or np.shares_memory(p, out))
+
+            def step(dt):
+                self.steps += 1
+                out[...] = y
+                if self.steps == self.k:
+                    out[-1] = self.value
+                return out
+            return step
+        return bind
 
 
 def _screened_run(stage, y0, n_steps=5):
@@ -551,7 +560,8 @@ def _advance_both_forms(stage):
         k = stage.fields(y)
         out.append((stage.advance(y, dw, 0.1, k), stage.advance(y, dw, 0.1, k, k)))
     y, dw = np.zeros((1, 1)), np.ones((3, 1))
-    return out, stage.batch_image(y, dw, 0.1, y, np.empty((1, 1)))
+    with np.errstate(**_RAISING):
+        return out, stage.image_binder(1)(y, dw, y, np.empty((1, 1)))(0.1)
 
 
 def test_stage_sums_cancelling_noise_left_to_right():
@@ -906,18 +916,19 @@ def _batch_inputs(system, stage, width, seed):
 
 def _batch_forms(stage, y, w, z):
     """Heun's step and the midpoint image of the generated batch forms, each
-    checked to write into and return its ``out`` and to leave its inputs
-    alone."""
+    bound to its arrays and then called as ``flow._run`` calls it, checked
+    to write into and return its ``out`` and to leave its inputs alone."""
     inputs = [a.copy() for a in (y, w, z)]
     p, out, image_out = (np.empty_like(y) for _ in range(3))
-    heun = stage.batch_heun(y, w, 1e-3, p, out)
-    image = stage.batch_image(y, w, 1e-3, z, image_out)
+    with np.errstate(**_RAISING):
+        heun = stage.heun_binder(y.shape[1])(y, w, p, out)(1e-3)
+        image = stage.image_binder(y.shape[1])(y, w, z, image_out)(1e-3)
     assert heun is out and image is image_out
     assert all(a.tobytes() == b.tobytes() for a, b in zip((y, w, z), inputs))
     return heun, image
 
 
-@pytest.mark.parametrize("width", [1, 7, 1024, 1031])
+@pytest.mark.parametrize("width", [1, 7, 1024, 1031, 5000])
 @pytest.mark.parametrize("stage_name", ["_state_stage", "_augmented_stage", "_conformal_stage"])
 @pytest.mark.parametrize("system_index", range(3), ids=["dissipative", "se", "inline"])
 def test_batch_forms_match_fields_and_advance(system_index, stage_name, width, monkeypatch):
@@ -989,7 +1000,7 @@ def test_batch_midpoint_matches_the_out_of_place_sweep(system_id, T, dt):
     # Streams 0-63 of master seed 1 from the default state, in one batch of
     # 64 and in batches of 7: every path's final state has the bits of the
     # reference sweep, which tests each path against 1e-13 within 50 sweeps.
-    # A sweep tolerance of 1e-6 for 1e-13 in flow._midpoint_step changes 64
+    # A sweep tolerance of 1e-6 for 1e-13 in flow._midpoint_steps changes 64
     # of the 64 SE paths and 64 of the 64 dissipative-2d paths.
     entry = catalog.get_entry(system_id)
     system = entry.system()
@@ -1011,7 +1022,147 @@ def test_batch_midpoint_matches_the_out_of_place_sweep(system_id, T, dt):
     assert differing == [0, 0], differing
 
 
-_DENSE_LOG = geo.HamiltonianSystem(geo.DarbouxChart(2), _INLINE_DARBOUX[0] + " + log(q1)",
+def _heun_misses(system_id, dt, n_steps):
+    """Streams 0-63 of master seed 1 from the default state, Heun, in one
+    batch of 64 and each at B = 1, against the out-of-place steps, each
+    composed of fields and advance: per run, the paths that differ and the
+    largest difference."""
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    increments = np.stack([flow.sample_brownian(system.d, n_steps, dt, 1, stream_index=s).increments
+                           for s in range(64)])
+    states = np.tile(entry.default_initial_state, (64, 1))
+    y = np.ascontiguousarray(states.T)
+    with np.errstate(all="ignore"):
+        for j in range(n_steps):
+            y = geo._composed_heun(system._state_stage, y,
+                                   np.ascontiguousarray(increments[:, :, j].T), dt)
+    expected = y.T
+    whole = flow.integrate_batch_final(system, states, increments, dt)
+    alone = np.concatenate([flow.integrate_batch_final(system, x[None], dw[None], dt)
+                            for x, dw in zip(states, increments)])
+    return ([int((a != expected).any(axis=1).sum()) for a in (whole, alone)],
+            [float(np.abs(a - expected).max()) for a in (whole, alone)])
+
+
+@pytest.mark.parametrize("n_steps", [50, 51], ids=["even", "odd"])
+@pytest.mark.parametrize("system_id, dt", [("sasaki-einstein-t11", 1e-5), ("dissipative-2d", 1e-3)])
+def test_batch_heun_matches_the_out_of_place_steps(system_id, dt, n_steps):
+    # A run's two bound Heun steps take turns, one per parity of its state
+    # buffers, and an odd step count ends on the other buffer than an even
+    # one: every path has the bits of the composed steps, in a batch of 64
+    # and alone.
+    differing, _ = _heun_misses(system_id, dt, n_steps)
+    assert differing == [0, 0], differing
+
+
+def _one_buffer_heun_steps(stage, y, w):
+    """``flow._heun_steps`` with both steps bound to one output buffer, so
+    that every step reads the run's first state."""
+    bind = stage.heun_binder(y.shape[1])
+    p, other = np.empty_like(y), np.empty_like(y)
+    return (bind(y, w, p, other),) * 2
+
+
+@pytest.mark.parametrize("system_id, dt", [("sasaki-einstein-t11", 1e-5), ("dissipative-2d", 1e-3)])
+def test_batch_heun_control_with_one_output_buffer_misses(system_id, dt, monkeypatch):
+    # Negative control: both Heun steps bound to one output buffer, so the
+    # 51 steps end one step from the initial state.  Measured: all 64 paths
+    # miss, in the batch and alone, by up to 0.196 on SE and 0.116 on
+    # dissipative-2d.
+    monkeypatch.setitem(flow._BATCH_STEPPERS, "heun", _one_buffer_heun_steps)
+    differing, misses = _heun_misses(system_id, dt, 51)
+    print(f"one-buffer Heun control {system_id}: differing paths {differing}, max miss {misses}")
+    assert differing == [64, 64], differing
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+def test_batch_runs_of_no_paths_or_no_steps(scheme):
+    # B = 0 gives (0, m); n_steps = 0 gives x0 back.
+    system = catalog.sasaki_einstein_system()
+    states = np.tile(catalog.get_entry("sasaki-einstein-t11").default_initial_state, (3, 1))
+    states[1, 4] = 0.7
+    assert flow.integrate_batch_final(system, states[:0], np.empty((0, 5, 10)), 1e-5,
+                                      scheme).shape == (0, 5)
+    assert flow.step(system, states[:0], np.empty((0, 5)), 1e-5, scheme).shape == (0, 5)
+    final = flow.integrate_batch_final(system, states, np.empty((3, 5, 0)), 1e-5, scheme)
+    assert final.shape == states.shape and final.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("scheme, error", [
+    ("heun", (NumericalFailure, "nan_increment", "non-finite values")),
+    ("midpoint", (MidpointDivergence, None,
+                  "midpoint fixed point did not reach 1e-13 within 50 sweeps"))])
+@pytest.mark.parametrize("system_id", ["dissipative-2d", "sasaki-einstein-t11"])
+def test_batch_nan_increment_stops_the_run(system_id, scheme, error):
+    # A NaN increment of path 2 at step 3: Heun's step carries it into the
+    # state, which the finiteness screen stops; no midpoint sweep meets its
+    # test on that path.
+    entry = catalog.get_entry(system_id)
+    system = entry.system()
+    states = np.tile(entry.default_initial_state, (4, 1))
+    increments = np.stack([flow.sample_brownian(system.d, 6, 1e-5, 1, stream_index=s).increments
+                           for s in range(4)])
+    increments[2, 0, 3] = math.nan
+    stage = system._state_stage
+    y = np.ascontiguousarray(states.T)
+    got = _error(lambda: flow._run(stage, y, np.moveaxis(increments, 0, -1), 1e-5, scheme,
+                                   "nan_increment", False))
+    assert got == error
+
+
+def _traced_peak(step, dt, calls=100) -> int:
+    """Bytes by which ``calls`` calls of ``step(dt)``, after one warm-up
+    call, raise tracemalloc's traced peak above the memory traced before
+    them, under the flag mode of a batch run."""
+    import tracemalloc
+
+    with np.errstate(**_RAISING):
+        step(dt)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(calls):
+                step(dt)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("form", ["heun", "image"])
+@pytest.mark.parametrize("system_index", range(2), ids=["dissipative", "se"])
+def test_a_bound_batch_step_allocates_no_array(system_index, form):
+    # Bound once, a step is only calls into arrays made at binding: 100 calls
+    # at B = 1024 raise the traced peak by less than 4 KB, where one (m, B)
+    # temporary is 40 KB (see the control below).
+    system = _kernel_systems()[system_index]
+    stage = system._state_stage
+    y, w, z = _batch_inputs(system, stage, 1024, 23 + system_index)
+    p, out = np.empty_like(y), np.empty_like(y)
+    step = (stage.heun_binder(1024)(y, w, p, out) if form == "heun"
+            else stage.image_binder(1024)(y, w, z, out))
+    peak = _traced_peak(step, 1e-3)
+    print(f"bound {form} step, {system.chart.kind}: traced peak {peak} B over 100 calls")
+    assert peak < 4096, peak
+
+
+def test_negative_control_an_allocating_step_misses_the_allocation_bound():
+    # A step that makes one (5, 1024) temporary per call, as a call without
+    # an output array does: measured, it raises the traced peak by about
+    # 41 KB, ten times the bound.
+    y = np.ones((5, 1024))
+    out = np.empty_like(y)
+
+    def step(dt):
+        np.copyto(out, np.multiply(dt, y))
+        return out
+
+    peak = _traced_peak(step, 1e-3)
+    print(f"allocating step: traced peak {peak} B over 100 calls")
+    assert peak >= 4096 and peak >= y.nbytes, peak
+
+
+_DENSE_LOG =geo.HamiltonianSystem(geo.DarbouxChart(2), _INLINE_DARBOUX[0] + " + log(q1)",
                                    _INLINE_DARBOUX[1])
 _LOG_MESSAGE = "log of non-positive value in Func(fn='log', arg=Var(name='q1'))"
 _DIVISION_MESSAGE = \
@@ -1119,9 +1270,9 @@ def test_a_stage_with_batch_forms_pickles():
     stage = system._state_stage
     y, w, z = _batch_inputs(system, stage, 7, 31)
     ours = _batch_forms(stage, y, w, z)
-    assert "batch_heun" in vars(stage)
+    assert "heun_binder" in vars(stage)
     clone = pickle.loads(pickle.dumps(stage))
-    assert "batch_heun" not in vars(clone)
+    assert "heun_binder" not in vars(clone)
     assert [a.tobytes() for a in _batch_forms(clone, y, w, z)] == [a.tobytes() for a in ours]
 
 

@@ -18,13 +18,15 @@ keeps differentiation closed over the node types below.
 Compiled tapes (:func:`compile_tape`) do all of the package's numeric
 evaluation, on one state or on a batch.  A tape compiles one expression or a
 set of them into one generated straight-line Python function that computes
-each distinct subterm once; on a batch it runs a second text from the same
-walk, in which like operations on several roots are one numpy call.  The
-tree evaluator (:func:`evaluate`) is the reference oracle: a tape in scalar
-mode performs the same operations on every root and agrees with it bit for
-bit.  The tree evaluator alone holds the domain messages; a tape whose
-scalar evaluation faults hands its roots to it in order.  A tape alone owns
-the domain rule of a batch as well.
+each distinct subterm once; on a batch it runs a grouped text from the same
+walk, in which like operations on several roots are one numpy call.  One
+scheduler emits every grouped text, the tapes' and ``geometry._Stage``'s
+batch steps alike (``_schedule``).  The tree evaluator (:func:`evaluate`)
+is the reference oracle: a tape in scalar mode performs the same operations
+on every root and agrees with it bit for bit.  The tree evaluator alone
+holds the domain messages; a tape whose scalar evaluation faults hands its
+roots to it in order.  A tape alone owns the domain rule of a batch as
+well.
 
 Expression trees and compiled tapes are immutable and safe to share across
 threads; evaluation contexts are caller-owned.  The only simplifications ever
@@ -517,6 +519,7 @@ _SCALAR_FUNCTIONS = (math.pow, math.sin, math.cos, math.exp, math.log)
 _ARRAY_NAMES = {
     "+": "add", "-": "subtract", "*": "multiply", "/": "divide", "^": "power",
     "neg": "negative", "sin": "sin", "cos": "cos", "exp": "exp", "log": "log",
+    "copy": "positive",
 }
 _ARRAY_FUNCTIONS = tuple(getattr(np, name) for name in _ARRAY_NAMES.values())
 
@@ -627,13 +630,19 @@ def _scalar(kind, i) -> str:
     return i if kind == "s" else f"{kind}{i}"
 
 
-def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), names=_ARRAY_NAMES) -> tuple:
-    """``(program, where)``: the grouped array-mode program of ``ops``, a
-    walk's operations ``(op, *operands)``, and where each array operation's
-    value lives, ``(source, row)``.  ``program`` lists, in order, scalar
-    lines (text), group calls ``(name, function, operands, out, reused,
-    rows)`` and tests (a list of ``(block, rows)``); ``_call_lines`` and
-    ``_bound_lines`` format it.
+def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), check=None) -> tuple:
+    """``((shared, bind, step), where)``: the grouped array-mode text of
+    ``ops``, a walk's operations ``(op, *operands)``, as lines bound once
+    and a step that only calls, and where each array operation's value
+    lives, ``(source, row)``.  ``shared`` gives each group an array of its
+    rows, ``empty((rows, width))``, or the dead buffer it reuses, gives
+    each tested block an array for its absolute values and makes every
+    basic slice of a group a view.  ``bind`` makes the slices of the inputs
+    and targets views.  ``step`` runs the scalar lines, every call with its
+    output last and positional, and the tests, which ``check`` formats from
+    ``(block, array or None)`` pairs; it allocates no array.  A stage's
+    batch form runs ``shared`` once per ``width`` and ``bind`` once per set
+    of arrays; a tape runs all three on every call.
 
     ``phases`` is a list ``(members, tested)``: the operations of each phase
     run, in order, after those of the phases before it.  Within a phase an
@@ -646,17 +655,17 @@ def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), names=_ARRAY_N
     rows of) or an earlier group.  Members are ordered by their operands'
     rows, and a group splits where those rows stop forming an arithmetic
     progression, so each operand is a basic slice, never a gather.  After a
-    phase comes a test of the basic slices or scalars (``rows`` None) that
-    hold the values ``tested`` (no test when it is empty).
+    phase comes a test of the basic slices or scalars that hold the values
+    ``tested`` (no test when it is empty).
 
     ``targets`` maps an operation to the row ``(array, r)`` of a caller's
-    array that it writes (``out=``); members of a group write rows that are
-    a progression too.  Any other group writes (``out=``) into the buffer of
-    an earlier group of as many rows that no later line reads, if there is
-    one, so never into an input, a target or a group that holds a value of
-    ``kept``.  ``sizes`` gives the rows of inputs and targets, so that a
-    block of all of them reads as the bare name.  Every element goes
-    through the operations of ``ops`` in the same order."""
+    array that it writes; members of a group write rows that are a
+    progression too.  Any other group reuses the buffer of an earlier group
+    of as many rows that no later line reads, if there is one, so never an
+    input, a target or a group that holds a value of ``kept``.  ``sizes``
+    gives the rows of inputs and targets, so that a block of all of them
+    reads as the bare name.  Every element goes through the operations of
+    ``ops`` in the same order."""
     sizes, targets = dict(sizes), dict(targets)
     where, groups, entries = {}, set(), []  # entries: (line or call, groups it reads)
     calls = 0
@@ -674,7 +683,8 @@ def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), names=_ARRAY_N
                 depth[n] = max(levels) + 1
                 by_level.setdefault(depth[n], []).append(n)
             else:
-                entries.append((f"t{n} = {names[op]}({', '.join(_scalar(*a) for a in args)})", ()))
+                scalars = ", ".join(_scalar(*a) for a in args)
+                entries.append((f"t{n} = {_ARRAY_NAMES[op]}({scalars})", ()))
         for level in sorted(by_level):
             buckets = {}  # (op, target, per operand its source, or (text,) if scalar) -> members
             for n in by_level[level]:
@@ -729,46 +739,7 @@ def _schedule(ops, phases, inputs, sizes=(), targets=(), kept=(), names=_ARRAY_N
     for s, c in last.items():
         if s in groups and s not in kept:
             dies.setdefault(c, []).append(s)
-    program, free = [], {}
-    for c, (entry, _) in enumerate(entries):
-        if isinstance(entry, tuple):
-            name, op, operands, out = entry
-            spare = None if out else free.get(sizes[name])
-            entry = (name, names[op], operands, out, spare.pop() if spare else None,
-                     sizes.get(name))
-        program.append(entry)
-        for s in dies.get(c, ()):
-            free.setdefault(sizes[s], []).append(s)
-    return program, where
-
-
-def _call_lines(program) -> list:
-    """The lines of a ``_schedule`` program without tests as array mode runs
-    it: each group call returns its array, written (``out=``) into the dead
-    buffer it reuses, if any, and a call with a target writes it."""
-    lines = []
-    for entry in program:
-        if isinstance(entry, str):
-            lines.append(entry)
-            continue
-        name, function, operands, out, reused, _ = entry
-        args = ", ".join(operands)
-        lines.append(f"{function}({args}, out={out})" if out else
-                     f"{name} = {function}({args}{f', out={reused}' if reused else ''})")
-    return lines
-
-
-def _bound_lines(program, check) -> tuple:
-    """``(shared, bind, step)``: a ``_schedule`` program as lines bound once
-    and a step that only calls.  ``shared``, run once per ``width``, gives
-    each group that reuses no dead buffer an array of its rows, names a
-    group that reuses one by that buffer, gives each tested array block an
-    array for its absolute values and makes every basic slice of a group a
-    view.  ``bind``, run once per set of the caller's arrays, makes their
-    slices views.  ``step`` runs the scalar lines, every call with its
-    output last and positional, and the tests, which ``check`` formats from
-    ``(block, array or None)`` pairs; it allocates no array."""
-    shared, bind, step, views, groups = [], [], [], {}, set()
+    shared, bind, step, views, free = [], [], [], {}, {}
 
     def view(text):
         source, bracket, _ = text.partition("[")
@@ -779,7 +750,7 @@ def _bound_lines(program, check) -> tuple:
             (shared if source in groups else bind).append(f"{views[text]} = {text}")
         return views[text]
 
-    for entry in program:
+    for c, (entry, _) in enumerate(entries):
         if isinstance(entry, str):
             step.append(entry)
         elif isinstance(entry, list):
@@ -792,29 +763,34 @@ def _bound_lines(program, check) -> tuple:
                 blocks.append((view(block), absolute))
             step.append(check(blocks))
         else:
-            name, function, operands, out, reused, rows = entry
+            name, op, operands, out = entry
             if not out:
-                out = name
-                groups.add(name)
-                shared.append(f"{name} = {reused or f'empty(({rows}, width))'}")
-            step.append(f"{function}({', '.join(map(view, (*operands, out)))})")
-    return shared, bind, step
+                out, spare = name, free.get(sizes[name])
+                shared.append(f"{name} = " + (spare.pop() if spare
+                                               else f"empty(({sizes[name]}, width))"))
+            step.append(f"{_ARRAY_NAMES[op]}({', '.join(map(view, (*operands, out)))})")
+        for s in dies.get(c, ()):
+            free.setdefault(sizes[s], []).append(s)
+    return (shared, bind, step), where
 
 
 @functools.lru_cache(maxsize=256)
 def _grouped_source(ops, results, many: bool, n_consts: int) -> str:
     """The array-mode text of the walk ``(ops, results)``, in which like
     operations on several roots run as one numpy call on a block of rows
-    (``_schedule``), read from the input ``rows``.  No group that holds a
-    returned row is written over.  Every element goes through the
-    operations of the per-root text in the same order."""
-    program, where = _schedule(ops, [(range(len(ops)), ())], {"y": "rows"}, kept=results)
-    lines = _call_lines(program)
+    (``_schedule``), read from the input ``rows``.  Each call binds fresh
+    buffers and views and then runs the step, so a returned row is a view
+    into a buffer of that call; no group that holds one is written over.
+    Every element goes through the operations of the per-root text in the
+    same order."""
+    (shared, bind, step), where = _schedule(ops, [(range(len(ops)), ())], {"y": "rows"},
+                                            kept=results)
     values = ["{}[{}]".format(*where[r]) if r in where else
               f"rows[{r[1]}]" if r[0] == "y" else f"{r[0]}{r[1]}" for r in results]
     value = "(" + "".join(f"{v}, " for v in values) + ")" if many else values[0]
-    return (f"def make({', '.join(_ARRAY_NAMES.values())}{_params(range(n_consts))}):\n"
-            "    def tape(rows):\n" + "".join(f"        {line}\n" for line in lines)
+    return (f"def make({', '.join(_ARRAY_NAMES.values())}, empty{_params(range(n_consts))}):\n"
+            "    def tape(rows):\n        width = rows.shape[1]\n"
+            + "".join(f"        {line}\n" for line in (*shared, *bind, *step))
             + f"        return {value}\n    return tape\n")
 
 
@@ -835,21 +811,21 @@ class EvalTape:
 
     When the first slot value is a numpy array the tape runs in array mode
     on a batch, an (n, B) array or n rows with one column per path, made
-    one C-contiguous float64 array once.  Array mode runs a second text,
-    built on its first call (``_grouped_source``): like operations on
-    several roots, such as the same op on ``q1`` and ``q2``, run as one
-    numpy ufunc call on a block of rows, each operand a basic slice (no
-    fancy-index gather), each result written into a dead buffer of its
-    shape where there is one.  Every element goes through the operations of
-    the per-root text in the same order, so no bit depends on the grouping.
-    A returned row is a view into a buffer of the call.  Array mode runs
-    under the one domain rule of a batch: it raises the ``DomainError`` that
-    its first faulting path raises alone.  It runs with numpy's
-    floating-point flags raising; on a flag the paths are replayed in
-    scalar mode, in order, and if none raises (an overflow, say) the batch
-    is evaluated again with the flags ignored.  numpy may round ``exp``,
-    ``log`` and ``pow`` apart from ``math`` in the last bit.  A tape pickles
-    as ``(exprs, layout)``.
+    one C-contiguous float64 array once.  Array mode runs the grouped text
+    of ``_schedule``, built on its first call (``_grouped_source``): like
+    operations on several roots, such as the same op on ``q1`` and ``q2``,
+    run as one numpy ufunc call on a block of rows, each operand a view of
+    a basic slice (no fancy-index gather), each output an array of the
+    call or a dead one of its shape that it reuses.  Every element goes
+    through the operations of the per-root text in the same order, so no
+    bit depends on the grouping.  A returned row is a view into a buffer of
+    the call.  Array mode runs under the one domain rule of a batch: it
+    raises the ``DomainError`` that its first faulting path raises alone.
+    It runs with numpy's floating-point flags raising; on a flag the paths
+    are replayed in scalar mode, in order, and if none raises (an overflow,
+    say) the batch is evaluated again with the flags ignored.  numpy may
+    round ``exp``, ``log`` and ``pow`` apart from ``math`` in the last bit.
+    A tape pickles as ``(exprs, layout)``.
     """
 
     __slots__ = ("exprs", "layout", "_walk", "_scalar", "_array")
@@ -888,7 +864,7 @@ class EvalTape:
             ops, results, consts = self._walk
             make = _factory(_grouped_source(ops, results, isinstance(self.exprs, tuple),
                                             len(consts)))
-            self._array = make(*_ARRAY_FUNCTIONS, *map(np.float64, consts))
+            self._array = make(*_ARRAY_FUNCTIONS, np.empty, *map(np.float64, consts))
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 return self._array(rows)

@@ -107,7 +107,7 @@ from .errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from .geometry import HamiltonianSystem
+from .geometry import HamiltonianSystem, _composed_image
 
 __all__ = [
     "BrownianPath", "sample_brownian", "coarsen",
@@ -371,9 +371,15 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 # One-step maps and the stepping loop (a single path (m,) or a batch (m, B))
 # ---------------------------------------------------------------------------
 
-def _diverged(tol, max_iter) -> MidpointDivergence:
-    return MidpointDivergence(
-        f"midpoint fixed point did not reach {tol:g} within {max_iter} sweeps")
+# The midpoint rule: a path's fixed point is met when its update is at most
+# ``_MIDPOINT_TOL * max(1, max|y|)``, within ``_MIDPOINT_SWEEPS`` sweeps.
+_MIDPOINT_TOL = 1e-13
+_MIDPOINT_SWEEPS = 50
+
+
+def _diverged() -> MidpointDivergence:
+    return MidpointDivergence(f"midpoint fixed point did not reach {_MIDPOINT_TOL:g} "
+                              f"within {_MIDPOINT_SWEEPS} sweeps")
 
 
 def _heun_step(stage, y, dw, dt):
@@ -382,20 +388,18 @@ def _heun_step(stage, y, dw, dt):
     return stage.heun_step(y, dw, dt)
 
 
-def _midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
+def _midpoint_step(stage, y, dw, dt):
     """A single path's midpoint step, a list of floats."""
-    def image(z):
-        return stage.advance(y, dw, dt, stage.fields(z))
-
+    image = functools.partial(_composed_image, stage, y, dw, dt)
     y_new = image(y)
-    for _ in range(max_iter):
+    for _ in range(_MIDPOINT_SWEEPS):
         y_next = image([0.5 * (u + v) for u, v in zip(y, y_new)])
         # max may skip a NaN of y_next, but that entry fails its own test.
-        bound = tol * max(1.0, *map(abs, y_next))
+        bound = _MIDPOINT_TOL * max(1.0, *map(abs, y_next))
         if all(abs(u - v) <= bound for u, v in zip(y_next, y_new)):
             return y_next
         y_new = y_next
-    raise _diverged(tol, max_iter)
+    raise _diverged()
 
 
 def _heun_steps(stage, y, w):
@@ -408,7 +412,7 @@ def _heun_steps(stage, y, w):
     return bind(y, w, p, other), bind(other, w, p, y)
 
 
-def _midpoint_steps(stage, y, w, tol=1e-13, max_iter=50):
+def _midpoint_steps(stage, y, w):
     """A batch run's midpoint steps, bound as ``_heun_steps``' are.  Each
     sweeps in place on the run's buffers with the operations of an
     out-of-place sweep, tested per path: ``z`` holds the midpoint and then
@@ -430,7 +434,7 @@ def _midpoint_steps(stage, y, w, tol=1e-13, max_iter=50):
             done.fill(False)
             with np.errstate(all="ignore"):
                 np.multiply(0.5, np.add(y, y_new, out=z), out=z)
-            for _ in range(max_iter):
+            for _ in range(_MIDPOINT_SWEEPS):
                 sweep(dt)
                 with np.errstate(all="ignore"):
                     np.maximum.reduce(np.absolute(np.subtract(spare, y_new, out=z), out=z),
@@ -438,12 +442,12 @@ def _midpoint_steps(stage, y, w, tol=1e-13, max_iter=50):
                     # A path that has met its own test keeps that sweep's value.
                     np.copyto(y_new, spare, where=np.logical_not(done, out=todo))
                     np.maximum.reduce(np.absolute(y_new, out=z), axis=0, out=bound)
-                    np.multiply(tol, np.maximum(1.0, bound, out=bound), out=bound)
+                    np.multiply(_MIDPOINT_TOL, np.maximum(1.0, bound, out=bound), out=bound)
                     np.logical_or(done, np.less_equal(err, bound, out=met), out=done)
                     if done.all():
                         return y_new
                     np.multiply(0.5, np.add(y, y_new, out=z), out=z)
-            raise _diverged(tol, max_iter)
+            raise _diverged()
         return step
     return steps(y, other), steps(other, y)
 
@@ -486,7 +490,8 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
                    else functools.partial(stepper, stage))
     else:
         y, w, finite = y.copy(), np.empty(increments.shape[::2]), np.empty(y.shape, dtype=bool)
-        steps = _BATCH_STEPPERS[scheme](stage, y, w)
+        # A run of no steps binds nothing, so it generates no batch form.
+        steps = _BATCH_STEPPERS[scheme](stage, y, w) if n_steps else ()
     # A batch's bound steps run with numpy's floating-point flags raising,
     # set once per run; their fallback and the midpoint sweep's arithmetic
     # ignore them.

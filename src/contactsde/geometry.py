@@ -175,11 +175,11 @@ class _Stage:
     trapezoid into ``out``.  Like operations of several rows run as one
     numpy call on basic slices of the buffers the tape's values live in,
     and each row's last operation writes into the caller's array, so
-    nothing is restacked.  The text is emitted bound (``expr._bound_lines``):
-    ``heun_binder(B)`` gives each group of operations a scratch array, or
-    the dead one it reuses, and makes their slices views, once; ``bind``
-    makes the slices of the caller's arrays views, once; the step is only
-    calls with their outputs positional, and allocates no array.  Per
+    nothing is restacked.  The scheduler emits the text bound, as it emits
+    a tape's: ``heun_binder(B)`` gives each group of operations a scratch
+    array, or the dead one it reuses, and makes their slices views, once;
+    ``bind`` makes the slices of the caller's arrays views, once; the step
+    is only calls with their outputs positional, and allocates no array.  Per
     element the operations and their order are those of ``fields`` and
     ``advance``, so the bits are theirs.  The step is called with numpy's
     floating-point flags raising, which its caller sets (``flow._run``, once
@@ -327,14 +327,13 @@ class _Stage:
             return f"if not ({tests}):\n    raise FloatingPointError"
 
         sizes = {"y": m, "z": m, "p": m, "out": m, "w": self.d}
-        names = {**expr._ARRAY_NAMES, "copy": "positive"}
 
         def block(depth, lines):
             return "".join(f"{'    ' * depth}{t}\n" for line in lines for t in line.split("\n"))
 
         def binder(name, arrays, phases, inputs, cold, head=()):
-            program, _ = expr._schedule(ops, phases, inputs, sizes, targets, names=names)
-            shared, bind, step = expr._bound_lines(program, check)
+            (shared, bind, step), _ = expr._schedule(ops, phases, inputs, sizes, targets,
+                                                     check=check)
             return (f"    def {name}(width):\n" + block(2, shared)
                     + f"        def bind({arrays}):\n" + block(3, bind)
                     + "            def step(dt):\n" + block(4, [*head, "try:"])
@@ -361,12 +360,12 @@ class _Stage:
                        {"z": "z", "y": "y", "w": "w"}, "cold_image(y, w, dt, z)")
         consts = walk[2]
         make = expr._factory(
-            f"def make({', '.join(expr._ARRAY_NAMES.values())}, positive, absolute, empty, "
+            f"def make({', '.join(expr._ARRAY_NAMES.values())}, absolute, empty, "
             f"errstate, copyto, cold_heun, cold_image, margin{expr._params(consts)}):\n"
             + heun + image
             + "    return heun_binder, image_binder\n")
         self.heun_binder, self.image_binder = make(
-            *expr._ARRAY_FUNCTIONS, np.positive, np.absolute, np.empty, np.errstate, np.copyto,
+            *expr._ARRAY_FUNCTIONS, np.absolute, np.empty, np.errstate, np.copyto,
             functools.partial(_composed_heun, self), functools.partial(_composed_image, self),
             MARGIN, *map(np.array, consts))
 

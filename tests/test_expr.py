@@ -451,9 +451,26 @@ def _grouped_text(tape):
     return expr._grouped_source(ops, results, isinstance(tape.exprs, tuple), len(consts))
 
 
-def _calls(text) -> int:
-    """The numpy calls of a grouped text: one per assignment line."""
-    return sum(" = " in line for line in text.splitlines())
+def _per_call(tape) -> str:
+    """The tape's grouped text as one line per call, as array mode ran it
+    before its groups were bound: each view ``vN = <slice>`` expanded back
+    into the calls that read it, and each call written ``gN = fn(operands)``,
+    or ``gN = fn(operands, out=gM)`` where gN reuses gM's buffer.  Scalar
+    lines stay as they are."""
+    lines = [line.strip() for line in _grouped_text(tape).splitlines()]
+    views = dict(line.split(" = ") for line in lines if re.fullmatch(r"v\d+ = .*", line))
+    reused = dict(line.split(" = ") for line in lines if re.fullmatch(r"g\d+ = g\d+", line))
+    out = []
+    for line in lines:
+        call = re.fullmatch(r"(\w+)\((.*), (g\d+)\)", line)
+        if call:
+            fn, args, group = call.groups()
+            args = ", ".join(views.get(a, a) for a in args.split(", "))
+            out.append(f"{group} = {fn}({args}"
+                       + (f", out={reused[group]})" if group in reused else ")"))
+        elif re.fullmatch(r"t\d+ = .*", line):
+            out.append(line)
+    return "\n".join(out)
 
 
 def _dense_system():
@@ -515,14 +532,14 @@ def test_grouped_slices_read_the_rows_of_the_per_root_text(sources, layout, text
     # A repeated row broadcasts as a one-row block, a falling row is a
     # negative step, and a group splits where its constant operand differs.
     tape = expr.compile_tape([expr.parse(source, NAMES) for source in sources], layout)
-    assert all(text in _grouped_text(tape) for text in texts)
+    assert all(text in _per_call(tape) for text in texts)
     for width in (7, 1031):
         rows = np.random.default_rng(width).uniform(0.5, 2.0, size=(len(layout), width))
         assert _bits(tape(rows)) == _bits(_per_root_array(tape)(rows))
 
 
 def test_grouped_text_runs_fewer_calls_than_operations():
-    counts = {name: (len(tape), _calls(_grouped_text(tape)))
+    counts = {name: (len(tape), len(_per_call(tape).splitlines()))
               for name, (_, tape) in _ARRAY_MODE_TAPES.items()}
     assert all(calls < ops for ops, calls in counts.values())
     assert counts["dissipative-2d/state"] == (34, 16)
@@ -531,18 +548,28 @@ def test_grouped_text_runs_fewer_calls_than_operations():
 
 
 def test_grouped_text_writes_no_input_and_no_returned_row():
-    # Every operand is a basic slice, and out= names only a group that no
-    # later line reads and no returned row lives in.  (A returned row written
-    # over would fail the bit-for-bit test above.)
+    # Every operand is a basic slice and every call writes a group.  A group
+    # that reuses a dead group's buffer (``g6 = g2``) writes it only after
+    # the last call that reads the dead group, and no returned row lives in
+    # a reused buffer.  (A returned row written over would fail the
+    # bit-for-bit test above.)  Every tape here reuses at least one buffer.
     for name, (system, tape) in _ARRAY_MODE_TAPES.items():
-        *body, returned, _ = _grouped_text(tape).splitlines()[2:]
-        assert not any("[[" in line or "take(" in line for line in body)
-        for n, line in enumerate(body):
-            if "out=" in line:
-                target = re.search(r"out=(g\d+)\)$", line).group(1)
-                later = [re.sub(r", out=g\d+\)$", ")", b.split(" = ", 1)[1]) for b in body[n:]]
-                assert not any(re.search(rf"\b{target}\b", b) for b in [*later, returned]), \
-                    (name, line)
+        lines = [line.strip() for line in _grouped_text(tape).splitlines()]
+        views = dict(line.split(" = ") for line in lines if re.fullmatch(r"v\d+ = .*", line))
+        reuses = [line.split(" = ") for line in lines if re.fullmatch(r"g\d+ = g\d+", line)]
+        calls = [re.fullmatch(r"\w+\((.*), (\w+)\)", line).groups()
+                 for line in lines if re.fullmatch(r"\w+\(.*\)", line)]
+        returned = next(line for line in lines if line.startswith("return (")).split("(", 1)[1]
+        assert reuses, name
+        assert not any("[[" in line or "take(" in line for line in lines)
+        assert all(re.fullmatch(r"g\d+", group) for _, group in calls), name
+
+        def reads(args):
+            return {re.match(r"\w+", views.get(a, a)).group() for a in args.split(", ")}
+        for group, dead in reuses:
+            first = next(n for n, (_, out) in enumerate(calls) if out == group)
+            assert not any(dead in reads(args) for args, _ in calls[first:]), (name, group, dead)
+            assert not re.search(rf"\b{dead}\[", returned), (name, group, dead)
         rows = _batch(system, tape, 7)
         before = rows.tobytes()
         tape(rows)
@@ -551,10 +578,11 @@ def test_grouped_text_writes_no_input_and_no_returned_row():
 
 @pytest.mark.parametrize("system_id", ["dissipative-2d", "sasaki-einstein-t11"])
 def test_grouped_text_control_with_two_members_swapped_misses(system_id):
-    # Negative control: the first two-member group of the state tape reads
-    # its input rows in swapped order.  On these 1024 states it misses the
-    # per-root text by 1.98 on dissipative-2d (gamma*p1 and gamma*p2 swap,
-    # in both p rows) and on SE by 26.9 in the theta rows (3/sin(theta_i))
+    # Negative control: the first two-row view of the input in the state
+    # tape reads its rows in swapped order, in every call that reads it.
+    # On these 1024 states it misses the per-root text by 1.98 on
+    # dissipative-2d in both p rows (gamma*p1 and gamma*p2 swap) and by
+    # 15.7 in the z row, and on SE by 26.9 in the theta rows (3/sin(theta_i))
     # and by 0.89 in the margins (sin(theta1) and sin(theta2) swap).
     system, tape = _ARRAY_MODE_TAPES[f"{system_id}/state"]
     text = _grouped_text(tape)
@@ -565,7 +593,7 @@ def test_grouped_text_control_with_two_members_swapped_misses(system_id):
     namespace = {}
     exec(swapped, namespace)
     consts = tape._walk[2]
-    control = namespace["make"](*expr._ARRAY_FUNCTIONS, *map(np.float64, consts))
+    control = namespace["make"](*expr._ARRAY_FUNCTIONS, np.empty, *map(np.float64, consts))
     rows = _batch(system, tape, 1024)
     expected = _per_root_array(tape)(rows)
     got = control(rows)
@@ -582,7 +610,7 @@ def test_grouped_text_control_with_two_members_swapped_misses(system_id):
 def test_a_fault_inside_a_grouped_call_raises_its_first_faulting_paths_error(column, first):
     e = expr.parse("log(q1) + log(p1)", NAMES)
     tape = expr.compile_tape([e], ["q1", "p1"])
-    assert "log(rows[0:2])" in _grouped_text(tape)  # both logs are one call
+    assert "log(rows[0:2])" in _per_call(tape)  # both logs are one call
     fault = {"log(q1)": expr.Func("log", expr.Var("q1")), "log(p1)": expr.Func("log", expr.Var("p1"))}
     for rows in (np.array(column), [np.array(c) for c in column], np.array(column).T.copy().T):
         with pytest.raises(DomainError) as err:

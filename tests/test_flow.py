@@ -832,6 +832,37 @@ def test_every_generated_text_is_unchanged(system_id, monkeypatch):
         == _GENERATED_TEXTS[system_id]
 
 
+# sha256 (first 16 hex digits) of each stage's batch text, the one text
+# that defines its heun_binder and image_binder, per catalog system in the
+# order state, augmented, conformal, as the scheduler generated them when
+# the tapes' array mode still had a per-call text of its own.
+_BATCH_TEXTS = {
+    "dissipative-2d": ["4af29b33675591d1", "7627ec2d2773a75d", "caac60cb167f55b0"],
+    "sasaki-einstein-t11": ["d1071b122b3141d2", "ebc56542a1d068af", "0ca4648b7684aa1e"],
+}
+
+
+@pytest.mark.parametrize("system_id", list(_BATCH_TEXTS))
+def test_every_batch_text_is_unchanged(system_id, monkeypatch):
+    # Tapes and stages share one emitter of grouped array text; each stage's
+    # batch text stays string for string what it was.
+    import hashlib
+
+    texts, factory = [], expr._factory
+
+    def recording(source):
+        texts.append(source)
+        return factory(source)
+
+    system = catalog.get_entry(system_id).system()
+    stages = system._state_stage, system._augmented_stage, system._conformal_stage
+    monkeypatch.setattr(expr, "_factory", recording)
+    for stage in stages:
+        stage._generate_batch()
+    assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] \
+        == _BATCH_TEXTS[system_id]
+
+
 def _extended_state(stage, x, rng):
     """``x`` extended with random values for the stage's other slots (J, log_lambda)."""
     return [*x, *rng.normal(0.0, 1.0, size=len(stage.rows) - len(x))]
@@ -1000,8 +1031,8 @@ def test_batch_midpoint_matches_the_out_of_place_sweep(system_id, T, dt):
     # Streams 0-63 of master seed 1 from the default state, in one batch of
     # 64 and in batches of 7: every path's final state has the bits of the
     # reference sweep, which tests each path against 1e-13 within 50 sweeps.
-    # A sweep tolerance of 1e-6 for 1e-13 in flow._midpoint_steps changes 64
-    # of the 64 SE paths and 64 of the 64 dissipative-2d paths.
+    # A tolerance of 1e-6 for 1e-13 in flow._MIDPOINT_TOL changes 64 of the
+    # 64 SE paths and 64 of the 64 dissipative-2d paths.
     entry = catalog.get_entry(system_id)
     system = entry.system()
     n_steps = round(T / dt)
@@ -1077,15 +1108,22 @@ def test_batch_heun_control_with_one_output_buffer_misses(system_id, dt, monkeyp
 
 
 @pytest.mark.parametrize("scheme", flow.SCHEMES)
-def test_batch_runs_of_no_paths_or_no_steps(scheme):
-    # B = 0 gives (0, m); n_steps = 0 gives x0 back.
+def test_batch_runs_of_no_paths_or_no_steps(scheme, monkeypatch):
+    # B = 0 gives (0, m); n_steps = 0 gives x0 back, on a fresh system
+    # whose stages have generated no batch form, and generates none.
     system = catalog.sasaki_einstein_system()
     states = np.tile(catalog.get_entry("sasaki-einstein-t11").default_initial_state, (3, 1))
     states[1, 4] = 0.7
     assert flow.integrate_batch_final(system, states[:0], np.empty((0, 5, 10)), 1e-5,
                                       scheme).shape == (0, 5)
     assert flow.step(system, states[:0], np.empty((0, 5)), 1e-5, scheme).shape == (0, 5)
-    final = flow.integrate_batch_final(system, states, np.empty((3, 5, 0)), 1e-5, scheme)
+
+    def no_batch_form(stage):
+        raise AssertionError("a run of no steps generated its stage's batch forms")
+
+    monkeypatch.setattr(geo._Stage, "_generate_batch", no_batch_form)
+    final = flow.integrate_batch_final(catalog.sasaki_einstein_system(), states,
+                                       np.empty((3, 5, 0)), 1e-5, scheme)
     assert final.shape == states.shape and final.tobytes() == states.tobytes()
 
 

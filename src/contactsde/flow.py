@@ -25,6 +25,10 @@ index an ``int`` >= 0; anything else is a ``ConfigError``.
 4. normals fill the d x n_steps increment matrix row by row and are scaled
    by sqrt(dt), written straight into the caller's buffer
    (``_draw_increments``, shared by ``sample_brownian`` and the ensembles).
+   An ensemble's batch of several channels holds its increments
+   step-major, (d, n_steps, B), so that a step's are d contiguous rows:
+   ``_draw_step_major`` draws chunks of streams into a scratch of rows and
+   copies each transposed.
 
 Schemes
 -------
@@ -32,7 +36,10 @@ Schemes
 ``midpoint``  implicit Stratonovich midpoint rule, solved by fixed-point
               iteration to tolerance 1e-13 (at most 50 sweeps), tested per
               path: each path keeps the sweep at which its own update met
-              ``max|dy| <= 1e-13 * max(1, max|y|)``.
+              ``max|dy| <= 1e-13 * max(1, max|y|)``.  A batch sweeps only
+              its paths that have not: once at most half of a sweep's
+              width still sweeps, they move to a narrower one
+              (``_midpoint_steps``).
 
 One stepping core serves single paths and batches of every stage: one
 stepper per scheme and one loop, ``_run``.  A stage's ``fields(y)``
@@ -57,10 +64,13 @@ Each is a closure of ``dt`` whose grouped numpy calls run on views and
 scratch arrays made when it was bound, with their outputs positional, and
 with numpy's floating-point flags raising, which ``_run`` sets once per
 batch run.  The increments of a step are copied into a buffer of the run,
-and the finiteness screen and the midpoint sweep's arithmetic and
-reductions write into arrays of the run, so no step allocates one.  The
-sweep's arithmetic runs with the flags ignored, as every single path and
-every fallback does.  Off the hot path a form falls back to ``fields``
+d rows, each contiguous when the batch's increments are step-major, as an
+ensemble's of several channels are; the finiteness screen, the midpoint
+sweep's arithmetic and reductions, and its moves into narrower sweeps
+write into arrays of the run, so no step allocates one (but for a
+sweep's first move to a width, which makes that width's).  The sweep's
+arithmetic runs with the flags ignored, as every single path and every
+fallback does.  Off the hot path a form falls back to ``fields``
 and ``advance``: when a margin at an evaluation is below
 ``geometry.MARGIN``, or when an evaluation raises ``ZeroDivisionError``,
 ``ValueError`` or ``OverflowError`` (a single path) or sets a
@@ -272,6 +282,26 @@ def _draw_increments(out: np.ndarray, dt: float, master_seed: int, start: int) -
         _polar_normals(np.random.Generator(np.random.PCG64(source)), row, scale)
 
 
+# A step-major draw goes through a scratch of stream rows of at most this size.
+_SCRATCH_BYTES = 1 << 20
+
+
+def _draw_step_major(out: np.ndarray, dt: float, master_seed: int, start: int) -> None:
+    """Fill ``out``, (d, n_steps, count), with the increments of noise
+    streams ``start .. start + count - 1``, stream i in ``out[..., i]``, so
+    that a step's increments are d contiguous rows.  Chunks of streams are
+    drawn by ``_draw_increments`` into a scratch of stream rows and copied
+    transposed into their columns."""
+    d, n, count = out.shape
+    columns = out.reshape(d * n, count)
+    chunk = max(1, _SCRATCH_BYTES // (out.itemsize * max(1, d * n)))
+    scratch = np.empty((min(chunk, count), d * n))
+    for i in range(0, count, chunk):
+        rows = scratch[:min(chunk, count - i)]
+        _draw_increments(rows, dt, master_seed, start + i)
+        columns[:, i:i + len(rows)] = rows.T
+
+
 def _n_steps(span: float, dt: float) -> int:
     """Number of steps of size ``dt`` in ``span = T - t0``: the one grid
     rule of every entry point.  ``span`` and ``dt`` must be finite and
@@ -412,41 +442,133 @@ def _heun_steps(stage, y, w):
     return bind(y, w, p, other), bind(other, w, p, y)
 
 
+class _Sweep:
+    """One width of a batch run's midpoint sweep, with arrays of the run:
+    the states ``y`` and increments ``w`` that its image reads, the step's
+    result ``new``, the midpoint ``z`` (then the sweep's differences), the
+    image ``spare`` and the per-path test's reductions and masks.  The
+    first ``paths`` of its columns are paths of the step; the others copy
+    its first column, so that they sweep on the chart.  A narrower sweep
+    took its columns from the columns of ``wider`` that ``index`` names;
+    the slot past them takes the gather's writes for the paths that stay
+    behind."""
+
+    __slots__ = ("y", "w", "new", "z", "spare", "image", "err", "bound", "done", "todo",
+                 "counts", "ranks", "columns", "index", "paths", "wider")
+
+    def __init__(self, y, w, new):
+        width = y.shape[1]
+        self.y, self.w, self.new = y, w, new
+        self.z, self.spare = np.empty_like(y), np.empty_like(y)
+        self.err, self.bound = np.empty(width), np.empty(width)
+        self.done, self.todo = np.empty(width, dtype=bool), np.empty(width, dtype=bool)
+        self.counts, self.ranks = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+        self.columns, self.index = np.arange(width), np.empty(width + 1, dtype=np.intp)
+        self.paths = width
+
+    def test(self) -> int:
+        """Test each path's update from ``new`` to ``spare``; a path that has
+        not met its test yet takes ``spare``.  Returns the number of paths
+        that still sweep."""
+        new, z, err, bound, done = self.new, self.z, self.err, self.bound, self.done
+        np.maximum.reduce(np.absolute(np.subtract(self.spare, new, out=z), out=z),
+                          axis=0, out=err)
+        # A path that has met its own test keeps that sweep's value.
+        np.copyto(new, self.spare, where=np.logical_not(done, out=self.todo))
+        np.maximum.reduce(np.absolute(new, out=z), axis=0, out=bound)
+        np.multiply(_MIDPOINT_TOL, np.maximum(1.0, bound, out=bound), out=bound)
+        np.logical_or(done, np.less_equal(err, bound, out=self.todo), out=done)
+        return self.paths - int(np.count_nonzero(done[:self.paths]))
+
+    def gather(self, wider: "_Sweep", paths: int) -> "_Sweep":
+        """Take the ``paths`` paths of ``wider`` that still sweep, in order,
+        into the first columns of this sweep, and copies of the first of
+        them into the rest.  Returns this sweep."""
+        n = wider.paths
+        todo, counts, ranks = wider.todo[:n], wider.counts[:n], wider.ranks[:n]
+        np.logical_not(wider.done[:n], out=todo)
+        np.copyto(counts, todo)
+        np.add.accumulate(counts, out=ranks)
+        # A path that still sweeps goes to its rank among them less one, a
+        # path that has met its test to -1, which wraps to the last slot.
+        np.subtract(np.multiply(ranks, counts, out=ranks), 1, out=ranks)
+        self.index.put(ranks, wider.columns[:n], mode="wrap")
+        index = self.index[:-1]
+        index[paths:].fill(index[0])
+        # mode="raise" would buffer its output.
+        for source, target in ((wider.y, self.y), (wider.w, self.w), (wider.new, self.new)):
+            source.take(index, axis=1, out=target, mode="clip")
+        self.done.fill(False)
+        self.paths, self.wider = paths, wider
+        return self
+
+    def scatter(self) -> "_Sweep":
+        """Write each path's result into the column of ``wider`` that it
+        came from, and return ``wider``.  The copies write nothing: a copy
+        left behind by a narrower sweep holds a stale value."""
+        paths = self.paths
+        index = self.index[:paths]
+        for row, target in zip(self.new[:, :paths], self.wider.new):
+            target.put(index, row, mode="clip")
+        return self.wider
+
+
 def _midpoint_steps(stage, y, w):
     """A batch run's midpoint steps, bound as ``_heun_steps``' are.  Each
     sweeps in place on the run's buffers with the operations of an
     out-of-place sweep, tested per path: ``z`` holds the midpoint and then
     the sweep's differences, each image goes into ``spare``, and a path that
-    has not met its test yet takes it into the step's result.  Reductions
-    and masks go into arrays of the run, so a sweep allocates none."""
-    bind = stage.image_binder(y.shape[1])
-    other, z, spare = (np.empty_like(y) for _ in range(3))
-    err, bound = np.empty(y.shape[1]), np.empty(y.shape[1])
-    done, todo, met = (np.empty(y.shape[1], dtype=bool) for _ in range(3))
+    has not met its test yet takes it into the step's result.  Once at most
+    half of a sweep's width still sweeps, those paths move to the narrowest
+    of the halving widths B // 2, B // 4, ..., 1 that holds them, and sweep
+    on there; when they have all met their tests, each narrower sweep
+    writes its results back into the one it came from.  Each width makes
+    its arrays and binds its image once per run, on its first use
+    (``_Sweep``); reductions, masks and column indices go into them, so
+    only a step that first moves paths to a width allocates.  Per element a
+    path runs the operations that it runs at full width, so its bits do not
+    depend on where it sweeps.  The paths left behind by a move are no
+    longer imaged, so their discarded midpoints can no longer fail the
+    step."""
+    m, width = y.shape
+    bind = stage.image_binder(width)
+    other = np.empty_like(y)
+    whole = _Sweep(y, w, other)
+    # sweeps[k] has width width >> k, made and bound on its first use.
+    sweeps = [whole] + [None] * (width.bit_length() - 1)
+
+    def narrow(left):
+        k = (width // left).bit_length() - 1
+        if sweeps[k] is None:
+            part = width >> k
+            sweep = _Sweep(np.empty((m, part)), np.empty((w.shape[0], part)), np.empty((m, part)))
+            sweep.image = stage.image_binder(part)(sweep.y, sweep.w, sweep.z, sweep.spare)
+            sweeps[k] = sweep
+        return sweeps[k]
 
     def steps(y, y_new):
-        first, sweep = bind(y, w, y, y_new), bind(y, w, z, spare)
+        first, sweep = bind(y, w, y, y_new), bind(y, w, whole.z, whole.spare)
 
         def step(dt):
             # The images run under the run's raising flags, the sweep's own
             # arithmetic with them ignored, in one block per sweep.
             first(dt)
-            done.fill(False)
+            whole.y, whole.new, whole.image = y, y_new, sweep
+            whole.done.fill(False)
+            at = whole
             with np.errstate(all="ignore"):
-                np.multiply(0.5, np.add(y, y_new, out=z), out=z)
+                np.multiply(0.5, np.add(y, y_new, out=at.z), out=at.z)
             for _ in range(_MIDPOINT_SWEEPS):
-                sweep(dt)
+                at.image(dt)
                 with np.errstate(all="ignore"):
-                    np.maximum.reduce(np.absolute(np.subtract(spare, y_new, out=z), out=z),
-                                      axis=0, out=err)
-                    # A path that has met its own test keeps that sweep's value.
-                    np.copyto(y_new, spare, where=np.logical_not(done, out=todo))
-                    np.maximum.reduce(np.absolute(y_new, out=z), axis=0, out=bound)
-                    np.multiply(_MIDPOINT_TOL, np.maximum(1.0, bound, out=bound), out=bound)
-                    np.logical_or(done, np.less_equal(err, bound, out=met), out=done)
-                    if done.all():
+                    left = at.test()
+                    if not left:
+                        while at is not whole:
+                            at = at.scatter()
                         return y_new
-                    np.multiply(0.5, np.add(y, y_new, out=z), out=z)
+                    if 2 * left <= at.z.shape[1]:
+                        at = narrow(left).gather(at, left)
+                    np.multiply(0.5, np.add(at.y, at.new, out=at.z), out=at.z)
             raise _diverged()
         return step
     return steps(y, other), steps(other, y)
@@ -477,8 +599,11 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     stepped by its stage's generated batch steps, bound once to buffers
     that this call allocates (``_BATCH_STEPPERS``), so no two runs, and no
     two threads, share one.  Each step's increments are copied into one of
-    them and the finiteness screen writes into another, so no step
-    allocates an array; the final value is one of the state buffers."""
+    them, d rows that are contiguous when ``increments`` is a view of a
+    step-major (d, n_steps, B) array, and the finiteness screen writes into
+    another, so no step allocates an array but where a midpoint sweep first
+    moves paths to a narrower width (``_midpoint_steps``); the final value
+    is one of the state buffers."""
     stepper = _stepper(scheme)
     n_steps = increments.shape[1]
     if keep:
@@ -664,8 +789,10 @@ def integrate_batch_final(
 ) -> np.ndarray:
     """Final states of many independent paths integrated in lockstep.
 
-    ``initial_states`` is (B, dim) and ``increments`` is (B, d, n_steps).
-    Only the final state is kept; intermediate states are discarded.
+    ``initial_states`` is (B, dim) and ``increments`` is (B, d, n_steps);
+    a step reads its increments fastest from a view of a step-major (d,
+    n_steps, B) array, as ``_draw_step_major`` fills.  Only the final state
+    is kept; intermediate states are discarded.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3:

@@ -35,6 +35,7 @@ from .flow import (
     _check_seed,
     _conformal_factor,
     _draw_increments,
+    _draw_step_major,
     _initial_state,
     _n_steps,
 )
@@ -281,11 +282,25 @@ def _defect_ladder(
 # ---------------------------------------------------------------------------
 
 def _mc_batch(args) -> np.ndarray:
+    """The observable at the final states of noise streams ``start .. start
+    + count - 1``, whose increments, with the channels in ``zero_channels``
+    zeroed, go to ``integrate_batch_final`` as (count, d, n_steps).
+
+    With several channels they are drawn step-major, (d, n_steps, count),
+    and handed over as a view, so that each step copies d contiguous rows:
+    a step's d strided rows of a stream-major buffer cost more than the
+    draw's transposed copies.  One channel is drawn stream-major: its one
+    strided row per step costs less than they do."""
     (sys, x0, dt, n_steps, master_seed, start, count, scheme,
      observable, zero_channels) = args
     d = sys.d
-    increments = np.empty((count, d, n_steps))
-    _draw_increments(increments.reshape(count, d * n_steps), dt, master_seed, start)
+    if d > 1:
+        step_major = np.empty((d, n_steps, count))
+        _draw_step_major(step_major, dt, master_seed, start)
+        increments = step_major.transpose(2, 0, 1)
+    else:
+        increments = np.empty((count, d, n_steps))
+        _draw_increments(increments.reshape(count, d * n_steps), dt, master_seed, start)
     for k in zero_channels:
         increments[:, k, :] = 0.0
     initial = np.tile(np.asarray(x0, dtype=float), (count, 1))

@@ -257,6 +257,22 @@ def test_convergence_command_deterministic_system(tmp_path, capsys):
     assert all(o >= 1.9 for o in report["orders"])
 
 
+@pytest.mark.parametrize("command, errors", [("verify-contact", "defect_sup"),
+                                             ("convergence", "errors")])
+def test_reported_orders_are_the_log2_ratios_of_the_reported_errors(tmp_path, capsys, command,
+                                                                    errors):
+    # Each fitted order is log2 of its own pair of reported errors, bit for
+    # bit, after the JSON round trip.
+    cfg = write_config(tmp_path, system="dissipative-2d", T=1.0, dt=1e-3 / 1.024, seed=3)
+    code, out, _ = run_cli(capsys, command, "--config", cfg, "--levels", "4")
+    assert code == 0
+    report = json.loads(out)
+    errs = report[errors]
+    orders = report["fitted_orders" if command == "verify-contact" else "orders"]
+    assert len(orders) == len(errs) - 1 >= 2 and all(e > 0.0 for e in errs), report
+    assert orders == [math.log2(a / b) for a, b in zip(errs[:-1], errs[1:])], orders
+
+
 @pytest.mark.parametrize("command", ["verify-contact", "convergence"])
 def test_levels_rule_shared_by_commands(tmp_path, capsys, command):
     cfg = write_config(tmp_path, system="dissipative-2d", T=0.1, dt=1e-3)

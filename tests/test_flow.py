@@ -1025,32 +1025,83 @@ def _reference_midpoint_step(stage, y, dw, dt, tol=1e-13, max_iter=50):
     raise MidpointDivergence("reference midpoint did not converge")
 
 
-@pytest.mark.parametrize("system_id, T, dt", [("sasaki-einstein-t11", 0.005, 1e-5),
-                                               ("dissipative-2d", 0.1, 1e-3)])
-def test_batch_midpoint_matches_the_out_of_place_sweep(system_id, T, dt):
-    # Streams 0-63 of master seed 1 from the default state, in one batch of
-    # 64 and in batches of 7: every path's final state has the bits of the
-    # reference sweep, which tests each path against 1e-13 within 50 sweeps.
-    # A tolerance of 1e-6 for 1e-13 in flow._MIDPOINT_TOL changes 64 of the
-    # 64 SE paths and 64 of the 64 dissipative-2d paths.
+def _midpoint_misses(system_id, T, dt, paths, monkeypatch):
+    """Streams 0..paths-1 of master seed 1 from the default state, midpoint,
+    in one batch and, for 64 paths, in batches of 7, against the reference
+    sweep: per run, the paths that differ and the largest difference, and
+    the (wider width, width) of every compaction of the whole batch's run."""
     entry = catalog.get_entry(system_id)
     system = entry.system()
     n_steps = round(T / dt)
     increments = np.stack([flow.sample_brownian(system.d, n_steps, dt, 1, stream_index=s).increments
-                           for s in range(64)])
-    states = np.tile(entry.default_initial_state, (64, 1))
+                           for s in range(paths)])
+    states = np.tile(entry.default_initial_state, (paths, 1))
     y = np.ascontiguousarray(states.T)
     with np.errstate(all="ignore"):
         for j in range(n_steps):
             y = _reference_midpoint_step(system._state_stage, y,
                                          np.ascontiguousarray(increments[:, :, j].T), dt)
     expected = y.T
-    whole = flow.integrate_batch_final(system, states, increments, dt, "midpoint")
-    sevens = np.concatenate([
-        flow.integrate_batch_final(system, states[i:i + 7], increments[i:i + 7], dt, "midpoint")
-        for i in range(0, 64, 7)])
-    differing = [int((a != expected).any(axis=1).sum()) for a in (whole, sevens)]
-    assert differing == [0, 0], differing
+    gathers, gather = [], flow._Sweep.gather
+
+    def recorded(sweep, wider, left):
+        gathers.append((wider.z.shape[1], sweep.z.shape[1]))
+        return gather(sweep, wider, left)
+    monkeypatch.setattr(flow._Sweep, "gather", recorded)
+    runs = [flow.integrate_batch_final(system, states, increments, dt, "midpoint")]
+    monkeypatch.setattr(flow._Sweep, "gather", gather)
+    if paths <= 64:
+        runs.append(np.concatenate([
+            flow.integrate_batch_final(system, states[i:i + 7], increments[i:i + 7], dt,
+                                       "midpoint")
+            for i in range(0, paths, 7)]))
+    return ([int((a != expected).any(axis=1).sum()) for a in runs],
+            [float(np.abs(a - expected).max()) for a in runs], gathers)
+
+
+@pytest.mark.parametrize("system_id, T, dt, paths", [
+    ("sasaki-einstein-t11", 0.005, 1e-5, 64), ("dissipative-2d", 0.1, 1e-3, 64),
+    ("sasaki-einstein-t11", 0.005, 1e-5, 1024),
+], ids=["sasaki-einstein-t11-0.005-1e-05", "dissipative-2d-0.1-0.001",
+        "sasaki-einstein-t11-0.005-1e-05-1024"])
+def test_batch_midpoint_matches_the_out_of_place_sweep(system_id, T, dt, paths, monkeypatch):
+    # Streams 0-63 of master seed 1 from the default state, in one batch of
+    # 64 and in batches of 7, and streams 0-1023 in one batch: every path's
+    # final state has the bits of the reference sweep, which tests each path
+    # against 1e-13 within 50 sweeps and never compacts.  A tolerance of
+    # 1e-6 for 1e-13 in flow._MIDPOINT_TOL changes 64 of the 64 SE paths and
+    # 64 of the 64 dissipative-2d paths.  The 1024 SE paths move to
+    # narrower sweeps once at most half of a sweep's width still sweeps, and
+    # from a narrower sweep to a narrower one still.  Measured: 772
+    # compactions, 500 of the whole batch (one per step, to widths 4 to
+    # 512) and 272 of a narrower sweep (from widths 2 to 512).
+    differing, _, gathers = _midpoint_misses(system_id, T, dt, paths, monkeypatch)
+    assert differing == [0] * len(differing), differing
+    if paths == 1024:
+        deeper = [g for g in gathers if g[0] < paths]
+        print(f"compactions: {len(gathers)}, from a narrower sweep: {len(deeper)}, "
+              f"widths {sorted(set(gathers))}")
+        assert gathers and deeper, gathers
+
+
+def _reversed_scatter(sweep):
+    """``flow._Sweep.scatter`` with each path's result written into the
+    column of the path at the mirrored place of the narrower sweep."""
+    paths = sweep.paths
+    index = sweep.index[:paths][::-1]
+    for row, target in zip(sweep.new[:, :paths], sweep.wider.new):
+        target.put(index, row, mode="clip")
+    return sweep.wider
+
+
+def test_batch_midpoint_control_with_reversed_scatter_misses(monkeypatch):
+    # Negative control: the 1024 SE paths above, with each narrower sweep's
+    # results written back in reversed column order.  Measured: 1024 of the
+    # 1024 paths miss, by up to 1.08.
+    monkeypatch.setattr(flow._Sweep, "scatter", _reversed_scatter)
+    differing, misses, _ = _midpoint_misses("sasaki-einstein-t11", 0.005, 1e-5, 1024, monkeypatch)
+    print(f"reversed scatter control: differing paths {differing}, max miss {misses}")
+    assert differing[0] > 0 and misses[0] > 0.0, (differing, misses)
 
 
 def _heun_misses(system_id, dt, n_steps):
@@ -1182,6 +1233,38 @@ def test_a_bound_batch_step_allocates_no_array(system_index, form):
     peak = _traced_peak(step, 1e-3)
     print(f"bound {form} step, {system.chart.kind}: traced peak {peak} B over 100 calls")
     assert peak < 4096, peak
+
+
+def test_a_whole_midpoint_step_allocates_no_array(monkeypatch):
+    # One batch midpoint step at B = 1024, bound once as _run binds it: its
+    # first image, every sweep and per-path test, and the compactions into
+    # narrower sweeps and back, through index arrays of the run, once a
+    # first call has made the widths that the step moves to.  On SE, from
+    # the states that streams 0-1023 of master seed 1 reach from the default
+    # state in 50 steps of 1e-5, with their 51st increments, the step
+    # compacts twice (measured: to width 512, then to 8), and 100 calls
+    # raise the traced peak by less than 4 KB, as a bound image does.
+    # (dissipative-2d's paths meet their tests at one sweep: no compaction.)
+    entry = catalog.get_entry("sasaki-einstein-t11")
+    system = entry.system()
+    noise = np.empty((system.d, 51, 1024))
+    flow._draw_step_major(noise, 1e-5, 1, 0)
+    states = np.tile(entry.default_initial_state, (1024, 1))
+    y = np.ascontiguousarray(flow.integrate_batch_final(
+        system, states, noise[:, :50].transpose(2, 0, 1), 1e-5, "midpoint").T)
+    step = flow._midpoint_steps(system._state_stage, y, np.ascontiguousarray(noise[:, 50]))[0]
+    widths, gather = [], flow._Sweep.gather
+
+    def recorded(sweep, wider, left):
+        widths.append(sweep.z.shape[1])
+        return gather(sweep, wider, left)
+    monkeypatch.setattr(flow._Sweep, "gather", recorded)
+    with np.errstate(**_RAISING):
+        step(1e-5)
+    monkeypatch.setattr(flow._Sweep, "gather", gather)
+    peak = _traced_peak(step, 1e-5)
+    print(f"midpoint step: compactions to widths {widths}, traced peak {peak} B over 100 calls")
+    assert len(widths) >= 2 and peak < 4096, (widths, peak)
 
 
 def test_negative_control_an_allocating_step_misses_the_allocation_bound():

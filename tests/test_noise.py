@@ -55,20 +55,21 @@ STREAMS = range(300)
 DT = 1e-3
 
 
-def _batch_increments(monkeypatch, d, n_steps, master_seed, start, count):
+def _batch_increments(monkeypatch, d, n_steps, master_seed, start, count, zero_channels=()):
     """The (count, d, n_steps) increments that ``_mc_batch`` hands to the
-    stepper, caught there; the fake stepper returns the initial states."""
+    stepper, caught there as handed; the fake stepper returns the initial
+    states."""
     caught = []
 
     def catch(sys_, initial, increments, dt, scheme):
-        caught.append(increments.copy())
+        caught.append(increments)
         return initial
 
     monkeypatch.setattr(ver, "integrate_batch_final", catch)
     system = geo.HamiltonianSystem(geo.DarbouxChart(1), "z", ["z"] * d)
     observable = expr.compile_tape([system.prepare("z")], system.chart.names)
     ver._mc_batch((system, [0.0, 0.0, 1.0], DT, n_steps, master_seed, start, count,
-                   "heun", observable, ()))
+                   "heun", observable, tuple(zero_channels)))
     (increments,) = caught
     return increments
 
@@ -96,6 +97,38 @@ def test_monte_carlo_batch_matches_the_oracle_bit_for_bit(monkeypatch, d, n_step
         increments = _batch_increments(monkeypatch, d, n_steps, master_seed, 0, len(STREAMS))
         assert increments.shape == (len(STREAMS), d, n_steps)
         assert _differing_streams(increments, d, n_steps, master_seed) == [], master_seed
+
+
+@pytest.mark.parametrize("d, n_steps, start, count, zero_channels", [
+    (1, 1000, 0, 300, ()),
+    (1, 1000, 4096, 300, (0,)),
+    (1, 1000, 3, 1, ()),
+    (2, 1000, 5, 300, (1,)),
+    (5, 500, 0, 105, ()),
+    (5, 500, 7, 105, (1, 4)),
+    (5, 500, 1000, 1, ()),
+], ids=["d1", "d1-start-zeroed", "d1-one", "d2-start-zeroed", "d5", "d5-start-zeroed", "d5-one"])
+def test_monte_carlo_noise_layout(monkeypatch, d, n_steps, start, count, zero_channels):
+    # With several channels _mc_batch draws chunks of streams into a scratch
+    # of stream rows and copies each chunk into its columns of a (d,
+    # n_steps, count) buffer, so that a step's increments are d contiguous
+    # rows; one channel stays stream-major.  Every stream equals its own
+    # draw by sample_brownian bit for bit, its zeroed channels 0.0, whichever
+    # chunk it fell in: the counts of 300 and 105 end in a partial chunk.
+    chunk = flow._SCRATCH_BYTES // (8 * d * n_steps)
+    assert count == 1 or (count > chunk and count % chunk), (count, chunk)
+    increments = _batch_increments(monkeypatch, d, n_steps, 1, start, count, zero_channels)
+    assert increments.shape == (count, d, n_steps)
+    buffer = np.moveaxis(increments, 0, -1) if d > 1 else increments
+    assert buffer.flags.c_contiguous
+    differing = []
+    for i in range(count):
+        path = flow.sample_brownian(d, n_steps, DT, 1, stream_index=start + i)
+        expected = path.with_zeroed_channels(zero_channels).increments
+        if increments[i].tobytes() != expected.tobytes():
+            differing.append(start + i)
+    assert differing == []
+    assert all(not increments[:, k].any() for k in zero_channels)
 
 
 def _first_block_keeps(master_seed, stream, count):

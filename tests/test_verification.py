@@ -298,6 +298,30 @@ def test_convergence_validation(dissipative):
             ver.convergence_study(dissipative, [1.0, 0, 2.0, 0, 0], p, levels=bad)
 
 
+def _log2_ratios(errors):
+    """The fitted order of each adjacent pair, as the report defines it."""
+    return [math.log2(coarse / fine) for coarse, fine in zip(errors[:-1], errors[1:])]
+
+
+def test_fitted_orders_are_the_log2_ratios_of_their_own_errors(dissipative):
+    # Bit for bit: an order off by a factor 1.05 would pass every range
+    # check on orders that these tests make.
+    p = make_path(dissipative, 1024, 1e-3, 3)
+    x0 = [1.0, 0.0, 2.0, 0.0, 0.0]
+    for report in (ver.convergence_study(dissipative, x0, p, levels=4),
+                   ver.defect_convergence(dissipative, x0, p, levels=4)):
+        assert len(report.orders) == len(report.errors) - 1 >= 2
+        assert all(e > 0.0 for e in report.errors), report.errors
+        assert report.orders == _log2_ratios(report.errors), (report.label, report.orders)
+
+
+def test_fitted_orders_of_zero_errors():
+    # A zero fine error fits order inf, a zero coarse error 0.0.
+    orders = ver._fitted_orders([1.0, 0.0, 0.0, 0.5, 0.25])
+    assert orders == [math.inf, 0.0, 0.0, 1.0]
+    assert [type(o) for o in orders] == [float] * 4
+
+
 def test_convergence_report_roundtrip():
     report = ver.ConvergenceReport("x", [4e-3, 2e-3], [1e-2, 5e-3], [1.0])
     clone = ver.ConvergenceReport.from_dict(json.loads(json.dumps(report.to_dict())))

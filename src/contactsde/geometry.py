@@ -57,8 +57,9 @@ the per-row update in the same order, but the tape's ``math`` and numpy
 functions may round ``exp``, ``log`` and ``^`` apart in the last bit, so a
 path alone can differ from the same path in a batch.  The augmented roots
 per Hamiltonian are X_H, each entry of DX_H J summed left to right in
-ascending c over the c where DX_H[a,c] is not a constant zero, and -R(H),
-as expressions over x, J and log_lambda.
+ascending c over the c where DX_H[a,c] is not a constant zero and J[c,b]
+can leave zero when J starts from I, and -R(H), as expressions over x, J
+and log_lambda.
 
 Every Jacobi bracket comes from one formula, ``_bracket``, in the arithmetic
 its caller passes: numbers for the numeric brackets, expressions for
@@ -738,11 +739,34 @@ class HamiltonianSystem:
         """x, J row-major, then log_lambda; per H the roots are X_H, DX_H J
         and -R(H).  Entry (a, b) of DX_H J sums ``DX_H[a,c] * J[c,b]`` left to
         right in ascending c over the c where ``DX_H[a,c]`` is not a constant
-        zero, a constant 0.0 where there is none: the tree that summing every
-        product gives, since ``expr.mul`` folds a zero factor to 0.0 and
-        ``expr.add`` drops a 0.0 term, without forming the zero products."""
+        zero and ``J[c,b]`` is live, a constant 0.0 where there is none:
+        ``expr.mul`` folds a zero factor to 0.0 and ``expr.add`` drops a 0.0
+        term, so neither kind of zero product is formed.
+
+        The live set is where J, started from I, can ever be nonzero.  With
+        P the pairs (a, c) at which some ``DX_{H_i}[a,c]`` is not a constant
+        zero, it holds every (a, a) and is closed under: (a, c) in P and
+        (c, b) live make (a, b) live.  A dead entry's every product has a
+        dead J factor, so its roots fold and its row copies y: it stays
+        +0.0, as it did when its ``±0.0`` products were formed, since
+        ``+0.0 + (±0.0)`` is +0.0.  No J entry, predictor or midpoint is
+        ever -0.0 (``y + t`` is -0.0 only when both are), so dropping a
+        ``±0.0`` product from a live entry's sum changes no bit of a step.
+        A non-finite ``DX_H[a,c]`` still reaches the step through the live
+        product ``DX_H[a,c] * J[c,c]`` in the root of (a, c), so the run
+        fails at the same step.  The contract: the J rows are exact only
+        for a J whose nonzeros lie in the live set, as
+        ``integrate_augmented``'s J = I does."""
         dim = self.dim
-        jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
+        names = [f"J[{c},{b}]" for c in range(dim) for b in range(dim)]
+        pairs = {(a, c) for dx in self._jacobian_exprs for a in range(dim) for c in range(dim)
+                 if not _is_zero(dx[a * dim + c])}
+        live = grown = {(a, a) for a in range(dim)}
+        while grown:
+            grown = {(a, b) for a, c in pairs for c2, b in grown if c == c2} - live
+            live = live | grown
+        jac = [expr.var(name) if divmod(i, dim) in live else expr.const(0.0)
+               for i, name in enumerate(names)]
 
         def product(dx):
             rows = [[(dx[a * dim + c], c) for c in range(dim) if not _is_zero(dx[a * dim + c])]
@@ -754,7 +778,7 @@ class HamiltonianSystem:
         roots = [(*comps, *product(dx), expr.negate(rate))
                  for comps, dx, rate in zip(self.vector_field_exprs, self._jacobian_exprs,
                                             self._rate_exprs)]
-        return self._stage(roots, (*self.chart.names, *(v.name for v in jac), "log(lambda)"))
+        return self._stage(roots, (*self.chart.names, *names, "log(lambda)"))
 
     @functools.cached_property
     def _conformal_stage(self) -> _Stage:

@@ -401,7 +401,7 @@ def test_tape_set_pickle_round_trip():
         pickle.loads(pickle.dumps(expr.compile_tape([expr.parse("1/q1", NAMES)], ["q1"])))([0.0])
 
 
-_AUGMENTED_STAGE_BOUND = {"sasaki-einstein-t11": 104, "dissipative-2d": 117}
+_AUGMENTED_STAGE_BOUND = {"sasaki-einstein-t11": 74, "dissipative-2d": 75}
 
 
 @pytest.mark.parametrize("system_id, bound", [("sasaki-einstein-t11", 64), ("dissipative-2d", 42)])
@@ -409,7 +409,7 @@ def test_augmented_tape_set_computes_shared_subterms_once(system_id, bound):
     # The set (X_H, DX_H, R(H)) of every H compiled whole, as the augmented
     # stage once ran it, and the augmented stage's own tape of the roots
     # that are not constant zeros and the chart's margins, in which DX_H J
-    # is summed over the structural nonzeros of DX_H.
+    # is summed over the structural nonzeros of DX_H and of J.
     system = catalog.get_entry(system_id).system()
     names = system.chart.names
     roots = [

@@ -745,12 +745,16 @@ def _kernel_systems():
 _INLINE_SE = ("1 + psi*cos(theta1)/3 + sin(psi)*phi2", ["1", "(1/3)*cos(theta1)", "psi*phi1"])
 
 
-def _every_product_stage(system, order=range):
+def _every_product_stage(system, order=range, live=None):
     """The augmented stage built from roots in which entry (a, b) of DX_H J
     sums every product ``DX_H[a,c] * J[c,b]``, zero factors included, over
-    c in ``order(dim)``; ascending is how the stage was once built."""
+    c in ``order(dim)``; ascending is how the stage was once built.  Given a
+    boolean (dim, dim) ``live``, ``J[c,b]`` is a constant 0.0 where it is
+    False."""
     dim = system.dim
-    jac = [expr.var(f"J[{c},{b}]") for c in range(dim) for b in range(dim)]
+    names = [f"J[{c},{b}]" for c in range(dim) for b in range(dim)]
+    jac = [expr.var(name) if live is None or live[divmod(i, dim)] else expr.const(0.0)
+           for i, name in enumerate(names)]
     roots = [(
         *comps,
         *(functools.reduce(expr.add, (expr.mul(dx[a * dim + c], jac[c * dim + b])
@@ -759,7 +763,24 @@ def _every_product_stage(system, order=range):
         expr.negate(rate),
     ) for comps, dx, rate in zip(system.vector_field_exprs, system._jacobian_exprs,
                                  system._rate_exprs)]
-    return system._stage(roots, (*system.chart.names, *(v.name for v in jac), "log(lambda)"))
+    return system._stage(roots, (*system.chart.names, *names, "log(lambda)"))
+
+
+def _live_mask(system):
+    """Where J, started from I, can be nonzero, as a boolean (dim, dim): the
+    identity closed under ``live |= P @ live``, where P marks the entries at
+    which some DX_H is not a constant zero."""
+    dim = system.dim
+    pairs = np.zeros((dim, dim), dtype=int)
+    for dx in system._jacobian_exprs:
+        pairs |= np.array([not (isinstance(e, expr.Const) and e.value == 0.0)
+                           for e in dx]).reshape(dim, dim)
+    live = np.eye(dim, dtype=int)
+    while True:
+        grown = live | (pairs @ live > 0)
+        if (grown == live).all():
+            return live.astype(bool)
+        live = grown
 
 
 def _augmented_systems():
@@ -772,11 +793,13 @@ def _augmented_systems():
 @pytest.mark.parametrize("name", ["dissipative", "se", "inline_darboux", "inline_se"])
 def test_augmented_stage_skips_zero_products_with_equal_roots(name):
     # The stage forms DX_H[a,c] * J[c,b] only where DX_H[a,c] is not a
-    # constant zero; its roots equal those that forming every product gives.
-    # The tape holds the roots that are not constant zeros, and rows says
-    # where the zeros are.
+    # constant zero and J[c,b] is live; its roots equal those that forming
+    # every product gives with a constant 0.0 for each dead J entry.  The
+    # tape holds the roots that are not constant zeros, and rows says where
+    # the zeros are.
     system = _augmented_systems()[name]
-    ours, theirs = system._augmented_stage, _every_product_stage(system)
+    ours = system._augmented_stage
+    theirs = _every_product_stage(system, live=_live_mask(system))
     assert ours.tape.exprs == theirs.tape.exprs
     assert ours.rows == theirs.rows
     assert ours.tape.layout == theirs.tape.layout
@@ -785,29 +808,110 @@ def test_augmented_stage_skips_zero_products_with_equal_roots(name):
 @pytest.mark.parametrize("name", ["inline_darboux", "inline_se"])
 def test_augmented_stage_root_comparison_sees_the_summation_order(name):
     # Negative control: summing in descending c gives other trees wherever a
-    # row of DX_H has two nonzeros: 30 of the 68 tape roots on the inline
-    # Darboux system and 35 of 59 on the inline SE system differ.
+    # row of DX_H has two nonzeros over live J entries: 30 of the 68 tape
+    # roots on the inline Darboux system and 28 of 52 on the inline SE
+    # system differ.
     system = _augmented_systems()[name]
     ours = system._augmented_stage
-    theirs = _every_product_stage(system, lambda dim: range(dim - 1, -1, -1))
+    theirs = _every_product_stage(system, lambda dim: range(dim - 1, -1, -1),
+                                  _live_mask(system))
     assert ours.rows == theirs.rows
     differ = sum(a != b for a, b in zip(ours.tape.exprs, theirs.tape.exprs))
     assert differ > 0
 
 
+# Per system: the initial state, dt and the number of steps of the runs on
+# which the augmented stage is checked against the every-product trees.
+_ORACLE_RUNS = {"dissipative": ((1.0, 0.0, 2.0, 0.0, 0.0), 1e-3, 1000),
+                "se": ((math.pi / 2, math.pi / 2, 0.3, -0.4, 0.25), 6.25e-5, 768),
+                "inline_darboux": ((0.3, -0.2, 0.5, 0.1, 0.2), 1e-3, 300),
+                "inline_se": ((1.0, 1.2, 0.3, -0.4, 0.25), 1e-4, 300)}
+
+
+def _oracle_runs(system, stage, name, scheme, paths=4):
+    """The history of one path from J = I, seed 1, and that of a batch of
+    ``paths`` paths (streams 0, 1, ...) over the first 300 steps, each run
+    on ``stage``."""
+    x0, dt, steps = _ORACLE_RUNS[name]
+    y0 = np.concatenate([x0, np.eye(system.dim).ravel(), [0.0]])
+    increments = np.stack([flow.sample_brownian(system.d, steps, dt, 1, stream_index=s).increments
+                           for s in range(paths)], axis=-1)
+    single = flow._run(stage, y0, increments[..., 0], dt, scheme, "oracle", True)
+    batch = flow._run(stage, np.tile(y0[:, None], (1, paths)), increments[:, :300], dt, scheme,
+                      "oracle", True)
+    return single, batch
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("name", ["dissipative", "se", "inline_darboux", "inline_se"])
+def test_augmented_stage_runs_as_every_product_stage(name, scheme):
+    # The stage leaves out the products whose J factor is structurally zero.
+    # From J = I its runs equal those of the trees that form every product:
+    # states, J and log_lambda bit for bit, signs of zero included.
+    system = _augmented_systems()[name]
+    ours = _oracle_runs(system, system._augmented_stage, name, scheme)
+    theirs = _oracle_runs(system, _every_product_stage(system), name, scheme)
+    assert [h.tobytes() for h in ours] == [h.tobytes() for h in theirs]
+
+
+@pytest.mark.parametrize("name, misses, entries",
+                         [("dissipative", (0.5, 0.05), 10), ("se", (1e-18, 1e-18), 2)])
+def test_augmented_runs_control_with_an_unclosed_live_set_misses(name, misses, entries):
+    # Negative control: a live set that stops at the identity, with no
+    # closure, under Heun.  J misses the every-product runs by up to 0.88 on
+    # dissipative-2d (T = 1, 10 entries differ at T; the batch by 0.098 at
+    # T = 0.3) and by 3.2e-18 on SE (T = 0.048, 2 entries; the batch by
+    # 1.9e-18 at T = 0.019); the state and log_lambda rows read no J.
+    system = _augmented_systems()[name]
+    dim = system.dim
+    control = _every_product_stage(system, live=np.eye(dim, dtype=bool))
+    ours = _oracle_runs(system, control, name, "heun")
+    theirs = _oracle_runs(system, _every_product_stage(system), name, "heun")
+    jac = slice(dim, dim + dim * dim)
+    for a, b, miss in zip(ours, theirs, misses):
+        assert a[:, :dim].tobytes() == b[:, :dim].tobytes()
+        assert a[:, -1].tobytes() == b[:, -1].tobytes()
+        assert np.max(np.abs(a[:, jac] - b[:, jac])) > miss
+    assert np.count_nonzero(ours[0][-1] != theirs[0][-1]) == entries
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+def test_augmented_stage_leaves_the_chart_where_every_product_stage_does(scheme):
+    # An SE path of 300 steps, then an increment that lands Heun's predictor
+    # (midpoint's first midpoint: twice the increment) on theta1 = 0, then
+    # 299 more: both stages run the first 300 steps bit for bit and raise
+    # the same error, at the same state, in step 301.
+    system = catalog.sasaki_einstein_system()
+    ours, theirs = system._augmented_stage, _every_product_stage(system)
+    x0, dt, _ = _ORACLE_RUNS["se"]
+    y0 = np.concatenate([x0, np.eye(system.dim).ravel(), [0.0]])
+    increments = flow.sample_brownian(system.d, 600, dt, 1).increments.copy()
+    runs = [flow._run(stage, y0, increments[:, :300], dt, scheme, "oracle", True)
+            for stage in (ours, theirs)]
+    assert runs[0].tobytes() == runs[1].tobytes()
+    theta1 = runs[0][-1, 0]
+    increments[:, 300] = 0.0
+    increments[3, 300] = -(2.0 if scheme == "midpoint" else 1.0) * theta1 * math.sin(theta1) / 3.0
+    outcomes = [_outcome(flow._run, stage, y0, increments[:, :n], dt, scheme, "oracle", False)
+                for stage in (ours, theirs) for n in (301, 600)]
+    assert outcomes[0][0] is SingularChartPoint
+    assert outcomes == [outcomes[0]] * 4
+
+
 # sha256 (first 16 hex digits) of every text compiled while a catalog system
 # and its three stages are built, in order: the chart's tapes, then per stage
 # its tape, its _euler/_heun text and its heun_step, as the design before the
-# stage formatted the tape's own walk generated them.
+# stage formatted the tape's own walk generated them; the augmented stage's
+# three (the 7th to 9th) as they are since its roots fold J's structural zeros.
 _GENERATED_TEXTS = {
     "dissipative-2d": [
         "02c6710e22189157", "850ffe8969e48bb4", "0081402f9970dfdc", "e5f2f8ceddd508c7",
-        "fd43eac0d00869da", "ba11da22af1561f4", "5950ca0dbfc78d4a", "7afa43b747fdb69e",
-        "347230010ec8ed5a", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "441a301e0e2def2c"],
+        "fd43eac0d00869da", "ba11da22af1561f4", "cf72990613738a36", "f4a62494d7294706",
+        "19b5062ff65c39de", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "441a301e0e2def2c"],
     "sasaki-einstein-t11": [
         "094f41a45cacdc3f", "66e3e2e90469ace5", "0a8dd713468064c8", "e7e4854a2ada57ed",
-        "ca6fbde4ee11e68c", "7b9bd1dbef0ede27", "73b38312a488668d", "25558edd6948ff9b",
-        "aca7e33cd8e9111b", "e7e4854a2ada57ed", "12a154ebfc524550", "3510b0643e56f407"],
+        "ca6fbde4ee11e68c", "7b9bd1dbef0ede27", "b235fbd94aea032e", "5b97a50a9ed096b7",
+        "9574ebad54df0710", "e7e4854a2ada57ed", "12a154ebfc524550", "3510b0643e56f407"],
 }
 
 
@@ -835,10 +939,11 @@ def test_every_generated_text_is_unchanged(system_id, monkeypatch):
 # sha256 (first 16 hex digits) of each stage's batch text, the one text
 # that defines its heun_binder and image_binder, per catalog system in the
 # order state, augmented, conformal, as the scheduler generated them when
-# the tapes' array mode still had a per-call text of its own.
+# the tapes' array mode still had a per-call text of its own; the augmented
+# stage's as it is since its roots fold J's structural zeros.
 _BATCH_TEXTS = {
-    "dissipative-2d": ["4af29b33675591d1", "7627ec2d2773a75d", "caac60cb167f55b0"],
-    "sasaki-einstein-t11": ["d1071b122b3141d2", "ebc56542a1d068af", "0ca4648b7684aa1e"],
+    "dissipative-2d": ["4af29b33675591d1", "97ab7d0324e9be29", "caac60cb167f55b0"],
+    "sasaki-einstein-t11": ["d1071b122b3141d2", "0e6aa20c94976893", "0ca4648b7684aa1e"],
 }
 
 

@@ -38,8 +38,11 @@ evaluation, not by shape.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
 import struct
+import threading
+import zlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -586,13 +589,45 @@ def _params(consts) -> str:
     return "".join(f", c{i}" for i in range(len(consts)))
 
 
-@functools.lru_cache(maxsize=1024)
-def _factory(source: str):
+def _block(depth: int, lines) -> str:
+    """``lines`` as text indented ``depth`` levels, a line with newlines split."""
+    return "".join(f"{'    ' * depth}{t}\n" for line in lines for t in line.split("\n"))
+
+
+# The compiled ``make`` of each distinct text, with the file name it was
+# compiled under, oldest first; at most ``_FACTORY_TEXTS`` of them.
+_FACTORIES: dict = {}
+_FACTORY_TEXTS = 1024
+_FACTORIES_LOCK = threading.Lock()
+
+
+def _factory(source: str, role: str):
     """The ``make`` that ``source`` defines, compiled once per distinct text
-    (tapes here, ``geometry._Stage``'s stepping forms)."""
-    namespace = {}
-    exec(compile(source, "<tape>", "exec"), namespace)
-    return namespace["make"]
+    (tapes here, ``geometry._Stage``'s stepping forms).  It is compiled
+    under the file name ``<contactsde ROLE DIGEST>``: ``role`` says what the
+    text is, such as ``tape`` or ``augmented heun_run``, and ``DIGEST`` is
+    the text's CRC-32 and Adler-32, 16 hex digits, so that two texts do not
+    share a name and a profiler keeps their functions apart (``zlib`` is
+    loaded with numpy already, where ``hashlib`` would add its import to
+    every fresh interpreter).  A text that two roles generate, as SE's state
+    and conformal stages do, is compiled once, under the role that asked
+    for it first.  The text is registered with ``linecache`` under its name,
+    so tracebacks and profilers show its lines.  Past ``_FACTORY_TEXTS``
+    texts the oldest is dropped, with its lines."""
+    entry = _FACTORIES.get(source)
+    if entry is None:
+        text = source.encode()
+        name = f"<contactsde {role} {zlib.crc32(text):08x}{zlib.adler32(text):08x}>"
+        namespace = {}
+        exec(compile(source, name, "exec"), namespace)
+        with _FACTORIES_LOCK:
+            entry = _FACTORIES.get(source)
+            if entry is None:
+                if len(_FACTORIES) >= _FACTORY_TEXTS:
+                    linecache.cache.pop(_FACTORIES.pop(next(iter(_FACTORIES)))[1], None)
+                entry = _FACTORIES[source] = (namespace["make"], name)
+                linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    return entry[0]
 
 
 def _slice(source: str, start: int, step: int, count: int, size) -> str:
@@ -790,7 +825,7 @@ def _grouped_source(ops, results, many: bool, n_consts: int) -> str:
     value = "(" + "".join(f"{v}, " for v in values) + ")" if many else values[0]
     return (f"def make({', '.join(_ARRAY_NAMES.values())}, empty{_params(range(n_consts))}):\n"
             "    def tape(rows):\n        width = rows.shape[1]\n"
-            + "".join(f"        {line}\n" for line in (*shared, *bind, *step))
+            + _block(2, (*shared, *bind, *step))
             + f"        return {value}\n    return tape\n")
 
 
@@ -800,7 +835,7 @@ class EvalTape:
     shape.  A call returns the value, or the tuple of values in order;
     ``len(tape)`` counts the distinct operations the set runs.  Both of its
     texts are formatted from one walk of the roots (``_walk``), which the
-    tape keeps for ``geometry._Stage`` to format its stepping kernel from.
+    tape keeps for ``geometry._Stage`` to format its single-path run from.
 
     Scalar mode (slot values are Python floats; other scalars are converted)
     calls ``math`` functions and performs, for every root, exactly the
@@ -840,8 +875,8 @@ class EvalTape:
         consts = self._walk[2]
         make = _factory(f"def make(pow, sin, cos, exp, log{_params(consts)}):\n"
                         "    def tape(values):\n"
-                        + "".join(f"        {line}\n" for line in lines)
-                        + f"        return {value}\n    return tape\n")
+                        + _block(2, lines)
+                        + f"        return {value}\n    return tape\n", "tape")
         self._scalar = make(*_SCALAR_FUNCTIONS, *consts)
         self._array = None  # the grouped text, bound on the first array-mode call
 
@@ -863,7 +898,7 @@ class EvalTape:
         if self._array is None:
             ops, results, consts = self._walk
             make = _factory(_grouped_source(ops, results, isinstance(self.exprs, tuple),
-                                            len(consts)))
+                                            len(consts)), "tape array")
             self._array = make(*_ARRAY_FUNCTIONS, np.empty, *map(np.float64, consts))
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):

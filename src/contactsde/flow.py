@@ -54,8 +54,11 @@ structure and summation order.
 
 The hot paths run generated forms of the stage that perform exactly the
 operations of ``fields`` and ``advance`` in the same order, so the bits
-are theirs.  A single path's Heun step runs through ``heun_step``, both
-evaluations written out inline on Python floats.  A batch run binds its
+are theirs.  A single path's Heun steps run in one call of its stage's
+generated ``heun_run``: the state stays in Python float locals from step
+to step, both evaluations of a step are written out inline, and each state
+is screened and recorded into an ``array('d')`` history, which ``_run``
+reads as an array without a copy.  A batch run binds its
 stage's generated batch steps once (``heun_binder`` and ``image_binder``)
 to ``(m, B)`` buffers of the run, which ``_run`` allocates per call, so a
 shared system stays thread-safe: one Heun step per parity of its two state
@@ -75,15 +78,24 @@ and ``advance``: when a margin at an evaluation is below
 ``geometry.MARGIN``, or when an evaluation raises ``ZeroDivisionError``,
 ``ValueError`` or ``OverflowError`` (a single path) or sets a
 floating-point flag (a batch).  The fallback raises exactly their errors,
-``SingularChartPoint`` ahead of ``DomainError``.  A single path's midpoint
-step goes through ``fields`` and ``advance``.
+``SingularChartPoint`` ahead of ``DomainError``: a single path's run hands
+such a step back to ``_run``, which takes it with ``_composed_heun`` and
+resumes the run if it returns.  A single path's midpoint step goes through
+``fields`` and ``advance``.
 
-``_run`` carries a single path as a list of floats from ``x0`` to the
-history write: it reads the increments once, one list per step, so the
-midpoint stepper's per-path test compares floats.  It screens each state
-with one ``math.isfinite(sum(y))``: a sum of finite floats is non-finite
-only when it overflows, and only then are the entries screened one by one.
-A batch stays ``(m, B)`` arrays.  ``step``
+A stage steps only the rows that move (``_Stage.moving``).  The others are
+constants of the stage: the augmented stage's J entries that no product
+reaches and, when every R(H_i) is a constant zero, log_lambda.  ``_run``
+takes and returns states of the full width, and a constant row keeps its
+initial value, which the stage's contract fixes (J = I, log_lambda = 0).
+
+The single-path screen is the one rule of every state: one
+``math.isfinite`` of the sum of the state's entries, since a sum of finite
+floats is non-finite only when it overflows, and only then the entries one
+by one.  The generated run applies it inline; a midpoint path, carried as a
+list of floats from ``x0`` to the history write with its increments read
+once, one list per step so that its per-path test compares floats, applies
+it in ``_run``'s loop.  A batch stays ``(m, B)`` arrays.  ``step``
 and ``integrate_batch_final`` take and return a batch as ``(B, m)``, one
 row per path, and convert it once.
 
@@ -117,7 +129,7 @@ from .errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from .geometry import HamiltonianSystem, _composed_image
+from .geometry import HamiltonianSystem, _composed_heun, _composed_image
 
 __all__ = [
     "BrownianPath", "sample_brownian", "coarsen",
@@ -412,12 +424,6 @@ def _diverged() -> MidpointDivergence:
                               f"within {_MIDPOINT_SWEEPS} sweeps")
 
 
-def _heun_step(stage, y, dw, dt):
-    """A single path's Heun step: its stage's generated ``heun_step``, which
-    ``_run`` binds itself."""
-    return stage.heun_step(y, dw, dt)
-
-
 def _midpoint_step(stage, y, dw, dt):
     """A single path's midpoint step, a list of floats."""
     image = functools.partial(_composed_image, stage, y, dw, dt)
@@ -575,8 +581,10 @@ def _midpoint_steps(stage, y, w):
 
 
 # A single path's step per scheme, ``(stage, y, dw, dt)``, and a batch run's
-# steps bound to its buffers, ``(stage, y, w)``.
-_STEPPERS = {"heun": _heun_step, "midpoint": _midpoint_step}
+# steps bound to its buffers, ``(stage, y, w)``.  A single path's Heun steps
+# run in its stage's generated ``heun_run``; the composed step takes a step
+# that the run hands back.
+_STEPPERS = {"heun": _composed_heun, "midpoint": _midpoint_step}
 _BATCH_STEPPERS = {"heun": _heun_steps, "midpoint": _midpoint_steps}
 
 
@@ -587,32 +595,41 @@ def _stepper(scheme: str):
         raise InvalidStep(f"unknown scheme {scheme!r}; expected one of {SCHEMES}") from None
 
 
-def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
-    """Step ``y``, (m,) or (m, B), with ``stage`` over the grid of
-    ``increments``, (d, n_steps) or (d, n_steps, B) to match.  Returns the
-    (n_steps + 1, *y.shape) history if ``keep``, else the final value.
-    Raises ``NumericalFailure`` at the first non-finite state, the initial
-    one included, so no stage ever evaluates the fields of a blown-up state.
-    A single path is carried as a list of floats, and its increments are
-    read once, one list per step; under Heun it is stepped by its stage's
-    ``heun_step``.  A batch is copied into a state buffer of this call and
-    stepped by its stage's generated batch steps, bound once to buffers
-    that this call allocates (``_BATCH_STEPPERS``), so no two runs, and no
-    two threads, share one.  Each step's increments are copied into one of
-    them, d rows that are contiguous when ``increments`` is a view of a
-    step-major (d, n_steps, B) array, and the finiteness screen writes into
-    another, so no step allocates an array but where a midpoint sweep first
-    moves paths to a narrower width (``_midpoint_steps``); the final value
-    is one of the state buffers."""
-    stepper = _stepper(scheme)
+def _heun_run(stage, y, increments, dt, stepper, operation):
+    """The (n_steps + 1, m) history of a single path ``y`` (m,) stepped by
+    its stage's generated ``heun_run`` over ``increments`` (d, n_steps),
+    read once as one list per step.  The run records the history into an
+    ``array('d')``, returned as a view of it.  When the run stops at a state
+    that it did not record, that state is not finite: ``NumericalFailure``.
+    When it stops at one that it did, that step left its hot text, and
+    ``stepper``, the composed Heun step, takes it: it raises the step's
+    error, or returns the next state, from which the run resumes."""
+    # Imported on first use, so that importing this module does not.
+    from array import array
+
+    dws, rows, m = increments.T.tolist(), array("d"), len(y)
+    y, done = y.tolist(), 0
+    while (stop := stage.heun_run(y, dws[done:] if done else dws, dt, rows)) is not None:
+        done += stop
+        if len(rows) == done * m:
+            raise NumericalFailure(operation, "non-finite values")
+        y = stepper(stage, rows[-m:].tolist(), dws[done], dt)
+        done += 1
+    return np.frombuffer(rows).reshape(-1, m)
+
+
+def _loop(stage, y, increments, dt, stepper, scheme: str, operation: str, keep: bool):
+    """``_run``'s loop for every run but a single path's Heun run: ``y``, a
+    single path (m,) stepped by ``stepper`` or a batch (m, B) stepped by its
+    stage's bound batch steps.  Returns the (n_steps + 1, *y.shape) history
+    if ``keep``, else the final value."""
     n_steps = increments.shape[1]
     if keep:
         history = np.empty((n_steps + 1, *y.shape))
     single = y.ndim == 1
     if single:
         y, dws = y.tolist(), increments.T.tolist()
-        advance = (stage.heun_step if stepper is _heun_step
-                   else functools.partial(stepper, stage))
+        advance = functools.partial(stepper, stage)
     else:
         y, w, finite = y.copy(), np.empty(increments.shape[::2]), np.empty(y.shape, dtype=bool)
         # A run of no steps binds nothing, so it generates no batch form.
@@ -638,6 +655,48 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
                 np.copyto(w, increments[:, j])
                 y = steps[j & 1](dt)
     return history if keep else np.asarray(y)
+
+
+def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
+    """Step ``y``, (m,) or (m, B), with ``stage`` over the grid of
+    ``increments``, (d, n_steps) or (d, n_steps, B) to match.  Returns the
+    (n_steps + 1, *y.shape) history if ``keep``, else the final value.
+    Raises ``NumericalFailure`` at the first non-finite state, the initial
+    one included, so no stage ever evaluates the fields of a blown-up state.
+
+    Only the stage's moving rows (``stage.moving``) are stepped; the other
+    rows of ``y`` are its constants, and they keep their initial values in
+    what is returned, which has the width of ``y``.
+
+    A single path under Heun runs in its stage's generated ``heun_run``
+    (``_heun_run``).  Any other single path is carried as a list of floats
+    and stepped by its scheme's stepper (``_STEPPERS``), its increments read
+    once, one list per step, so the midpoint stepper's per-path test
+    compares floats.  A batch is copied into a state buffer of this call and
+    stepped by its stage's generated batch steps, bound once to buffers
+    that this call allocates (``_BATCH_STEPPERS``), so no two runs, and no
+    two threads, share one.  Each step's increments are copied into one of
+    them, d rows that are contiguous when ``increments`` is a view of a
+    step-major (d, n_steps, B) array, and the finiteness screen writes into
+    another, so no step allocates an array but where a midpoint sweep first
+    moves paths to a narrower width (``_midpoint_steps``); the final value
+    is one of the state buffers."""
+    stepper = _stepper(scheme)
+    moving = stage.moving
+    state = y if moving is None else y[list(moving)]
+    if y.ndim == 1 and scheme == "heun":
+        values = _heun_run(stage, state, increments, dt, stepper, operation)
+        if not keep:
+            values = values[-1]
+    else:
+        values = _loop(stage, state, increments, dt, stepper, scheme, operation, keep)
+    if moving is None:
+        return values
+    # The constant rows hold their initial values.
+    out = np.empty((*values.shape[:values.ndim - y.ndim], *y.shape))
+    out[...] = y
+    out[(..., list(moving), *[slice(None)] * (y.ndim - 1))] = values
+    return out
 
 
 def _initial_state(sys: HamiltonianSystem, x0, d: int, dt: float, paths=()) -> np.ndarray:

@@ -48,7 +48,10 @@ not a constant 0.0 or -0.0), summed left to right in ascending channel
 order, ``((g_r,k1 dw_k1 + g_r,k2 dw_k2) + ...)``, so the bits depend on no
 matrix product's summation order.  Each stage generates that update once as
 straight-line code, like a tape, for a single path (a list of Python
-floats) and for numpy rows.  A batch steps through two more generated
+floats) and for numpy rows, and a single path's Heun steps as one
+generated run.  A stage steps only the rows that move: a row whose value
+no step can change is a constant of the stage, which its roots read as a
+``expr.const``.  A batch steps through two more generated
 forms, built on its first batch call: Heun's step and the midpoint image,
 each one grouped text in which the tape's operations, an inline margin
 test and the update are scheduled together, bound once to arrays the
@@ -135,13 +138,21 @@ def _composed_image(stage, y, w, dt, z):
 
 class _Stage:
     """One system that ``flow`` steps, held by its structure: the state's,
-    the augmented state's or the state's with log_lambda.  Its roots,
-    ``drift`` (m,) then ``diffusion`` row-major (m, d), that are not a
-    constant zero (0.0 or -0.0) form one tape set, ``tape``, in root order,
-    constants included; the chart's margins follow them, for the chart to
-    judge.  Row r of ``rows`` is ``(drift slot, ((k, slot), ...))`` over the
-    channels k of its structural nonzeros, ascending; a slot indexes the
-    values that ``fields`` returns, and a constant zero has none.
+    the augmented state's or the state's with log_lambda, as ``role`` names
+    it.  Its roots, ``drift`` (m,) then ``diffusion`` row-major (m, d), that
+    are not a constant zero (0.0 or -0.0) form one tape set, ``tape``, in
+    root order, constants included; the chart's margins follow them, for the
+    chart to judge.  Row r of ``rows`` is ``(drift slot, ((k, slot), ...))``
+    over the channels k of its structural nonzeros, ascending; a slot indexes
+    the values that ``fields`` returns, and a constant zero has none.
+
+    The stage steps only the rows that move.  ``moving`` is None when it
+    steps every row of the state it is given, else the indices, ascending,
+    of the rows of a wider state that its m rows, its ``layout`` and every
+    form below stand for; the other rows of that state hold constants that
+    the stage's roots read as ``expr.const`` values.  ``flow._run`` takes a
+    state of the wider width, steps its moving rows and returns histories of
+    that width, whose constant rows hold their initial values.
 
     ``rows`` is compiled once into the two forms of ``advance``, each one
     generated straight-line function (``_generate``).  Row r becomes
@@ -153,16 +164,27 @@ class _Stage:
     text serves a single path, a list of Python floats, and a batch of numpy
     rows.
 
-    A single path's Heun step has one more generated form, ``heun_step(y,
-    w, dt)``: both tape evaluations written out inline, formatted from the
-    tape's own subterm walk of its roots (``expr._lines``) with one set of
-    names per evaluation, their values in locals, with Euler's predictor
-    and Heun's trapezoid between and after them.  Per root and row it
-    performs exactly the operations of ``fields`` and ``advance``, in the
-    same order, so its bits are theirs.  Its inline margin test is
-    generated from ``MARGIN``: a margin below it at either evaluation, or a
-    ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``, sends the
-    step to ``_composed_heun``, which raises exactly their errors.
+    A single path's Heun steps have one more generated form, the whole run:
+    ``heun_run(y, ws, dt, rows)`` steps the state ``y``, a list of m floats,
+    once per increments list that ``ws`` yields (d floats each).  The state
+    stays in locals from step to step.  Each state is screened first, with
+    ``math.isfinite`` of the row sum and, only when that is not finite,
+    entry by entry (a sum of finite floats is non-finite only when it
+    overflows), then appended to ``rows``, an ``array('d')``.  Then both
+    tape evaluations run inline, formatted from the tape's own subterm walk
+    of its roots (``expr._lines``) with one set of names per evaluation,
+    with Euler's predictor and Heun's trapezoid between and after them.  Per
+    root and row a step performs exactly the operations of ``fields`` and
+    ``advance``, in the same order, so its bits are theirs.  When ``ws`` is
+    exhausted the last state is screened and appended and the run returns
+    None.  Otherwise it stops and returns the index of the step at which it
+    stopped, counted from its own ``y``: at a non-finite state, which it
+    does not append, or at a step that leaves the hot text, whose state it
+    has appended.  A step leaves on a margin below ``MARGIN`` at either
+    evaluation (an inline test generated from it), or on a
+    ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``; the caller
+    then runs ``_composed_heun`` on that step, which raises exactly their
+    errors (``flow._run``).
 
     A batch, (m, B) rows, has two generated forms of its own, built on the
     first batch call (``_generate_batch``), each bound before it steps:
@@ -188,13 +210,20 @@ class _Stage:
     ``_composed_heun`` or ``_composed_image``, which run with the flags
     ignored and raise exactly their errors, and the result goes into
     ``out`` either way.  Every array belongs to the caller's run, so a shared stage
-    stays thread-safe.  No other module of the package reads ``rows``:
-    ``flow`` drives a stage through ``fields``, ``advance``, ``heun_step``,
-    ``heun_binder`` and ``image_binder`` only."""
+    stays thread-safe.  Each text is compiled under a name of its role and
+    form (``expr._factory``), so a profiler tells the stages apart; a text
+    that two stages generate (SE's state and conformal stages) is compiled
+    once.  No other
+    module of the package reads ``rows``: ``flow`` drives a stage through
+    ``moving``, ``fields``, ``advance``, ``heun_run``, ``heun_binder`` and
+    ``image_binder`` only."""
 
-    def __init__(self, chart, drift, diffusion, d: int, layout):
+    def __init__(self, chart, drift, diffusion, d: int, layout, role: str = "stage",
+                 moving=None):
         self.chart = chart
         self.d = d
+        self.role = role
+        self.moving = None if moving is None else tuple(moving)
         roots = (*drift, *diffusion)
         slot = itertools.count()
         slots = [None if _is_zero(e) else next(slot) for e in roots]
@@ -225,51 +254,58 @@ class _Stage:
 
     def _generate(self) -> None:
         """Compile ``rows`` into ``_euler(y, w, dt, k)``, ``_heun(y, w, dt,
-        k0, k1)`` and ``heun_step(y, w, dt)`` through ``expr``'s cached text
-        compiler."""
-        def listed(texts):
-            return ("        return [\n" + "".join(f"            {t},\n" for t in texts)
-                    + "        ]\n")
+        k0, k1)`` and ``heun_run(y, ws, dt, rows)`` through ``expr``'s cached
+        text compiler."""
+        def listed(texts, open_="[", close="]"):
+            return f"{open_}\n" + "".join(f"    {t},\n" for t in texts) + close
 
         self._euler, self._heun = expr._factory(
             "def make():\n    def euler(y, w, dt, k):\n"
-            + listed(self._updates("y[{}]", "w[{}]", "dt", "k[{}]".format))
+            + expr._block(2, ["return " + listed(self._updates("y[{}]", "w[{}]", "dt", "k[{}]".format))])
             + "    def heun(y, w, dt, k0, k1):\n        h_dt = 0.5 * dt\n"
-            + listed(self._updates("y[{}]", "w[{}]", "h_dt", "(k0[{0}] + k1[{0}])".format, True))
-            + "    return euler, heun\n")()
+            + expr._block(2, ["return " + listed(self._updates(
+                "y[{}]", "w[{}]", "h_dt", "(k0[{0}] + k1[{0}])".format, True))])
+            + "    return euler, heun\n", f"{self.role} advance")()
 
-        # The kernel: y_r and w_c unpacked, the first evaluation's values in
-        # s-locals, the predictor in p_r and the second evaluation's in t-locals.
-        # Both evaluations' texts are formatted from the tape's one walk.
-        walk, slots = self.tape._walk, range(len(self.tape.layout))
+        # The run: y_r and w_c in locals, the first evaluation's values in
+        # s-locals, the predictor in p_r and the second evaluation's in
+        # t-locals.  Both evaluations' texts are formatted from the tape's
+        # one walk.
+        walk, m = self.tape._walk, len(self.rows)
         consts = walk[2]
-        s_lines, k0 = expr._lines(walk, [f"y{i}" for i in slots], "s")
-        t_lines, k1 = expr._lines(walk, [f"p{i}" for i in slots], "t")
+        s_lines, k0 = expr._lines(walk, [f"y{i}" for i in range(m)], "s")
+        t_lines, k1 = expr._lines(walk, [f"p{i}" for i in range(m)], "t")
 
         def evaluation(lines, k):
-            text = ("        try:\n" + "".join(f"            {line}\n" for line in lines)
-                    + "        except (ZeroDivisionError, ValueError, OverflowError):\n"
-                    "            return cold(y, w, dt)\n") if lines else ""
             margins = k[self._margins:]
-            if margins:
-                text += ("        if " + " or ".join(f"abs({m}) < margin" for m in margins)
-                         + ":\n            return cold(y, w, dt)\n")
-            return text
+            return [*lines, *([f"if {' or '.join(f'abs({v}) < margin' for v in margins)}:",
+                               "    break"] if margins else [])]
 
-        predictor = self._updates("y{}", "w{}", "dt", k0.__getitem__)
+        step = [*evaluation(s_lines, k0),
+                *(f"p{r} = {t}" for r, t in enumerate(self._updates("y{}", "w{}", "dt",
+                                                                     k0.__getitem__))),
+                *evaluation(t_lines, k1)]
+        if s_lines:
+            step = ["try:", expr._block(1, step).rstrip("\n"),
+                    "except (ZeroDivisionError, ValueError, OverflowError):", "    break"]
+        state = "".join(f"y{r}, " for r in range(m))
+        # A sum of finite floats is non-finite only when it overflows: then
+        # the entries are screened one by one.
+        screen = [f"if not (isfinite({' + '.join(f'y{r}' for r in range(m))})"
+                  f" or {' and '.join(f'isfinite(y{r})' for r in range(m))}):",
+                  f"    return (len(rows) - start) // {m}",
+                  f"rows.extend(({state}))"]
+        trapezoid = self._updates("y{}", "w{}", "h_dt", lambda i: f"({k0[i]} + {k1[i]})", True)
         make = expr._factory(
-            f"def make(pow, sin, cos, exp, log, cold, margin{expr._params(consts)}):\n"
-            "    def heun_step(y, w, dt):\n"
-            "        " + "".join(f"y{i}, " for i in slots) + "= y\n"
-            + ("        " + "".join(f"w{c}, " for c in range(self.d)) + "= w\n" if self.d else "")
-            + evaluation(s_lines, k0)
-            + "".join(f"        p{r} = {t}\n" for r, t in enumerate(predictor))
-            + evaluation(t_lines, k1)
-            + "        h_dt = 0.5 * dt\n"
-            + listed(self._updates("y{}", "w{}", "h_dt", lambda i: f"({k0[i]} + {k1[i]})", True))
-            + "    return heun_step\n")
-        self.heun_step = make(*expr._SCALAR_FUNCTIONS, functools.partial(_composed_heun, self),
-                              MARGIN, *consts)
+            f"def make(pow, sin, cos, exp, log, isfinite, margin{expr._params(consts)}):\n"
+            "    def heun_run(y, ws, dt, rows):\n"
+            + expr._block(2, [f"{state}= y", "h_dt = 0.5 * dt", "start = len(rows)",
+                         f"for {''.join(f'w{c}, ' for c in range(self.d)).rstrip() or '()'} in ws:"])
+            + expr._block(3, [*screen, *step, f"{state}= " + listed(trapezoid, "(", ")")])
+            + expr._block(2, ["else:"]) + expr._block(3, [*screen, "return None"])
+            + expr._block(2, [f"return (len(rows) - start) // {m} - 1"])
+            + "    return heun_run\n", f"{self.role} heun_run")
+        self.heun_run = make(*expr._SCALAR_FUNCTIONS, math.isfinite, MARGIN, *consts)
 
     def _generate_batch(self) -> None:
         """Compile the two batch forms' binders, ``heun_binder`` and
@@ -329,19 +365,16 @@ class _Stage:
 
         sizes = {"y": m, "z": m, "p": m, "out": m, "w": self.d}
 
-        def block(depth, lines):
-            return "".join(f"{'    ' * depth}{t}\n" for line in lines for t in line.split("\n"))
-
         def binder(name, arrays, phases, inputs, cold, head=()):
             (shared, bind, step), _ = expr._schedule(ops, phases, inputs, sizes, targets,
                                                      check=check)
-            return (f"    def {name}(width):\n" + block(2, shared)
-                    + f"        def bind({arrays}):\n" + block(3, bind)
-                    + "            def step(dt):\n" + block(4, [*head, "try:"])
-                    + block(5, [*step, "return out"])
-                    + block(4, ["except ArithmeticError:", "    pass",
-                                "with errstate(all='ignore'):", f"    copyto(out, {cold})",
-                                "return out"])
+            return (f"    def {name}(width):\n" + expr._block(2, shared)
+                    + f"        def bind({arrays}):\n" + expr._block(3, bind)
+                    + "            def step(dt):\n" + expr._block(4, [*head, "try:"])
+                    + expr._block(5, [*step, "return out"])
+                    + expr._block(4, ["except ArithmeticError:", "    pass",
+                                 "with errstate(all='ignore'):", f"    copyto(out, {cold})",
+                                 "return out"])
                     + "            return step\n        return bind\n")
 
         # Heun: the tape at y, the predictor into p, the tape at p, the trapezoid into out.
@@ -364,7 +397,7 @@ class _Stage:
             f"def make({', '.join(expr._ARRAY_NAMES.values())}, absolute, empty, "
             f"errstate, copyto, cold_heun, cold_image, margin{expr._params(consts)}):\n"
             + heun + image
-            + "    return heun_binder, image_binder\n")
+            + "    return heun_binder, image_binder\n", f"{self.role} batch")
         self.heun_binder, self.image_binder = make(
             *expr._ARRAY_FUNCTIONS, np.absolute, np.empty, np.errstate, np.copyto,
             functools.partial(_composed_heun, self), functools.partial(_composed_image, self),
@@ -395,7 +428,7 @@ class _Stage:
     # A generated function does not pickle: an unpickled stage generates its own.
     def __getstate__(self):
         return {k: v for k, v in vars(self).items()
-                if k not in ("_euler", "_heun", "heun_step", "heun_binder", "image_binder")}
+                if k not in ("_euler", "_heun", "heun_run", "heun_binder", "image_binder")}
 
     def __setstate__(self, state):
         vars(self).update(state)
@@ -727,12 +760,12 @@ class HamiltonianSystem:
         """Row-major (m, d) diffusion from the roots (m,) of each H_i, H_0's first."""
         return [e for row in zip(*roots[1:]) for e in row]
 
-    def _stage(self, roots, layout) -> _Stage:
-        return _Stage(self.chart, roots[0], self._diffusion(roots), self.d, layout)
+    def _stage(self, roots, layout, role: str = "stage", moving=None) -> _Stage:
+        return _Stage(self.chart, roots[0], self._diffusion(roots), self.d, layout, role, moving)
 
     @functools.cached_property
     def _state_stage(self) -> _Stage:
-        return self._stage(self.vector_field_exprs, self.chart.names)
+        return self._stage(self.vector_field_exprs, self.chart.names, "state")
 
     @functools.cached_property
     def _augmented_stage(self) -> _Stage:
@@ -747,45 +780,73 @@ class HamiltonianSystem:
         P the pairs (a, c) at which some ``DX_{H_i}[a,c]`` is not a constant
         zero, it holds every (a, a) and is closed under: (a, c) in P and
         (c, b) live make (a, b) live.  A dead entry's every product has a
-        dead J factor, so its roots fold and its row copies y: it stays
-        +0.0, as it did when its ``±0.0`` products were formed, since
-        ``+0.0 + (±0.0)`` is +0.0.  No J entry, predictor or midpoint is
-        ever -0.0 (``y + t`` is -0.0 only when both are), so dropping a
-        ``±0.0`` product from a live entry's sum changes no bit of a step.
-        A non-finite ``DX_H[a,c]`` still reaches the step through the live
-        product ``DX_H[a,c] * J[c,c]`` in the root of (a, c), so the run
-        fails at the same step.  The contract: the J rows are exact only
-        for a J whose nonzeros lie in the live set, as
-        ``integrate_augmented``'s J = I does."""
+        dead J factor: it stays +0.0, as it did when its ``±0.0`` products
+        were formed, since ``+0.0 + (±0.0)`` is +0.0.  No J entry, predictor
+        or midpoint is ever -0.0 (``y + t`` is -0.0 only when both are), so
+        dropping a ``±0.0`` product from a live entry's sum changes no bit of
+        a step.
+
+        The stage steps only the rows that move, decided here once, from the
+        live set and P, before any product is formed.  Entry (a, b) moves
+        when some (a, c) in P has (c, b) live; the others are constant: the
+        dead entries, which hold 0.0, and the diagonal entries that no
+        product reaches, which hold 1.0 (on SE, J[2,2], J[3,3] and J[4,4]).
+        log_lambda moves when some R(H_i) is not a constant zero.  The chart
+        rows always move.  A constant J entry enters the roots as
+        ``expr.const`` 0.0 or 1.0, so ``expr.mul`` folds its ``* 1.0``
+        products: ``x * 1.0`` is ``x`` for every float.  A constant row holds
+        its initial value exactly under both schemes, and the midpoint test
+        would gain nothing from it: its |dy| is 0 and it adds at most 1 to
+        ``max(1, max|y|)``.  A non-finite ``DX_H[a,c]`` still reaches the
+        step in the root of (a, c), through ``DX_H[a,c] * J[c,c]`` or, where
+        J[c,c] is constant, ``DX_H[a,c]`` itself, so the run fails at the
+        same step.
+
+        The contract: the J rows are exact only from a state whose constant
+        rows hold J = I and log_lambda = 0 and whose other J entries lie in
+        the live set, as ``integrate_augmented``'s J = I does."""
         dim = self.dim
-        names = [f"J[{c},{b}]" for c in range(dim) for b in range(dim)]
         pairs = {(a, c) for dx in self._jacobian_exprs for a in range(dim) for c in range(dim)
                  if not _is_zero(dx[a * dim + c])}
         live = grown = {(a, a) for a in range(dim)}
         while grown:
             grown = {(a, b) for a, c in pairs for c2, b in grown if c == c2} - live
             live = live | grown
-        jac = [expr.var(name) if divmod(i, dim) in live else expr.const(0.0)
-               for i, name in enumerate(names)]
+        moves = {(a, b) for a, c in pairs for c2, b in live if c == c2}
+        kept = sorted(moves)  # row-major
+        jac = {(c, b): expr.var(f"J[{c},{b}]") if (c, b) in moves else expr.const(float(c == b))
+               for c in range(dim) for b in range(dim)}
+        rated = [dim * (dim + 1)] if self._rated else []  # log_lambda's row, if it moves
 
         def product(dx):
-            rows = [[(dx[a * dim + c], c) for c in range(dim) if not _is_zero(dx[a * dim + c])]
-                    for a in range(dim)]
-            return (functools.reduce(expr.add, (expr.mul(e, jac[c * dim + b]) for e, c in row),
-                                     expr.const(0.0))
-                    for row in rows for b in range(dim))
+            for a, b in kept:
+                yield functools.reduce(expr.add, (
+                    expr.mul(dx[a * dim + c], jac[c, b])
+                    for c in range(dim) if not _is_zero(dx[a * dim + c])), expr.const(0.0))
 
-        roots = [(*comps, *product(dx), expr.negate(rate))
+        roots = [(*comps, *product(dx), *([expr.negate(rate)] if rated else []))
                  for comps, dx, rate in zip(self.vector_field_exprs, self._jacobian_exprs,
                                             self._rate_exprs)]
-        return self._stage(roots, (*self.chart.names, *names, "log(lambda)"))
+        moving = [*range(dim), *(dim + a * dim + b for a, b in kept), *rated]
+        layout = [*self.chart.names, *(f"J[{a},{b}]" for a, b in kept)]
+        return self._stage(roots, layout + (["log(lambda)"] if rated else []), "augmented",
+                           None if len(moving) == dim * (dim + 1) + 1 else moving)
 
     @functools.cached_property
     def _conformal_stage(self) -> _Stage:
-        """x then log_lambda; per H the roots are X_H and -R(H)."""
-        roots = [(*comps, expr.negate(rate))
+        """x then log_lambda; per H the roots are X_H and -R(H).  log_lambda
+        is a constant row, held at 0, unless ``_rated``; on SE it is, and
+        the stage has the state stage's roots and texts."""
+        rated = self._rated
+        roots = [(*comps, *([expr.negate(rate)] if rated else []))
                  for comps, rate in zip(self.vector_field_exprs, self._rate_exprs)]
-        return self._stage(roots, (*self.chart.names, "log(lambda)"))
+        return self._stage(roots, [*self.chart.names] + (["log(lambda)"] if rated else []),
+                           "conformal", None if rated else range(self.dim))
+
+    @functools.cached_property
+    def _rated(self) -> bool:
+        """Whether log_lambda moves: some R(H_i) is not a constant zero."""
+        return not all(map(_is_zero, self._rate_exprs))
 
     # -- basic queries ------------------------------------------------------
 

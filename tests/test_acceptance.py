@@ -21,6 +21,8 @@ import pytest
 from contactsde import catalog, cli, expr, flow, geometry as geo, verification as ver
 from contactsde.errors import DomainError, NumericalFailure, SingularChartPoint
 
+from composed import composed_run
+
 SE_INITIAL = (math.pi / 2, math.pi / 2, 0.3, -0.4, 0.25)
 OFF_CHART = (SingularChartPoint, NumericalFailure, DomainError)
 
@@ -222,21 +224,23 @@ def _into(out, value):
 class _FlippedNoiseReeb:
     """``system``'s augmented stage with the sign of every noise term of
     log lambda flipped, +R(H_k) for -R(H_k) (k >= 1): ``fields`` negates the
-    slots of the last row's noise and ``advance`` delegates.  A single
-    path's Heun step, and a batch's bound steps, are composed of the two."""
+    slots of the last row's noise and ``advance`` delegates.  It steps the
+    stage's moving rows, of which log lambda is the last.  A single path's
+    Heun run, and a batch's bound steps, are composed of the two."""
 
     def __init__(self, system):
         self.stage = system._augmented_stage
+        self.moving = self.stage.moving
+        last = self.moving[-1] if self.moving else len(self.stage.rows) - 1
+        assert last == system.dim * (system.dim + 1)  # the log lambda row
         self.flipped = {slot for _, slot in self.stage.rows[-1][1]}
+        self.heun_run = composed_run(functools.partial(geo._composed_heun, self))
 
     def fields(self, y):
         return tuple(-v if i in self.flipped else v for i, v in enumerate(self.stage.fields(y)))
 
     def advance(self, *args):
         return self.stage.advance(*args)
-
-    def heun_step(self, y, w, dt):
-        return geo._composed_heun(self, y, w, dt)
 
     def heun_binder(self, width):
         return lambda y, w, p, out: lambda dt: _into(out, geo._composed_heun(self, y, w, dt))
@@ -309,24 +313,25 @@ def test_criterion_4_variational_flow_vs_finite_differences():
 class _DroppedChannelTangent:
     """The augmented stage of ``system`` with noise channel ``k``'s DX
     dropped from the tangent flow: ``fields`` zeroes the slots that channel
-    k feeds into J's rows (dim <= r < dim + dim^2) and ``advance``
-    delegates, so the state and log_lambda are stepped as before.  A single
-    path's Heun step, and a batch's bound steps, are composed of the two, as a
-    stage's generated forms are off the chart."""
+    k feeds into J's rows (dim <= r < dim + dim^2 of the full state) and
+    ``advance`` delegates, so the state and log_lambda are stepped as
+    before.  It steps the stage's moving rows.  A single path's Heun run,
+    and a batch's bound steps, are composed of the two, as a stage's
+    generated forms are off the chart."""
 
     def __init__(self, system, k):
         self.stage, dim = system._augmented_stage, system.dim
-        self.dropped = {slot for _, row in self.stage.rows[dim:dim + dim * dim]
-                        for c, slot in row if c == k}
+        self.moving = self.stage.moving
+        full = self.moving or range(len(self.stage.rows))
+        self.dropped = {slot for r, (_, row) in zip(full, self.stage.rows)
+                        if dim <= r < dim + dim * dim for c, slot in row if c == k}
+        self.heun_run = composed_run(functools.partial(geo._composed_heun, self))
 
     def fields(self, y):
         return tuple(0.0 if i in self.dropped else v for i, v in enumerate(self.stage.fields(y)))
 
     def advance(self, *args):
         return self.stage.advance(*args)
-
-    def heun_step(self, y, w, dt):
-        return geo._composed_heun(self, y, w, dt)
 
     def heun_binder(self, width):
         return lambda y, w, p, out: lambda dt: _into(out, geo._composed_heun(self, y, w, dt))

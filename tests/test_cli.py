@@ -312,6 +312,89 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert err.count("numerical failure") == 1
 
 
+_POW3_Z = "invalid power in BinOp(op='^', left=Var(name='z'), right=Const(value=3.0))"
+
+
+@pytest.mark.parametrize("h0, z0, argv, message", [
+    # z^3 overflows to inf in the first step: the run stops at that state.
+    ("-z*z*z", 1e110, ["simulate"], "numerical failure in simulate: non-finite values"),
+    ("-z*z*z", 1e110, ["convergence", "--levels", "3"],
+     "numerical failure in integrate: non-finite values"),
+    # pow overflows as z grows: the run hands the step back, and the
+    # composed step raises the tape's domain error.
+    ("-z^3", 30.0, ["simulate"], f"numerical failure in simulate: {_POW3_Z}"),
+], ids=["screen-simulate", "screen-convergence", "hand-back-simulate"])
+def test_single_path_run_stops_exit_3(tmp_path, capsys, h0, z0, argv, message):
+    # Inline Darboux n = 1 systems with no noise channels (d = 0): the
+    # generated run's increment rows are empty, and each way a run stops
+    # ends in exit 3, empty stdout and the one stderr line.
+    cfg = write_config(tmp_path, system={"chart": "darboux", "n": 1, "h0": h0, "noise": []},
+                       T=1.0, dt=0.01, initial_state=[0.1, 0.2, z0])
+    code, out, err = run_cli(capsys, *argv, "--config", cfg)
+    assert (code, out, err) == (3, "", message + "\n")
+
+
+def _profiled_runs(tmp_path, capsys, monkeypatch):
+    """The generated ``heun_run`` entries of one cProfile of ``verify-contact``
+    and ``convergence`` on SE, in one process, from an empty text cache, so
+    that each text takes the role of the stage that generates it here:
+    {file name: calls}."""
+    import cProfile
+    import pstats
+
+    from contactsde import expr
+
+    monkeypatch.setattr(expr, "_FACTORIES", {})
+    cfg = write_config(tmp_path, system="sasaki-einstein-t11", T=0.012, dt=6.25e-5, seed=1)
+    profile = cProfile.Profile()
+    profile.enable()
+    codes = [cli.main(["verify-contact", "--config", cfg]), cli.main(["convergence", "--config", cfg])]
+    profile.disable()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    stats = pstats.Stats(profile).stats
+    return {path: calls for (path, _, name), (calls, *_) in stats.items() if name == "heun_run"}
+
+
+def test_profile_names_each_stage_run(tmp_path, capsys, monkeypatch):
+    # Each generated text is compiled under its role, its form and a digest
+    # of the text, so a profile keeps the augmented stage's run (one per
+    # level of verify-contact's ladder, 3) apart from the state stage's
+    # (convergence's 3 levels).
+    runs = _profiled_runs(tmp_path, capsys, monkeypatch)
+    assert sorted(runs.values()) == [3, 3]
+    roles = sorted(path.split()[1:3] for path in runs)
+    assert roles == [["augmented", "heun_run"], ["state", "heun_run"]]
+    assert all(path.startswith("<contactsde ") and len(path.split()[3]) == 17 for path in runs)
+
+
+def test_profile_control_with_one_shared_file_name_merges_the_runs(tmp_path, capsys, monkeypatch):
+    # Negative control: every text compiled under the one name "<tape>", as
+    # the factory once did, and each generated function starting on line 2:
+    # the profile keeps one heun_run entry, of 3 calls, for the two stages'
+    # 6 runs.
+    from contactsde import expr
+
+    def shared_name(source, role):
+        namespace = {}
+        exec(compile(source, "<tape>", "exec"), namespace)
+        return namespace["make"]
+
+    monkeypatch.setattr(expr, "_factory", shared_name)
+    assert _profiled_runs(tmp_path, capsys, monkeypatch) == {"<tape>": 3}
+
+
+def test_generated_lines_read_back_from_linecache():
+    import linecache
+
+    from contactsde import catalog
+
+    run = catalog.sasaki_einstein_system()._augmented_stage.heun_run.__code__
+    assert run.co_filename.startswith("<contactsde augmented heun_run ")
+    assert linecache.getline(run.co_filename, run.co_firstlineno) \
+        == "    def heun_run(y, ws, dt, rows):\n"
+
+
 _DIV_ZERO_Q = ("division by zero in BinOp(op='/', left=Const(value=1.0), "
                "right=BinOp(op='-', left=Var(name='q{0}'), right=Var(name='q{0}')))")
 

@@ -401,7 +401,7 @@ def test_tape_set_pickle_round_trip():
         pickle.loads(pickle.dumps(expr.compile_tape([expr.parse("1/q1", NAMES)], ["q1"])))([0.0])
 
 
-_AUGMENTED_STAGE_BOUND = {"sasaki-einstein-t11": 74, "dissipative-2d": 75}
+_AUGMENTED_STAGE_BOUND = {"sasaki-einstein-t11": 72, "dissipative-2d": 75}
 
 
 @pytest.mark.parametrize("system_id, bound", [("sasaki-einstein-t11", 64), ("dissipative-2d", 42)])

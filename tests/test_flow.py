@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from contactsde.errors import (
     NumericalFailure,
     SingularChartPoint,
 )
+
+from composed import composed_run
 
 # The flag mode in which flow._run calls a batch's bound steps.
 _RAISING = {"divide": "raise", "invalid": "raise", "over": "raise"}
@@ -302,14 +306,17 @@ def test_conformal_factor_overflow_is_a_numerical_failure():
 # ---------------------------------------------------------------------------
 
 class _ZeroStage:
-    """A stage with zero fields, stepped by its Heun kernel or its bound
-    batch steps, that counts its steps; after step ``k`` it writes ``value``
-    into the last entry."""
+    """A stage with zero fields, stepped by a run composed of its own step
+    (``composed_run``) or by its bound batch steps, that counts its steps;
+    after step ``k`` it writes ``value`` into the last entry."""
+
+    moving = None
 
     def __init__(self, k=None, value=None):
         self.k, self.value, self.steps = k, value, 0
+        self.heun_run = composed_run(self.step)
 
-    def heun_step(self, y, w, dt):
+    def step(self, y, w, dt):
         self.steps += 1
         return [*y[:-1], self.value] if self.steps == self.k else list(y)
 
@@ -378,6 +385,95 @@ def test_negative_control_a_sum_only_screen_rejects_the_overflowing_state():
     sum_only([0.1, 0.2, 0.5])
     with pytest.raises(NumericalFailure):
         sum_only([1e308, 1e308])
+
+
+def _increment_stage(m):
+    """A generated stage over m rows ``u0..`` on a chart with no singular
+    points: no drift, and row r moved by channel r alone with coefficient
+    1.0, so that a Heun step adds each increment exactly and the run steps
+    to whatever states the increments make."""
+    one, zero = expr.const(1.0), expr.const(0.0)
+    return geo._Stage(_Line(), [zero] * m, [one if r == c else zero for r in range(m) for c in range(m)],
+                      m, [f"u{r}" for r in range(m)])
+
+
+def test_generated_screen_passes_finite_entries_whose_sum_overflows():
+    # The row sum overflows at every state; the entries are finite, so the
+    # generated run's screen steps all five.
+    stage = _increment_stage(3)
+    rows = array("d")
+    assert stage.heun_run([1e308, 1e308, 0.5], [[0.0] * 3] * 5, 0.1, rows) is None
+    assert rows.tolist() == [1e308, 1e308, 0.5] * 6
+    history = flow._run(stage, np.array([1e308, 1e308, 0.5]), np.zeros((3, 5)), 0.1, "heun",
+                        "screen", True)
+    assert history.tolist() == [[1e308, 1e308, 0.5]] * 6
+
+
+@pytest.mark.parametrize("base", [[0.1, 0.2, 0.5], [1e308, 1e308, 0.5]], ids=["small", "overflowing"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [0, 3])
+def test_generated_screen_stops_at_the_first_non_finite_state(base, value, k):
+    # The last entry of state k (the initial state when k = 0) is ``value``:
+    # the generated run records the k states before it, returns k without
+    # stepping it, and flow._run raises.
+    stage = _increment_stage(3)
+    y0 = [*base[:-1], value] if k == 0 else base
+    increments = np.zeros((3, 5))
+    if k:
+        increments[2, k - 1] = value
+    rows = array("d")
+    assert stage.heun_run(y0, increments.T.tolist(), 0.1, rows) == k
+    assert rows.tolist() == base * k
+    with pytest.raises(NumericalFailure) as err:
+        flow._run(stage, np.array(y0), increments, 0.1, "heun", "screen", True)
+    assert (err.value.operation, str(err.value)) == ("screen", "non-finite values")
+
+
+class _HandsBackOnce:
+    """``stage``, whose generated run hands step ``k`` back once, as a run
+    hands back a step that leaves its hot text, although the composed step
+    completes it: the run takes step k's increments, as its ``for`` does,
+    and stops at the state it recorded."""
+
+    def __init__(self, stage, k):
+        self.stage, self.k, self.moving = stage, k, stage.moving
+
+    def fields(self, y):
+        return self.stage.fields(y)
+
+    def advance(self, *args):
+        return self.stage.advance(*args)
+
+    def heun_run(self, y, ws, dt, rows):
+        if self.k is None:
+            return self.stage.heun_run(y, ws, dt, rows)
+        k, self.k, ws = self.k, None, iter(ws)
+        assert self.stage.heun_run(y, itertools.islice(ws, k), dt, rows) is None
+        next(ws)
+        return k
+
+
+@pytest.mark.parametrize("k", [0, 150, 299])
+def test_run_resumes_after_a_handed_back_step_that_the_composed_step_completes(k, monkeypatch):
+    # flow._run takes a handed-back step with the composed step and resumes
+    # the run after it: the history is the uninterrupted run's, bit for bit,
+    # and the composed step ran once.
+    system = catalog.sasaki_einstein_system()
+    stage = system._augmented_stage
+    x0, dt, _ = _ORACLE_RUNS["se"]
+    y0 = _full_state(system, stage, np.array(x0))
+    increments = flow.sample_brownian(system.d, 300, dt, 1).increments
+    calls = []
+
+    def composed(*args):
+        calls.append(args[0])
+        return geo._composed_heun(*args)
+
+    whole = flow._run(stage, y0, increments, dt, "heun", "resume", True)
+    monkeypatch.setitem(flow._STEPPERS, "heun", composed)
+    resumed = flow._run(_HandsBackOnce(stage, k), y0, increments, dt, "heun", "resume", True)
+    assert resumed.tobytes() == whole.tobytes()
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +694,14 @@ class _PerHamiltonianStage:
     public queries, in Python floats: the reference for the structural
     stage.  Each (DX J)_ab entry and each diffusion row is summed left to
     right over its structural nonzeros, read off the expression trees.  It
-    steps a single path, a list of floats, as ``flow._run`` carries one; its
-    Heun step is composed of ``fields`` and ``advance``."""
+    steps every row of a single path, a list of floats, as ``flow._run``
+    carries one; its Heun run is composed of ``fields`` and ``advance``."""
+
+    moving = None
 
     def __init__(self, system):
         self.system = system
+        self.heun_run = composed_run(functools.partial(geo._composed_heun, self))
         dim, names = system.dim, system.chart.names
         # Per H_i and row a, the columns c whose DX_ac is not a constant zero.
         self.dx_columns = [
@@ -654,9 +753,6 @@ class _PerHamiltonianStage:
             out.append(v)
         return out
 
-    def heun_step(self, y, w, dt):
-        return geo._composed_heun(self, y, w, dt)
-
 
 @pytest.mark.parametrize("scheme", flow.SCHEMES)
 @pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
@@ -707,7 +803,7 @@ def test_augmented_stage_batch_matches_single_paths(scheme):
 
 def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
     system = catalog.sasaki_einstein_system()
-    calls = {"kernel": 0, "tape": 0, "guard": 0}
+    calls = {"run": 0, "tape": 0, "guard": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -716,14 +812,15 @@ def test_augmented_stage_evaluates_and_guards_once(monkeypatch):
         return wrapper
 
     stage = system._augmented_stage
-    monkeypatch.setattr(stage, "heun_step", counted("kernel", stage.heun_step))
+    monkeypatch.setattr(stage, "heun_run", counted("run", stage.heun_run))
     monkeypatch.setattr(expr.EvalTape, "__call__", counted("tape", expr.EvalTape.__call__))
     monkeypatch.setattr(system.chart, "guard", counted("guard", system.chart.guard))
     path = flow.sample_brownian(system.d, 5, 1e-4, 2)
     flow.integrate_augmented(system, [1.0, 1.2, 0.3, -0.4, 0.25], path, "heun")
-    # One kernel call per step evaluates both Heun stages inline and reads
-    # the margins from its own locals: on the chart no tape or guard runs.
-    assert calls == {"kernel": 5, "tape": 0, "guard": 0}
+    # One run steps the path: each step evaluates both Heun stages inline and
+    # reads the margins from its own locals, so on the chart no tape or
+    # guard runs.
+    assert calls == {"run": 1, "tape": 0, "guard": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -745,42 +842,63 @@ def _kernel_systems():
 _INLINE_SE = ("1 + psi*cos(theta1)/3 + sin(psi)*phi2", ["1", "(1/3)*cos(theta1)", "psi*phi1"])
 
 
-def _every_product_stage(system, order=range, live=None):
+def _every_product_stage(system, order=range, live=None, moving=None):
     """The augmented stage built from roots in which entry (a, b) of DX_H J
     sums every product ``DX_H[a,c] * J[c,b]``, zero factors included, over
     c in ``order(dim)``; ascending is how the stage was once built.  Given a
     boolean (dim, dim) ``live``, ``J[c,b]`` is a constant 0.0 where it is
-    False."""
+    False.  Given a boolean (dim, dim) ``moving`` too, the stage steps only
+    the chart rows, the J entries where it is True and log_lambda where some
+    R(H) is not a constant zero; every other J entry is a constant, 1.0 on
+    the diagonal and 0.0 off it."""
     dim = system.dim
     names = [f"J[{c},{b}]" for c in range(dim) for b in range(dim)]
-    jac = [expr.var(name) if live is None or live[divmod(i, dim)] else expr.const(0.0)
-           for i, name in enumerate(names)]
+
+    def entry(i, name):
+        a, b = divmod(i, dim)
+        if moving is not None and not moving[a, b]:
+            return expr.const(1.0 if a == b else 0.0)
+        return expr.var(name) if live is None or live[a, b] else expr.const(0.0)
+    jac = [entry(i, name) for i, name in enumerate(names)]
+    stepped = range(dim * dim) if moving is None else np.flatnonzero(moving).tolist()
+    rated = moving is None or any(map(_structural, system._rate_exprs))
     roots = [(
         *comps,
         *(functools.reduce(expr.add, (expr.mul(dx[a * dim + c], jac[c * dim + b])
                                       for c in order(dim)))
-          for a in range(dim) for b in range(dim)),
-        expr.negate(rate),
+          for a, b in (divmod(i, dim) for i in stepped)),
+        *([expr.negate(rate)] if rated else []),
     ) for comps, dx, rate in zip(system.vector_field_exprs, system._jacobian_exprs,
                                  system._rate_exprs)]
-    return system._stage(roots, (*system.chart.names, *names, "log(lambda)"))
+    rows = [*range(dim), *(dim + i for i in stepped)] + ([dim + dim * dim] if rated else [])
+    layout = [*system.chart.names, *(names[i] for i in stepped)] + (["log(lambda)"] if rated else [])
+    return system._stage(roots, layout, moving=None if len(rows) == dim * (dim + 1) + 1 else rows)
+
+
+def _dx_pairs(system):
+    """Where some DX_H is not a constant zero, as an int (dim, dim)."""
+    dim = system.dim
+    pairs = np.zeros((dim, dim), dtype=int)
+    for dx in system._jacobian_exprs:
+        pairs |= np.array([_structural(e) for e in dx]).reshape(dim, dim)
+    return pairs
 
 
 def _live_mask(system):
     """Where J, started from I, can be nonzero, as a boolean (dim, dim): the
     identity closed under ``live |= P @ live``, where P marks the entries at
     which some DX_H is not a constant zero."""
-    dim = system.dim
-    pairs = np.zeros((dim, dim), dtype=int)
-    for dx in system._jacobian_exprs:
-        pairs |= np.array([not (isinstance(e, expr.Const) and e.value == 0.0)
-                           for e in dx]).reshape(dim, dim)
-    live = np.eye(dim, dtype=int)
+    pairs, live = _dx_pairs(system), np.eye(system.dim, dtype=int)
     while True:
         grown = live | (pairs @ live > 0)
         if (grown == live).all():
             return live.astype(bool)
         live = grown
+
+
+def _moving_mask(system):
+    """The J entries that a product with a live factor reaches, P @ live."""
+    return _dx_pairs(system) @ _live_mask(system) > 0
 
 
 def _augmented_systems():
@@ -790,19 +908,27 @@ def _augmented_systems():
             "inline_se": geo.HamiltonianSystem(geo.SasakiEinsteinChart(), *_INLINE_SE)}
 
 
+# The rows of the 31 that each augmented system's stage steps.
+_STEPPED_ROWS = {"dissipative": 19, "se": 13, "inline_darboux": 31, "inline_se": 23}
+
+
 @pytest.mark.parametrize("name", ["dissipative", "se", "inline_darboux", "inline_se"])
 def test_augmented_stage_skips_zero_products_with_equal_roots(name):
     # The stage forms DX_H[a,c] * J[c,b] only where DX_H[a,c] is not a
-    # constant zero and J[c,b] is live; its roots equal those that forming
-    # every product gives with a constant 0.0 for each dead J entry.  The
-    # tape holds the roots that are not constant zeros, and rows says where
-    # the zeros are.
+    # constant zero and J[c,b] is live, and steps only the rows that move;
+    # its roots equal those that forming every product gives with a
+    # constant for each J entry that does not move, 0.0 where it is dead and
+    # 1.0 on the diagonal.  The tape holds the roots that are not constant
+    # zeros, rows says where the zeros are, and moving which of the 31 rows
+    # of the state the stage steps.
     system = _augmented_systems()[name]
     ours = system._augmented_stage
-    theirs = _every_product_stage(system, live=_live_mask(system))
+    theirs = _every_product_stage(system, live=_live_mask(system), moving=_moving_mask(system))
     assert ours.tape.exprs == theirs.tape.exprs
     assert ours.rows == theirs.rows
     assert ours.tape.layout == theirs.tape.layout
+    assert ours.moving == theirs.moving
+    assert len(ours.rows) == len(ours.moving or range(31)) == _STEPPED_ROWS[name]
 
 
 @pytest.mark.parametrize("name", ["inline_darboux", "inline_se"])
@@ -814,7 +940,7 @@ def test_augmented_stage_root_comparison_sees_the_summation_order(name):
     system = _augmented_systems()[name]
     ours = system._augmented_stage
     theirs = _every_product_stage(system, lambda dim: range(dim - 1, -1, -1),
-                                  _live_mask(system))
+                                  _live_mask(system), _moving_mask(system))
     assert ours.rows == theirs.rows
     differ = sum(a != b for a, b in zip(ours.tape.exprs, theirs.tape.exprs))
     assert differ > 0
@@ -875,6 +1001,30 @@ def test_augmented_runs_control_with_an_unclosed_live_set_misses(name, misses, e
     assert np.count_nonzero(ours[0][-1] != theirs[0][-1]) == entries
 
 
+@pytest.mark.parametrize("name, misses", [("dissipative", (0.3, 0.04)), ("se", (0.7, 0.2)),
+                                          ("inline_darboux", (0.05, 0.05)),
+                                          ("inline_se", (0.25, 0.5))])
+def test_augmented_runs_control_with_a_moving_row_held_constant_misses(name, misses):
+    # Negative control: the stage's rows but for J[0,0], which moves on all
+    # four systems and is held at 1.0 as a constant row would be, under
+    # Heun.  J misses the every-product runs by up to 0.39 (dissipative-2d,
+    # T = 1; its batch 0.042 at T = 0.3), 0.76 (SE, T = 0.048; 0.25), 0.055
+    # (inline Darboux; 0.055) and 0.29 (inline SE; 0.56), in J[0,0] itself;
+    # the state and log_lambda rows read no J.
+    system = _augmented_systems()[name]
+    dim = system.dim
+    moving = _moving_mask(system)
+    assert moving[0, 0]
+    moving[0, 0] = False
+    control = _every_product_stage(system, live=_live_mask(system), moving=moving)
+    ours = _oracle_runs(system, control, name, "heun")
+    theirs = _oracle_runs(system, _every_product_stage(system), name, "heun")
+    for a, b, miss in zip(ours, theirs, misses):
+        assert a[:, :dim].tobytes() == b[:, :dim].tobytes()
+        assert a[:, -1].tobytes() == b[:, -1].tobytes()
+        assert np.max(np.abs(a[:, dim] - b[:, dim])) > miss
+
+
 @pytest.mark.parametrize("scheme", flow.SCHEMES)
 def test_augmented_stage_leaves_the_chart_where_every_product_stage_does(scheme):
     # An SE path of 300 steps, then an increment that lands Heun's predictor
@@ -900,34 +1050,38 @@ def test_augmented_stage_leaves_the_chart_where_every_product_stage_does(scheme)
 
 # sha256 (first 16 hex digits) of every text compiled while a catalog system
 # and its three stages are built, in order: the chart's tapes, then per stage
-# its tape, its _euler/_heun text and its heun_step, as the design before the
-# stage formatted the tape's own walk generated them; the augmented stage's
-# three (the 7th to 9th) as they are since its roots fold J's structural zeros.
+# its tape, its _euler/_heun text and its heun_run.  The tapes and the
+# _euler/_heun texts are those that the design before the stage formatted
+# the tape's own walk generated, but the augmented stage's (the 7th and 8th),
+# which are as they are since the stage steps only the rows that move, and
+# on SE the conformal stage's, which equal the state stage's since its
+# log_lambda row is constant.  Every heun_run is as it is since a single
+# path's run is one generated text.
 _GENERATED_TEXTS = {
     "dissipative-2d": [
         "02c6710e22189157", "850ffe8969e48bb4", "0081402f9970dfdc", "e5f2f8ceddd508c7",
-        "fd43eac0d00869da", "ba11da22af1561f4", "cf72990613738a36", "f4a62494d7294706",
-        "19b5062ff65c39de", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "441a301e0e2def2c"],
+        "fd43eac0d00869da", "9343142678bdc7c2", "c63a3f482b431eda", "8723e2b3d4e7978e",
+        "8dbabd27937608d9", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "b851077f74c2e8c3"],
     "sasaki-einstein-t11": [
         "094f41a45cacdc3f", "66e3e2e90469ace5", "0a8dd713468064c8", "e7e4854a2ada57ed",
-        "ca6fbde4ee11e68c", "7b9bd1dbef0ede27", "b235fbd94aea032e", "5b97a50a9ed096b7",
-        "9574ebad54df0710", "e7e4854a2ada57ed", "12a154ebfc524550", "3510b0643e56f407"],
+        "ca6fbde4ee11e68c", "df84c2aa3d86f8be", "62e192aea0e15373", "1b29988e507de9e6",
+        "c8d7ab862d10bccc", "e7e4854a2ada57ed", "ca6fbde4ee11e68c", "df84c2aa3d86f8be"],
 }
 
 
 @pytest.mark.parametrize("system_id", list(_GENERATED_TEXTS))
 def test_every_generated_text_is_unchanged(system_id, monkeypatch):
     # Each stage formats its tape's one walk of the roots instead of walking
-    # them again; the texts (tape, _euler and _heun, heun_step) stay string
+    # them again; the texts (tape, _euler and _heun, heun_run) stay string
     # for string what they were.  Array mode's grouped text is built on the
     # first array-mode call, so no build compiles it.
     import hashlib
 
     texts, factory = [], expr._factory
 
-    def recording(source):
+    def recording(source, role):
         texts.append(source)
-        return factory(source)
+        return factory(source, role)
 
     monkeypatch.setattr(expr, "_factory", recording)
     system = catalog.get_entry(system_id).system()
@@ -940,10 +1094,12 @@ def test_every_generated_text_is_unchanged(system_id, monkeypatch):
 # that defines its heun_binder and image_binder, per catalog system in the
 # order state, augmented, conformal, as the scheduler generated them when
 # the tapes' array mode still had a per-call text of its own; the augmented
-# stage's as it is since its roots fold J's structural zeros.
+# stage's as it is since the stage steps only the rows that move, and on SE
+# the conformal stage's, which is the state stage's since its log_lambda
+# row is constant.
 _BATCH_TEXTS = {
-    "dissipative-2d": ["4af29b33675591d1", "97ab7d0324e9be29", "caac60cb167f55b0"],
-    "sasaki-einstein-t11": ["d1071b122b3141d2", "0e6aa20c94976893", "0ca4648b7684aa1e"],
+    "dissipative-2d": ["4af29b33675591d1", "f7b4faab0ae83f10", "caac60cb167f55b0"],
+    "sasaki-einstein-t11": ["d1071b122b3141d2", "606be9cfd1630390", "d1071b122b3141d2"],
 }
 
 
@@ -955,9 +1111,9 @@ def test_every_batch_text_is_unchanged(system_id, monkeypatch):
 
     texts, factory = [], expr._factory
 
-    def recording(source):
+    def recording(source, role):
         texts.append(source)
-        return factory(source)
+        return factory(source, role)
 
     system = catalog.get_entry(system_id).system()
     stages = system._state_stage, system._augmented_stage, system._conformal_stage
@@ -966,6 +1122,61 @@ def test_every_batch_text_is_unchanged(system_id, monkeypatch):
         stage._generate_batch()
     assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] \
         == _BATCH_TEXTS[system_id]
+
+
+def test_se_conformal_stage_runs_the_state_stages_compiled_forms():
+    # Every R(H_i) of SE is a constant zero, so the conformal stage's
+    # log_lambda row is a constant and its roots are the state stage's: it
+    # generates the state stage's texts, which are compiled once.
+    system = catalog.sasaki_einstein_system()
+    state, conformal = system._state_stage, system._conformal_stage
+    assert (state.moving, conformal.moving) == (None, tuple(range(system.dim)))
+    assert conformal.heun_run.__code__ is state.heun_run.__code__
+    assert conformal._heun.__code__ is state._heun.__code__
+    # Control: dissipative-2d's log_lambda moves, and its two stages differ.
+    other = catalog.dissipative_system()
+    assert other._conformal_stage.moving is None
+    assert other._conformal_stage.heun_run.__code__ is not other._state_stage.heun_run.__code__
+
+
+# numpy calls per bound Heun batch step of each stage, state, augmented,
+# conformal: every ufunc call of the step, and each margin block's
+# ``absolute`` and ``min``.  The state stages' counts are as they were; the
+# augmented stage's as they are since it steps only the rows that move
+# (146 on dissipative-2d and 161 on SE before, 101 and 164 before J's
+# structural zeros were folded), and SE's conformal stage is its state
+# stage (68 before).  dissipative-2d's augmented step misses the 101 of the
+# every-product stage by 10: J's row 4 sums DX[4,c] J[c,b] over c in
+# {0, 2, 4} for even b and {1, 3, 4} for odd b, and J[4,4] alone has one
+# term, so the row's drift lives in three group buffers, which the update
+# reads as three blocks of 5 calls where it read one; no order of the rows
+# joins them, since the DX factors of b = 0..3 sit at 0, 1, 0, 1, which no
+# basic slice reads.
+_BATCH_STEP_CALLS = {"dissipative-2d": [53, 111, 58], "sasaki-einstein-t11": [66, 143, 66]}
+
+
+@pytest.mark.parametrize("system_id", list(_BATCH_STEP_CALLS))
+def test_bound_batch_steps_make_no_more_numpy_calls(system_id, monkeypatch):
+    import re
+
+    texts, factory = [], expr._factory
+
+    def recording(source, role):
+        texts.append(source)
+        return factory(source, role)
+
+    system = catalog.get_entry(system_id).system()
+    stages = system._state_stage, system._augmented_stage, system._conformal_stage
+    monkeypatch.setattr(expr, "_factory", recording)
+    counts = []
+    for stage in stages:
+        stage._generate_batch()
+        text = texts.pop()
+        heun = text[text.index("def heun_binder"):text.index("def image_binder")]
+        step = heun[heun.index("def step(dt):"):heun.index("except ArithmeticError")]
+        ufuncs = "|".join((*expr._ARRAY_NAMES.values(), "absolute"))
+        counts.append(len(re.findall(rf"\b(?:{ufuncs})\(", step)) + step.count(".min("))
+    assert counts == _BATCH_STEP_CALLS[system_id]
 
 
 def _extended_state(stage, x, rng):
@@ -987,11 +1198,28 @@ def test_heun_kernel_matches_fields_and_advance(system_index, stage_name, monkey
     def no_tape(tape, values):
         raise AssertionError("the kernel fell back to fields and advance")
 
-    # On the chart and on the fields' domain, no step leaves the kernel.
+    # On the chart and on the fields' domain, no step leaves the run.
     monkeypatch.setattr(expr.EvalTape, "__call__", no_tape)
-    ours = [stage.heun_step(y, w, dt) for y, w in inputs]
-    assert all(type(y) is list for y in ours)
+    ours = []
+    for y, w in inputs:
+        stop, rows = _run_step(stage, y, w, dt)
+        assert stop is None and rows[:len(y)] == y
+        ours.append(rows[len(y):])
     assert np.array(ours).tobytes() == np.array(theirs).tobytes()  # signs of zero too
+
+
+def _run_step(stage, y, w, dt):
+    """One step of ``stage``'s generated run from ``y``: what the run
+    returns, and the states it recorded, as a list."""
+    rows = array("d")
+    return stage.heun_run(y, [w], dt, rows), rows.tolist()
+
+
+def _full_state(system, stage, x):
+    """``x`` as a full-width state of ``stage``: J = I and log_lambda = 0."""
+    if stage is system._augmented_stage:
+        return np.concatenate([x, np.eye(system.dim).ravel(), [0.0]])
+    return np.append(x, 0.0) if stage is system._conformal_stage else np.array(x)
 
 
 def _outcome(step, *args):
@@ -1028,9 +1256,13 @@ def test_heun_kernel_cold_path_raises_the_composed_steps_error(case):
     rng = np.random.default_rng(5)
     for stage in (system._state_stage, system._augmented_stage, system._conformal_stage):
         y = _extended_state(stage, x, rng)
-        ours = _outcome(stage.heun_step, y, w, 1e-3)
-        assert ours is not None and ours[0] is expected
-        assert ours == _outcome(geo._composed_heun, stage, y, w, 1e-3)
+        # The run records the state and hands its step back; the composed
+        # step raises, and so does flow._run, which takes the step back.
+        assert _run_step(stage, y, w, 1e-3) == (0, y)
+        theirs = _outcome(geo._composed_heun, stage, y, w, 1e-3)
+        assert theirs is not None and theirs[0] is expected
+        assert _outcome(flow._run, stage, _full_state(system, stage, x), np.array(w)[:, None],
+                        1e-3, "heun", "cold", False) == theirs
 
 
 # ---------------------------------------------------------------------------

@@ -41,47 +41,50 @@ Schemes
               width still sweeps, they move to a narrower one
               (``_midpoint_steps``).
 
-One stepping core serves single paths and batches of every stage: one
-stepper per scheme and one loop, ``_run``.  A stage's ``fields(y)``
-evaluates the drift and diffusion at a single path, a list of m Python
-floats, or at a batch of paths ``(m, B)``, one row per coordinate and the
-paths on the last axis; ``advance`` applies them, as ``y + a dt + g dw`` or
-as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``, through
-straight-line code that the stage generated from its structure when it
-was built.  The stages are ``geometry._Stage`` objects, which each
+One stepping core serves single paths and batches of every stage, ``_run``:
+one run per scheme for a single path and one loop for a batch.  A stage's
+``fields(y)`` evaluates the drift and diffusion at a single path, a list of
+m Python floats, or at a batch of paths ``(m, B)``, one row per coordinate
+and the paths on the last axis; ``advance`` applies them, as ``y + a dt +
+g dw`` or as Heun's trapezoid ``y + 0.5 dt (a0 + a1) + 0.5 (g0 + g1) dw``,
+through straight-line code that the stage generated from its structure
+when it was built.  The stages are ``geometry._Stage`` objects, which each
 ``HamiltonianSystem`` builds on first use and which alone know their
 structure and summation order.
 
-The hot paths run generated forms of the stage that perform exactly the
-operations of ``fields`` and ``advance`` in the same order, so the bits
-are theirs.  A single path's Heun steps run in one call of its stage's
-generated ``heun_run``: the state stays in Python float locals from step
-to step, both evaluations of a step are written out inline, and each state
-is screened and recorded into an ``array('d')`` history, which ``_run``
-reads as an array without a copy.  A batch run binds its
-stage's generated batch steps once (``heun_binder`` and ``image_binder``)
-to ``(m, B)`` buffers of the run, which ``_run`` allocates per call, so a
-shared system stays thread-safe: one Heun step per parity of its two state
-buffers, or one midpoint image per pair of buffers it reads and writes.
-Each is a closure of ``dt`` whose grouped numpy calls run on views and
-scratch arrays made when it was bound, with their outputs positional, and
-with numpy's floating-point flags raising, which ``_run`` sets once per
-batch run.  The increments of a step are copied into a buffer of the run,
-d rows, each contiguous when the batch's increments are step-major, as an
-ensemble's of several channels are; the finiteness screen, the midpoint
-sweep's arithmetic and reductions, and its moves into narrower sweeps
-write into arrays of the run, so no step allocates one (but for a
-sweep's first move to a width, which makes that width's).  The sweep's
-arithmetic runs with the flags ignored, as every single path and every
-fallback does.  Off the hot path a form falls back to ``fields``
-and ``advance``: when a margin at an evaluation is below
-``geometry.MARGIN``, or when an evaluation raises ``ZeroDivisionError``,
-``ValueError`` or ``OverflowError`` (a single path) or sets a
-floating-point flag (a batch).  The fallback raises exactly their errors,
-``SingularChartPoint`` ahead of ``DomainError``: a single path's run hands
-such a step back to ``_run``, which takes it with ``_composed_heun`` and
-resumes the run if it returns.  A single path's midpoint step goes through
-``fields`` and ``advance``.
+Every single path runs under one protocol, in one call of its scheme's run
+(``_RUNS``), ``run(y, ws, dt, rows)``: the state stays in Python floats
+from step to step, each state is screened and recorded into an
+``array('d')`` history, which ``_run`` reads as an array without a copy,
+and the run returns None, or the index of the first non-finite state.
+Heun's run is its stage's generated ``heun_run``, which performs exactly
+the operations of ``fields`` and ``advance`` in the same order, so the
+bits are theirs, with both evaluations of a step written out inline.
+Midpoint's is ``_composed_run`` over ``_midpoint_step``, whose images are
+``fields`` and ``advance`` and whose per-path test compares floats.
+
+A batch run binds its stage's generated batch steps once (``heun_binder``
+and ``image_binder``) to ``(m, B)`` buffers of the run, which ``_loop``
+allocates per call, so a shared system stays thread-safe: one Heun step
+per parity of its two state buffers, or one midpoint image per pair of
+buffers it reads and writes.  Each is a closure of ``dt`` whose grouped
+numpy calls run on views and scratch arrays made when it was bound, with
+their outputs positional, and with numpy's floating-point flags raising,
+which ``_loop`` sets once per batch run.  The increments of a step are
+copied into a buffer of the run, d rows, each contiguous when the batch's
+increments are step-major, as an ensemble's of several channels are; the
+finiteness screen, the midpoint sweep's arithmetic and reductions, and its
+moves into narrower sweeps write into arrays of the run, so no step
+allocates one (but for a sweep's first move to a width, which makes that
+width's).  The sweep's arithmetic runs with the flags ignored, as every
+fallback does.
+
+A generated form falls back to ``fields`` and ``advance`` off its hot
+text: when a margin at an evaluation is below ``geometry.MARGIN``, or when
+an evaluation raises ``ArithmeticError`` or ``ValueError`` (a single path)
+or sets a floating-point flag (a batch).  The fallback takes the step in
+place and raises exactly their errors, ``SingularChartPoint`` ahead of
+``DomainError``; if it returns, the run carries on from its result.
 
 A stage steps only the rows that move (``_Stage.moving``).  The others are
 constants of the stage: the augmented stage's J entries that no product
@@ -92,12 +95,10 @@ initial value, which the stage's contract fixes (J = I, log_lambda = 0).
 The single-path screen is the one rule of every state: one
 ``math.isfinite`` of the sum of the state's entries, since a sum of finite
 floats is non-finite only when it overflows, and only then the entries one
-by one.  The generated run applies it inline; a midpoint path, carried as a
-list of floats from ``x0`` to the history write with its increments read
-once, one list per step so that its per-path test compares floats, applies
-it in ``_run``'s loop.  A batch stays ``(m, B)`` arrays.  ``step``
-and ``integrate_batch_final`` take and return a batch as ``(B, m)``, one
-row per path, and convert it once.
+by one.  The generated run applies it inline and ``_composed_run`` in its
+loop.  A batch stays ``(m, B)`` arrays.  ``step`` and
+``integrate_batch_final`` take and return a batch as ``(B, m)``, one row
+per path, and convert it once.
 
 The augmented system carries, with the state, the flow Jacobian J (dJ =
 DX J) and the log of the conformal factor (d log_lambda = -R(H_0) dt -
@@ -129,7 +130,7 @@ from .errors import (
     MidpointDivergence,
     NumericalFailure,
 )
-from .geometry import HamiltonianSystem, _composed_heun, _composed_image
+from .geometry import HamiltonianSystem, _composed_image
 
 __all__ = [
     "BrownianPath", "sample_brownian", "coarsen",
@@ -580,81 +581,78 @@ def _midpoint_steps(stage, y, w):
     return steps(y, other), steps(other, y)
 
 
-# A single path's step per scheme, ``(stage, y, dw, dt)``, and a batch run's
-# steps bound to its buffers, ``(stage, y, w)``.  A single path's Heun steps
-# run in its stage's generated ``heun_run``; the composed step takes a step
-# that the run hands back.
-_STEPPERS = {"heun": _composed_heun, "midpoint": _midpoint_step}
+def _composed_run(step):
+    """A single path's run, ``run(y, ws, dt, rows)``, of ``step(y, w, dt)``
+    on lists of floats, with the protocol of a stage's generated
+    ``heun_run``: each state is screened, ``math.isfinite`` of its sum and
+    only when that is not finite entry by entry, and appended to ``rows``,
+    then stepped with the next increments list of ``ws``.  Returns None
+    after the last state, or the index of the first non-finite state, which
+    it does not append; ``step`` raises its own errors."""
+    def run(y, ws, dt, rows):
+        start, ws = len(rows), iter(ws)
+        while math.isfinite(sum(y)) or all(map(math.isfinite, y)):
+            rows.extend(y)
+            if (w := next(ws, None)) is None:
+                return None
+            y = step(y, w, dt)
+        return (len(rows) - start) // len(y)
+    return run
+
+
+# A single path's run per scheme, made for its stage, and a batch run's
+# steps bound to its buffers, ``(stage, y, w)``.
+_RUNS = {"heun": lambda stage: stage.heun_run,
+         "midpoint": lambda stage: _composed_run(functools.partial(_midpoint_step, stage))}
 _BATCH_STEPPERS = {"heun": _heun_steps, "midpoint": _midpoint_steps}
 
 
-def _stepper(scheme: str):
+def _scheme_run(scheme: str):
     try:
-        return _STEPPERS[scheme]
+        return _RUNS[scheme]
     except KeyError:
         raise InvalidStep(f"unknown scheme {scheme!r}; expected one of {SCHEMES}") from None
 
 
-def _heun_run(stage, y, increments, dt, stepper, operation):
+def _single_path(run, y, increments, dt, operation):
     """The (n_steps + 1, m) history of a single path ``y`` (m,) stepped by
-    its stage's generated ``heun_run`` over ``increments`` (d, n_steps),
-    read once as one list per step.  The run records the history into an
-    ``array('d')``, returned as a view of it.  When the run stops at a state
-    that it did not record, that state is not finite: ``NumericalFailure``.
-    When it stops at one that it did, that step left its hot text, and
-    ``stepper``, the composed Heun step, takes it: it raises the step's
-    error, or returns the next state, from which the run resumes."""
+    one call of ``run`` over ``increments`` (d, n_steps), read once as one
+    list per step.  The run records the history into an ``array('d')``,
+    returned as a view of it; when it stops at a state that is not finite:
+    ``NumericalFailure``."""
     # Imported on first use, so that importing this module does not.
     from array import array
 
-    dws, rows, m = increments.T.tolist(), array("d"), len(y)
-    y, done = y.tolist(), 0
-    while (stop := stage.heun_run(y, dws[done:] if done else dws, dt, rows)) is not None:
-        done += stop
-        if len(rows) == done * m:
-            raise NumericalFailure(operation, "non-finite values")
-        y = stepper(stage, rows[-m:].tolist(), dws[done], dt)
-        done += 1
-    return np.frombuffer(rows).reshape(-1, m)
+    rows = array("d")
+    if run(y.tolist(), increments.T.tolist(), dt, rows) is not None:
+        raise NumericalFailure(operation, "non-finite values")
+    return np.frombuffer(rows).reshape(-1, len(y))
 
 
-def _loop(stage, y, increments, dt, stepper, scheme: str, operation: str, keep: bool):
-    """``_run``'s loop for every run but a single path's Heun run: ``y``, a
-    single path (m,) stepped by ``stepper`` or a batch (m, B) stepped by its
-    stage's bound batch steps.  Returns the (n_steps + 1, *y.shape) history
-    if ``keep``, else the final value."""
+def _loop(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
+    """``_run``'s loop for a batch ``y`` (m, B), stepped by its stage's
+    bound batch steps.  Returns the (n_steps + 1, m, B) history if
+    ``keep``, else the final value."""
     n_steps = increments.shape[1]
     if keep:
         history = np.empty((n_steps + 1, *y.shape))
-    single = y.ndim == 1
-    if single:
-        y, dws = y.tolist(), increments.T.tolist()
-        advance = functools.partial(stepper, stage)
-    else:
-        y, w, finite = y.copy(), np.empty(increments.shape[::2]), np.empty(y.shape, dtype=bool)
-        # A run of no steps binds nothing, so it generates no batch form.
-        steps = _BATCH_STEPPERS[scheme](stage, y, w) if n_steps else ()
-    # A batch's bound steps run with numpy's floating-point flags raising,
-    # set once per run; their fallback and the midpoint sweep's arithmetic
+    y, w, finite = y.copy(), np.empty(increments.shape[::2]), np.empty(y.shape, dtype=bool)
+    # A run of no steps binds nothing, so it generates no batch form.
+    steps = _BATCH_STEPPERS[scheme](stage, y, w) if n_steps else ()
+    # The bound steps run with numpy's floating-point flags raising, set
+    # once per run; their fallback and the midpoint sweep's arithmetic
     # ignore them.
-    with (np.errstate(all="ignore") if single
-          else np.errstate(divide="raise", invalid="raise", over="raise")):
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
         for j in range(n_steps + 1):
-            # A sum of finite floats is non-finite only when it overflows:
-            # then the entries are screened one by one.
-            if not ((math.isfinite(sum(y)) or all(map(math.isfinite, y))) if single
-                    else np.isfinite(y, out=finite).all()):
+            if not np.isfinite(y, out=finite).all():
                 raise NumericalFailure(operation, "non-finite values")
             if keep:
                 history[j] = y
             if j == n_steps:
                 break
-            if single:
-                y = advance(y, dws[j], dt)
-            else:
-                np.copyto(w, increments[:, j])
-                y = steps[j & 1](dt)
-    return history if keep else np.asarray(y)
+            np.copyto(w, increments[:, j])
+            y = steps[j & 1](dt)
+    return history if keep else y
 
 
 def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
@@ -668,28 +666,27 @@ def _run(stage, y, increments, dt, scheme: str, operation: str, keep: bool):
     rows of ``y`` are its constants, and they keep their initial values in
     what is returned, which has the width of ``y``.
 
-    A single path under Heun runs in its stage's generated ``heun_run``
-    (``_heun_run``).  Any other single path is carried as a list of floats
-    and stepped by its scheme's stepper (``_STEPPERS``), its increments read
-    once, one list per step, so the midpoint stepper's per-path test
-    compares floats.  A batch is copied into a state buffer of this call and
-    stepped by its stage's generated batch steps, bound once to buffers
-    that this call allocates (``_BATCH_STEPPERS``), so no two runs, and no
-    two threads, share one.  Each step's increments are copied into one of
-    them, d rows that are contiguous when ``increments`` is a view of a
-    step-major (d, n_steps, B) array, and the finiteness screen writes into
-    another, so no step allocates an array but where a midpoint sweep first
-    moves paths to a narrower width (``_midpoint_steps``); the final value
-    is one of the state buffers."""
-    stepper = _stepper(scheme)
+    A single path runs in one call of its scheme's run for the stage
+    (``_RUNS``, ``_single_path``): its stage's generated ``heun_run``, or
+    ``_composed_run`` over the midpoint step, whose per-path test compares
+    floats.  A batch is stepped by ``_loop``: it is copied into a state
+    buffer of this call and stepped by its stage's generated batch steps,
+    bound once to buffers that this call allocates (``_BATCH_STEPPERS``), so
+    no two runs, and no two threads, share one.  Each step's increments are
+    copied into one of them, d rows that are contiguous when ``increments``
+    is a view of a step-major (d, n_steps, B) array, and the finiteness
+    screen writes into another, so no step allocates an array but where a
+    midpoint sweep first moves paths to a narrower width
+    (``_midpoint_steps``); the final value is one of the state buffers."""
+    run = _scheme_run(scheme)
     moving = stage.moving
     state = y if moving is None else y[list(moving)]
-    if y.ndim == 1 and scheme == "heun":
-        values = _heun_run(stage, state, increments, dt, stepper, operation)
+    if y.ndim == 1:
+        values = _single_path(run(stage), state, increments, dt, operation)
         if not keep:
             values = values[-1]
     else:
-        values = _loop(stage, state, increments, dt, stepper, scheme, operation, keep)
+        values = _loop(stage, state, increments, dt, scheme, operation, keep)
     if moving is None:
         return values
     # The constant rows hold their initial values.

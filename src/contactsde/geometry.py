@@ -80,6 +80,7 @@ import itertools
 import math
 import operator
 import reprlib
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -175,16 +176,17 @@ class _Stage:
     of its roots (``expr._lines``) with one set of names per evaluation,
     with Euler's predictor and Heun's trapezoid between and after them.  Per
     root and row a step performs exactly the operations of ``fields`` and
-    ``advance``, in the same order, so its bits are theirs.  When ``ws`` is
+    ``advance``, in the same order, so its bits are theirs.  A step leaves
+    the hot text on a margin below ``MARGIN`` at either evaluation (an
+    inline test generated from it, which raises) or on an
+    ``ArithmeticError`` or ``ValueError``, and the run takes that step with
+    ``_composed_heun`` in place, which raises exactly their errors, and
+    carries on from its result, as a batch form does.  The run holds its
+    stage by a weak reference, so that a stage and its run form no cycle
+    and a dropped system frees them at once.  When ``ws`` is
     exhausted the last state is screened and appended and the run returns
-    None.  Otherwise it stops and returns the index of the step at which it
-    stopped, counted from its own ``y``: at a non-finite state, which it
-    does not append, or at a step that leaves the hot text, whose state it
-    has appended.  A step leaves on a margin below ``MARGIN`` at either
-    evaluation (an inline test generated from it), or on a
-    ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``; the caller
-    then runs ``_composed_heun`` on that step, which raises exactly their
-    errors (``flow._run``).
+    None; at a non-finite state, which it does not append, it stops and
+    returns that state's index, counted from its own ``y``.
 
     A batch, (m, B) rows, has two generated forms of its own, built on the
     first batch call (``_generate_batch``), each bound before it steps:
@@ -205,7 +207,7 @@ class _Stage:
     is only calls with their outputs positional, and allocates no array.  Per
     element the operations and their order are those of ``fields`` and
     ``advance``, so the bits are theirs.  The step is called with numpy's
-    floating-point flags raising, which its caller sets (``flow._run``, once
+    floating-point flags raising, which its caller sets (``flow._loop``, once
     per run); a flag, or a margin below ``MARGIN``, sends the whole step to
     ``_composed_heun`` or ``_composed_image``, which run with the flags
     ignored and raise exactly their errors, and the result goes into
@@ -279,15 +281,12 @@ class _Stage:
         def evaluation(lines, k):
             margins = k[self._margins:]
             return [*lines, *([f"if {' or '.join(f'abs({v}) < margin' for v in margins)}:",
-                               "    break"] if margins else [])]
+                               "    raise FloatingPointError"] if margins else [])]
 
         step = [*evaluation(s_lines, k0),
                 *(f"p{r} = {t}" for r, t in enumerate(self._updates("y{}", "w{}", "dt",
                                                                      k0.__getitem__))),
                 *evaluation(t_lines, k1)]
-        if s_lines:
-            step = ["try:", expr._block(1, step).rstrip("\n"),
-                    "except (ZeroDivisionError, ValueError, OverflowError):", "    break"]
         state = "".join(f"y{r}, " for r in range(m))
         # A sum of finite floats is non-finite only when it overflows: then
         # the entries are screened one by one.
@@ -297,15 +296,20 @@ class _Stage:
                   f"rows.extend(({state}))"]
         trapezoid = self._updates("y{}", "w{}", "h_dt", lambda i: f"({k0[i]} + {k1[i]})", True)
         make = expr._factory(
-            f"def make(pow, sin, cos, exp, log, isfinite, margin{expr._params(consts)}):\n"
+            f"def make(pow, sin, cos, exp, log, isfinite, margin, cold_heun"
+            f"{expr._params(consts)}):\n"
             "    def heun_run(y, ws, dt, rows):\n"
             + expr._block(2, [f"{state}= y", "h_dt = 0.5 * dt", "start = len(rows)",
                          f"for {''.join(f'w{c}, ' for c in range(self.d)).rstrip() or '()'} in ws:"])
-            + expr._block(3, [*screen, *step, f"{state}= " + listed(trapezoid, "(", ")")])
-            + expr._block(2, ["else:"]) + expr._block(3, [*screen, "return None"])
-            + expr._block(2, [f"return (len(rows) - start) // {m} - 1"])
+            + expr._block(3, [*screen, "try:"])
+            + expr._block(4, [*step, f"{state}= " + listed(trapezoid, "(", ")"), "continue"])
+            + expr._block(3, ["except (ArithmeticError, ValueError):", "    pass",
+                              f"{state}= cold_heun([{state}], "
+                              f"[{''.join(f'w{c}, ' for c in range(self.d))}], dt)"])
+            + expr._block(2, [*screen, "return None"])
             + "    return heun_run\n", f"{self.role} heun_run")
-        self.heun_run = make(*expr._SCALAR_FUNCTIONS, math.isfinite, MARGIN, *consts)
+        self.heun_run = make(*expr._SCALAR_FUNCTIONS, math.isfinite, MARGIN,
+                             functools.partial(_composed_heun, weakref.proxy(self)), *consts)
 
     def _generate_batch(self) -> None:
         """Compile the two batch forms' binders, ``heun_binder`` and

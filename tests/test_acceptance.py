@@ -21,7 +21,6 @@ import pytest
 from contactsde import catalog, cli, expr, flow, geometry as geo, verification as ver
 from contactsde.errors import DomainError, NumericalFailure, SingularChartPoint
 
-from composed import composed_run
 
 SE_INITIAL = (math.pi / 2, math.pi / 2, 0.3, -0.4, 0.25)
 OFF_CHART = (SingularChartPoint, NumericalFailure, DomainError)
@@ -150,12 +149,17 @@ def _ito_euler_step(stage, y, dw, dt):
     return stage.advance(y, dw, dt, stage.fields(y))
 
 
+def _ito_euler_run(stage):
+    """A single path's run of ``_ito_euler_step`` on ``stage``."""
+    return flow._composed_run(functools.partial(_ito_euler_step, stage))
+
+
 def test_criterion_3_negative_control_ito_euler(monkeypatch):
     # Criterion 3's streams and ladder stepped with Ito-Euler: its state
     # noise is multiplicative, so Euler drops the Stratonovich correction
     # and the defect does not decay.  Measured: slope -0.032, which misses
     # criterion 3's bound of 0.9 by 0.93 (Heun measures 0.959).
-    monkeypatch.setitem(flow._STEPPERS, "ito-euler", _ito_euler_step)
+    monkeypatch.setitem(flow._RUNS, "ito-euler", _ito_euler_run)
     slope, _ = _criterion_3_ladder("ito-euler")
     assert slope < 0.9, f"slope {slope!r}"
 
@@ -166,7 +170,7 @@ def test_criterion_3_negative_control_ito_euler_additive_noise(monkeypatch):
     # decays at order about 1 (measured 1.003 and 1.001, against Heun's 2.0).
     # The control above fails for the scheme's Ito limit, not for being a
     # cruder scheme.
-    monkeypatch.setitem(flow._STEPPERS, "ito-euler", _ito_euler_step)
+    monkeypatch.setitem(flow._RUNS, "ito-euler", _ito_euler_run)
     system = catalog.dissipative_system()
     finest = flow.sample_brownian(system.d, 1000, 1e-3, master_seed=2024)
     report = ver.defect_convergence(system, [1.0, 0.0, 2.0, 0.0, 0.0], finest, "ito-euler", 3)
@@ -234,7 +238,7 @@ class _FlippedNoiseReeb:
         last = self.moving[-1] if self.moving else len(self.stage.rows) - 1
         assert last == system.dim * (system.dim + 1)  # the log lambda row
         self.flipped = {slot for _, slot in self.stage.rows[-1][1]}
-        self.heun_run = composed_run(functools.partial(geo._composed_heun, self))
+        self.heun_run = flow._composed_run(functools.partial(geo._composed_heun, self))
 
     def fields(self, y):
         return tuple(-v if i in self.flipped else v for i, v in enumerate(self.stage.fields(y)))
@@ -325,7 +329,7 @@ class _DroppedChannelTangent:
         full = self.moving or range(len(self.stage.rows))
         self.dropped = {slot for r, (_, row) in zip(full, self.stage.rows)
                         if dim <= r < dim + dim * dim for c, slot in row if c == k}
-        self.heun_run = composed_run(functools.partial(geo._composed_heun, self))
+        self.heun_run = flow._composed_run(functools.partial(geo._composed_heun, self))
 
     def fields(self, y):
         return tuple(0.0 if i in self.dropped else v for i, v in enumerate(self.stage.fields(y)))

@@ -312,7 +312,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert err.count("numerical failure") == 1
 
 
-_POW3_Z = "invalid power in BinOp(op='^', left=Var(name='z'), right=Const(value=3.0))"
+_POW_Z = "invalid power in BinOp(op='^', left=Var(name='z'), right=Const(value={:.1f}))"
+_DIVERGED = "midpoint fixed point did not reach 1e-13 within 50 sweeps"
 
 
 @pytest.mark.parametrize("h0, z0, argv, message", [
@@ -320,14 +321,24 @@ _POW3_Z = "invalid power in BinOp(op='^', left=Var(name='z'), right=Const(value=
     ("-z*z*z", 1e110, ["simulate"], "numerical failure in simulate: non-finite values"),
     ("-z*z*z", 1e110, ["convergence", "--levels", "3"],
      "numerical failure in integrate: non-finite values"),
-    # pow overflows as z grows: the run hands the step back, and the
-    # composed step raises the tape's domain error.
-    ("-z^3", 30.0, ["simulate"], f"numerical failure in simulate: {_POW3_Z}"),
-], ids=["screen-simulate", "screen-convergence", "hand-back-simulate"])
+    # pow overflows as z grows: the step leaves the run's hot text, and the
+    # composed step, taken in place, raises the tape's domain error.
+    ("-z^3", 30.0, ["simulate"], f"numerical failure in simulate: {_POW_Z.format(3)}"),
+    # Under midpoint the first step's fixed point does not contract, and
+    # the second system's z^2 in X_H overflows as z grows.
+    ("-z*z*z", 1e110, ["simulate", "--scheme", "midpoint"],
+     f"numerical failure in simulate: {_DIVERGED}"),
+    ("-z*z*z", 1e110, ["convergence", "--levels", "3", "--scheme", "midpoint"],
+     f"numerical failure in convergence: {_DIVERGED}"),
+    ("-z^3", 30.0, ["simulate", "--scheme", "midpoint"],
+     f"numerical failure in simulate: {_POW_Z.format(2)}"),
+], ids=["screen-simulate", "screen-convergence", "cold-step-simulate", "midpoint-simulate",
+        "midpoint-convergence", "midpoint-domain-simulate"])
 def test_single_path_run_stops_exit_3(tmp_path, capsys, h0, z0, argv, message):
     # Inline Darboux n = 1 systems with no noise channels (d = 0): the
-    # generated run's increment rows are empty, and each way a run stops
-    # ends in exit 3, empty stdout and the one stderr line.
+    # single-path run's increment rows are empty, and each way a run stops
+    # ends in exit 3, empty stdout and the one stderr line, under either
+    # scheme.
     cfg = write_config(tmp_path, system={"chart": "darboux", "n": 1, "h0": h0, "noise": []},
                        T=1.0, dt=0.01, initial_state=[0.1, 0.2, z0])
     code, out, err = run_cli(capsys, *argv, "--config", cfg)

@@ -1,7 +1,7 @@
 import functools
-import itertools
 import math
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from contactsde.errors import (
     SingularChartPoint,
 )
 
-from composed import composed_run
 
 # The flag mode in which flow._run calls a batch's bound steps.
 _RAISING = {"divide": "raise", "invalid": "raise", "over": "raise"}
@@ -307,14 +306,14 @@ def test_conformal_factor_overflow_is_a_numerical_failure():
 
 class _ZeroStage:
     """A stage with zero fields, stepped by a run composed of its own step
-    (``composed_run``) or by its bound batch steps, that counts its steps;
-    after step ``k`` it writes ``value`` into the last entry."""
+    (``flow._composed_run``) or by its bound batch steps, that counts its
+    steps; after step ``k`` it writes ``value`` into the last entry."""
 
     moving = None
 
     def __init__(self, k=None, value=None):
         self.k, self.value, self.steps = k, value, 0
-        self.heun_run = composed_run(self.step)
+        self.heun_run = flow._composed_run(self.step)
 
     def step(self, y, w, dt):
         self.steps += 1
@@ -429,51 +428,73 @@ def test_generated_screen_stops_at_the_first_non_finite_state(base, value, k):
     assert (err.value.operation, str(err.value)) == ("screen", "non-finite values")
 
 
-class _HandsBackOnce:
-    """``stage``, whose generated run hands step ``k`` back once, as a run
-    hands back a step that leaves its hot text, although the composed step
-    completes it: the run takes step k's increments, as its ``for`` does,
-    and stops at the state it recorded."""
+def _send_every_step_cold(system_id, patch):
+    """Patch what a stage's run is generated from so that every step leaves
+    its hot text: on SE the inline margin test's bound, 2.0, above every
+    |sin(theta_i)|; dissipative-2d has no margins, so there the run's
+    ``pow``, which then raises as a tape fault does."""
+    if system_id == "sasaki-einstein-t11":
+        patch.setattr(geo, "MARGIN", 2.0)
+        return
 
-    def __init__(self, stage, k):
-        self.stage, self.k, self.moving = stage, k, stage.moving
-
-    def fields(self, y):
-        return self.stage.fields(y)
-
-    def advance(self, *args):
-        return self.stage.advance(*args)
-
-    def heun_run(self, y, ws, dt, rows):
-        if self.k is None:
-            return self.stage.heun_run(y, ws, dt, rows)
-        k, self.k, ws = self.k, None, iter(ws)
-        assert self.stage.heun_run(y, itertools.islice(ws, k), dt, rows) is None
-        next(ws)
-        return k
+    def overflowing_pow(x, y):
+        raise OverflowError("math range error")
+    patch.setattr(expr, "_SCALAR_FUNCTIONS", (overflowing_pow, *expr._SCALAR_FUNCTIONS[1:]))
 
 
-@pytest.mark.parametrize("k", [0, 150, 299])
-def test_run_resumes_after_a_handed_back_step_that_the_composed_step_completes(k, monkeypatch):
-    # flow._run takes a handed-back step with the composed step and resumes
-    # the run after it: the history is the uninterrupted run's, bit for bit,
-    # and the composed step ran once.
-    system = catalog.sasaki_einstein_system()
-    stage = system._augmented_stage
-    x0, dt, _ = _ORACLE_RUNS["se"]
-    y0 = _full_state(system, stage, np.array(x0))
-    increments = flow.sample_brownian(system.d, 300, dt, 1).increments
-    calls = []
+def _cold_runs(system_id, stage_name, monkeypatch, nudge=False):
+    """One Heun path of ``_ORACLE_RUNS``, seed 1, on the stage ``stage_name``
+    of two fresh systems: (the history as built, the history on a stage whose
+    run was generated again with every step sent cold, the number of cold
+    steps).  The chart's margin rule in ``fields`` keeps its bound, so the
+    composed step completes each cold step.  Given ``nudge``, the cold step
+    moves the first entry of its result up by one ulp."""
+    x0, dt, n_steps = _ORACLE_RUNS["se" if system_id == "sasaki-einstein-t11" else "dissipative"]
+    hot, cold = (catalog.get_entry(system_id).system() for _ in range(2))
+    composed, calls = geo._composed_heun, []
 
-    def composed(*args):
-        calls.append(args[0])
-        return geo._composed_heun(*args)
+    def cold_step(stage, y, w, dt):
+        calls.append(None)
+        y = composed(stage, y, w, dt)
+        if nudge:
+            y[0] = math.nextafter(y[0], math.inf)
+        return y
+    stage = getattr(cold, stage_name)
+    with monkeypatch.context() as patch:
+        _send_every_step_cold(system_id, patch)
+        patch.setattr(geo, "_composed_heun", cold_step)
+        stage._generate()
+    increments = flow.sample_brownian(hot.d, n_steps, dt, 1).increments
+    runs = [flow._run(getattr(system, stage_name),
+                      _full_state(system, getattr(system, stage_name), np.array(x0)),
+                      increments, dt, "heun", "cold", True) for system in (hot, cold)]
+    return (*runs, len(calls))
 
-    whole = flow._run(stage, y0, increments, dt, "heun", "resume", True)
-    monkeypatch.setitem(flow._STEPPERS, "heun", composed)
-    resumed = flow._run(_HandsBackOnce(stage, k), y0, increments, dt, "heun", "resume", True)
-    assert resumed.tobytes() == whole.tobytes()
-    assert len(calls) == 1
+
+@pytest.mark.parametrize("stage_name", ["_state_stage", "_augmented_stage"])
+@pytest.mark.parametrize("system_id", ["dissipative-2d", "sasaki-einstein-t11"])
+def test_run_carries_on_from_cold_steps_that_the_composed_step_completes(system_id, stage_name,
+                                                                         monkeypatch):
+    # A run takes a step that leaves its hot text with the composed step in
+    # place and carries on from its result: with every step sent cold the
+    # history is the hot run's, bit for bit, one composed step per step
+    # (768 of 768 on SE, 1000 of 1000 on dissipative-2d).
+    hot, cold, calls = _cold_runs(system_id, stage_name, monkeypatch)
+    assert calls == len(hot) - 1
+    assert cold.tobytes() == hot.tobytes()
+
+
+@pytest.mark.parametrize("stage_name", ["_state_stage", "_augmented_stage"])
+@pytest.mark.parametrize("system_id", ["dissipative-2d", "sasaki-einstein-t11"])
+def test_cold_step_control_with_a_one_ulp_nudge_misses(system_id, stage_name, monkeypatch):
+    # Negative control: each cold step moves the first entry of its result
+    # up by one ulp.  Measured: the history misses the hot run by up to
+    # 1.9e-13 on both dissipative-2d stages, 2.5e-13 on SE's state stage
+    # and 5.7e-13 on its augmented stage.
+    hot, cold, calls = _cold_runs(system_id, stage_name, monkeypatch, nudge=True)
+    miss = float(np.abs(cold - hot).max())
+    print(f"one-ulp cold step control {system_id} {stage_name}: max miss {miss:.3g}")
+    assert calls == len(hot) - 1 and miss > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +722,7 @@ class _PerHamiltonianStage:
 
     def __init__(self, system):
         self.system = system
-        self.heun_run = composed_run(functools.partial(geo._composed_heun, self))
+        self.heun_run = flow._composed_run(functools.partial(geo._composed_heun, self))
         dim, names = system.dim, system.chart.names
         # Per H_i and row a, the columns c whose DX_ac is not a constant zero.
         self.dx_columns = [
@@ -1048,6 +1069,144 @@ def test_augmented_stage_leaves_the_chart_where_every_product_stage_does(scheme)
     assert outcomes == [outcomes[0]] * 4
 
 
+# ---------------------------------------------------------------------------
+# the single-path midpoint run against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_reference(step=None):
+    """``flow._run`` for a single midpoint path as it ran before every single
+    path had one run protocol: ``_run``'s own loop carried the moving rows
+    as a list of floats, screened each state, wrote it into a (n_steps + 1,
+    m) history and stepped it with ``flow._midpoint_step`` (or ``step``),
+    with numpy's flags ignored; the constant rows were put back after."""
+    def run(stage, y, increments, dt, scheme, operation, keep):
+        assert y.ndim == 1 and scheme == "midpoint"
+        advance, rows = step or flow._midpoint_step, list(stage.moving or range(len(y)))
+        x, dws, n_steps = y[rows].tolist(), increments.T.tolist(), increments.shape[1]
+        history = np.empty((n_steps + 1, len(x)))
+        with np.errstate(all="ignore"):
+            for j in range(n_steps + 1):
+                if not (math.isfinite(sum(x)) or all(map(math.isfinite, x))):
+                    raise NumericalFailure(operation, "non-finite values")
+                history[j] = x
+                if j == n_steps:
+                    break
+                x = advance(stage, x, dws[j], dt)
+        out = np.empty((n_steps + 1, *y.shape))
+        out[...] = y
+        out[:, rows] = history
+        return out if keep else out[-1]
+    return run
+
+
+# CI's inline dense Darboux system: exp, log, ^ and trig in its fields.
+_CI_DENSE = ("exp(0.1*q1)*p1^2/2 + log(2 + q2^2)*p2^2 + sin(q1)*cos(q2) + z^3/3",
+             ["0.1*sin(p1)", "cos(q2)*p2 - z"])
+
+
+def _midpoint_case(case):
+    """(system, x0, path) of one pinned midpoint case, 300 steps of seed 1
+    on each system, or a path that stops: a NaN initial state, the stiff
+    step of ``test_midpoint_divergence_on_stiff_step`` and the SE path of
+    ``test_augmented_stage_leaves_the_chart_where_every_product_stage_does``
+    (its 301st increment lands the first midpoint on theta1 = 0)."""
+    if case == "dense":
+        system = geo.HamiltonianSystem(geo.DarbouxChart(2), *_CI_DENSE)
+        return system, (0.3, -0.2, 0.5, 0.4, 0.1), flow.sample_brownian(system.d, 300, 1e-3, 1)
+    if case == "stiff":
+        stiff = geo.HamiltonianSystem(geo.DarbouxChart(1), "50*(q1^2 + p1^2)")
+        return stiff, (1.0, 1.0, 0.0), flow.sample_brownian(0, 2, 1.0, 1)
+    name = "dissipative" if case in ("dissipative", "non_finite_state") else "se"
+    system = _augmented_systems()[name]
+    x0, dt, _ = _ORACLE_RUNS[name]
+    path = flow.sample_brownian(system.d, 300, dt, 1)
+    if case == "non_finite_state":
+        return system, (x0[0], math.nan, *x0[2:]), path
+    if case == "se_leaves_the_chart":
+        theta1 = flow.integrate(system, x0, path, "midpoint").states[-1, 0]
+        increments = np.zeros((system.d, 301))
+        increments[:, :300] = path.increments
+        increments[3, 300] = -2.0 * theta1 * math.sin(theta1) / 3.0
+        path = replace(path, n_steps=301, increments=increments)
+    return system, x0, path
+
+
+def _midpoint_entry(entry, system, x0, path):
+    """The arrays that ``entry`` returns for one midpoint path; ``step``
+    steps it one call at a time and returns its states."""
+    if entry == "step":
+        states = [np.array(x0, dtype=float)]
+        for dw in path.increments.T:
+            states.append(flow.step(system, states[-1], dw, path.dt, "midpoint"))
+        return [np.array(states)]
+    if entry == "integrate_augmented":
+        traj = flow.integrate_augmented(system, x0, path, "midpoint")
+        return [traj.states, traj.jacobians, traj.log_lambda]
+    if entry == "integrate":
+        return [flow.integrate(system, x0, path, "midpoint").states]
+    return list(flow._integrate_conformal(system, x0, path, "midpoint"))
+
+
+def _pinned(case, entry, monkeypatch, reference=None):
+    """(arrays or (error type, operation, message), midpoint steps taken):
+    what ``entry`` gives on ``case``, with ``flow._run`` replaced by
+    ``reference`` if one is given."""
+    system, x0, path = _midpoint_case(case)
+    steps, step = [], flow._midpoint_step
+
+    def counted(*args):
+        steps.append(None)
+        return step(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_midpoint_step", counted)
+        if reference is not None:
+            patch.setattr(flow, "_run", reference)
+        try:
+            outcome = _midpoint_entry(entry, system, x0, path)
+        except ContactSDEError as err:
+            outcome = type(err), getattr(err, "operation", None), str(err)
+    return outcome, len(steps)
+
+
+# Each stopping case's error, and the midpoint steps taken before it stops.
+_MIDPOINT_STOPS = {"non_finite_state": (NumericalFailure, 0), "stiff": (MidpointDivergence, 1),
+                   "se_leaves_the_chart": (SingularChartPoint, 301)}
+
+
+@pytest.mark.parametrize("entry", ["integrate", "integrate_augmented", "_integrate_conformal",
+                                   "step"])
+@pytest.mark.parametrize("case", ["dissipative", "se", "dense", *_MIDPOINT_STOPS])
+def test_single_path_midpoint_run_equals_the_loop_it_replaced(case, entry, monkeypatch):
+    # A single midpoint path runs in one call of _composed_run over the
+    # midpoint step: on the state, augmented and conformal stages, through
+    # every entry point, it gives the bits of _run's old single-path loop,
+    # or raises its error at the same step.
+    ours, steps = _pinned(case, entry, monkeypatch)
+    theirs, their_steps = _pinned(case, entry, monkeypatch, _loop_reference())
+    assert steps == their_steps
+    if case in _MIDPOINT_STOPS:
+        assert ours == theirs and (ours[0], steps) == _MIDPOINT_STOPS[case]
+    else:
+        assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+        assert steps == 300
+
+
+@pytest.mark.parametrize("case", ["dissipative", "se", "dense"])
+def test_single_path_midpoint_pin_control_with_first_images_misses(case, monkeypatch):
+    # Negative control: a reference that records each step's first image,
+    # y + a(y) dt + g(y) dw, in place of its fixed point.  Measured on
+    # integrate_augmented over 300 steps: the states miss by up to 7.7e-4
+    # (dissipative-2d), 3.8e-2 (SE) and 0.13 (dense), J by 6.9e-4, 0.16
+    # and 0.33; log_lambda only on the dense system (9.7e-4), whose Reeb
+    # rates are not constant.
+    ours, _ = _pinned(case, "integrate_augmented", monkeypatch)
+    first, _ = _pinned(case, "integrate_augmented", monkeypatch, _loop_reference(
+        lambda stage, y, dw, dt: geo._composed_image(stage, y, dw, dt, y)))
+    misses = [float(np.abs(a - b).max()) for a, b in zip(ours, first)]
+    print(f"first-image control {case}: max miss (states, J, log_lambda) {misses}")
+    assert misses[0] > 1e-4 and misses[1] > 1e-4, misses
+
+
 # sha256 (first 16 hex digits) of every text compiled while a catalog system
 # and its three stages are built, in order: the chart's tapes, then per stage
 # its tape, its _euler/_heun text and its heun_run.  The tapes and the
@@ -1055,17 +1214,17 @@ def test_augmented_stage_leaves_the_chart_where_every_product_stage_does(scheme)
 # the tape's own walk generated, but the augmented stage's (the 7th and 8th),
 # which are as they are since the stage steps only the rows that move, and
 # on SE the conformal stage's, which equal the state stage's since its
-# log_lambda row is constant.  Every heun_run is as it is since a single
-# path's run is one generated text.
+# log_lambda row is constant.  Every heun_run is as it is since a run
+# takes a step that leaves its hot text with the composed step in place.
 _GENERATED_TEXTS = {
     "dissipative-2d": [
         "02c6710e22189157", "850ffe8969e48bb4", "0081402f9970dfdc", "e5f2f8ceddd508c7",
-        "fd43eac0d00869da", "9343142678bdc7c2", "c63a3f482b431eda", "8723e2b3d4e7978e",
-        "8dbabd27937608d9", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "b851077f74c2e8c3"],
+        "fd43eac0d00869da", "1239071b6d1365a6", "c63a3f482b431eda", "8723e2b3d4e7978e",
+        "a8e2a4503b6b079f", "42a10c21415fe28c", "e0fd0b90b9ee5f83", "4ecf373dfda98a23"],
     "sasaki-einstein-t11": [
         "094f41a45cacdc3f", "66e3e2e90469ace5", "0a8dd713468064c8", "e7e4854a2ada57ed",
-        "ca6fbde4ee11e68c", "df84c2aa3d86f8be", "62e192aea0e15373", "1b29988e507de9e6",
-        "c8d7ab862d10bccc", "e7e4854a2ada57ed", "ca6fbde4ee11e68c", "df84c2aa3d86f8be"],
+        "ca6fbde4ee11e68c", "97763d3639769140", "62e192aea0e15373", "1b29988e507de9e6",
+        "71126a449633da1c", "e7e4854a2ada57ed", "ca6fbde4ee11e68c", "97763d3639769140"],
 }
 
 
@@ -1256,11 +1415,13 @@ def test_heun_kernel_cold_path_raises_the_composed_steps_error(case):
     rng = np.random.default_rng(5)
     for stage in (system._state_stage, system._augmented_stage, system._conformal_stage):
         y = _extended_state(stage, x, rng)
-        # The run records the state and hands its step back; the composed
-        # step raises, and so does flow._run, which takes the step back.
-        assert _run_step(stage, y, w, 1e-3) == (0, y)
+        # The run records the state, takes its step with the composed step
+        # in place and raises that step's error; so does flow._run.
         theirs = _outcome(geo._composed_heun, stage, y, w, 1e-3)
         assert theirs is not None and theirs[0] is expected
+        rows = array("d")
+        assert _outcome(stage.heun_run, y, [w], 1e-3, rows) == theirs
+        assert rows.tolist() == y
         assert _outcome(flow._run, stage, _full_state(system, stage, x), np.array(w)[:, None],
                         1e-3, "heun", "cold", False) == theirs
 

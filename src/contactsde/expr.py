@@ -9,6 +9,17 @@ Grammar (EBNF)::
     power    = atom , [ "^" , factor ] ;
     atom     = number | name | function , "(" , expr , ")" | "(" , expr , ")" ;
     function = "sin" | "cos" | "exp" | "log" ;
+    number   = ( digits , [ "." , [ digits ] ] | "." , digits ) ,
+               [ ( "e" | "E" ) , [ "+" | "-" ] , digits ] ;
+    name     = letter , { letter | digit } ;
+    digits   = digit , { digit } ;
+    digit    = "0" | "1" | "2" | "3" | "4" | "5" | "6" | "7" | "8" | "9" ;
+    letter   = "A" | ... | "Z" | "a" | ... | "z" | "_" ;
+
+Digits and letters are ASCII: a point needs a digit, and an exponent needs
+one after its sign (``1e5`` is a number, ``1e`` a number then a name).
+Whitespace may separate tokens; any other character outside the grammar is
+a syntax error.
 
 Precedence is ``^`` above unary minus above ``*``/``/`` above ``+``/``-``;
 ``^`` is right-associative, the rest left-associative.  An exponent must fold
@@ -40,6 +51,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import re
 import struct
 import threading
 import zlib
@@ -199,62 +211,32 @@ def log(a: Expr) -> Expr:
     return _fold_unary("log", a)
 
 
+# The constructor of each operator and function name, for the parser and
+# ``substitute``.
+_BUILDERS = {"+": add, "-": sub, "*": mul, "/": div, "^": power,
+             "neg": negate, "sin": sin, "cos": cos, "exp": exp, "log": log}
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUM_START = set("0123456789.")
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
+# One token of the grammar above; ``bad`` is any other character that is not
+# a space.  Whitespace matches nothing, so ``finditer`` skips it.
+_TOKEN = re.compile(r"""(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<bad>\S)""", re.VERBOSE)
 
 
 def _tokenize(source: str):
-    """Yield (kind, text, position) with kind in num|name|op|lparen|rparen|end."""
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _NUM_START:
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or source[j] == "."
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            text = source[i:j]
-            if text == ".":
-                raise ExprSyntaxError("malformed number", i, text)
-            tokens.append(("num", text, i))
-            i = j
-        elif c in _NAME_START:
-            j = i
-            while j < n and source[j] in _NAME_CONT:
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-        elif c in "+-*/^":
-            tokens.append(("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("rparen", c, i))
-            i += 1
-        else:
-            raise ExprSyntaxError("unexpected character", i, c)
-    tokens.append(("end", "", n))
-    return tokens
+    """The list of (kind, text, position) with kind in
+    num|name|op|lparen|rparen|end; raises at the first ``bad`` character."""
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(source)]
+    for kind, text, i in tokens:
+        if kind == "bad":
+            raise ExprSyntaxError("malformed number" if text == "." else "unexpected character",
+                                  i, text)
+    return tokens + [("end", "", len(source))]
 
 
 class _Parser:
@@ -282,16 +264,14 @@ class _Parser:
         node = self.parse_term()
         while self.current[0] == "op" and self.current[1] in "+-":
             op = self.advance()[1]
-            rhs = self.parse_term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = _BUILDERS[op](node, self.parse_term())
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
         while self.current[0] == "op" and self.current[1] in "*/":
             op = self.advance()[1]
-            rhs = self.parse_factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = _BUILDERS[op](node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Expr:
@@ -323,7 +303,7 @@ class _Parser:
                 self.advance()
                 arg = self.parse_expr()
                 self.expect("rparen")
-                return {"sin": sin, "cos": cos, "exp": exp, "log": log}[text](arg)
+                return _BUILDERS[text](arg)
             if text in FUNCTIONS:
                 raise ExprSyntaxError(f"function {text!r} requires an argument list", p, text)
             if text not in self.declared:
@@ -474,13 +454,8 @@ def substitute(e: Expr, bindings: Mapping[str, float]) -> Expr:
             return Const(float(bindings[e.name]))
         return e
     if isinstance(e, BinOp):
-        l = substitute(e.left, bindings)
-        r = substitute(e.right, bindings)
-        return {"+": add, "-": sub, "*": mul, "/": div, "^": power}[e.op](l, r)
-    a = substitute(e.arg, bindings)
-    if e.fn == "neg":
-        return negate(a)
-    return {"sin": sin, "cos": cos, "exp": exp, "log": log}[e.fn](a)
+        return _BUILDERS[e.op](substitute(e.left, bindings), substitute(e.right, bindings))
+    return _BUILDERS[e.fn](substitute(e.arg, bindings))
 
 
 def free_variables(e: Expr) -> frozenset:

@@ -181,9 +181,7 @@ class _Stage:
     inline test generated from it, which raises) or on an
     ``ArithmeticError`` or ``ValueError``, and the run takes that step with
     ``_composed_heun`` in place, which raises exactly their errors, and
-    carries on from its result, as a batch form does.  The run holds its
-    stage by a weak reference, so that a stage and its run form no cycle
-    and a dropped system frees them at once.  When ``ws`` is
+    carries on from its result, as a batch form does.  When ``ws`` is
     exhausted the last state is screened and appended and the run returns
     None; at a non-finite state, which it does not append, it stops and
     returns that state's index, counted from its own ``y``.
@@ -212,10 +210,12 @@ class _Stage:
     ``_composed_heun`` or ``_composed_image``, which run with the flags
     ignored and raise exactly their errors, and the result goes into
     ``out`` either way.  Every array belongs to the caller's run, so a shared stage
-    stays thread-safe.  Each text is compiled under a name of its role and
-    form (``expr._factory``), so a profiler tells the stages apart; a text
-    that two stages generate (SE's state and conformal stages) is compiled
-    once.  No other
+    stays thread-safe.  The run and both batch forms hold their stage by a
+    weak reference, so that a stage and its forms form no cycle and a
+    dropped system frees them at once.  Each text is compiled under a name
+    of its role and form (``expr._factory``), so a profiler tells the stages
+    apart; a text that two stages generate (SE's state and conformal stages)
+    is compiled once.  No other
     module of the package reads ``rows``: ``flow`` drives a stage through
     ``moving``, ``fields``, ``advance``, ``heun_run``, ``heun_binder`` and
     ``image_binder`` only."""
@@ -404,7 +404,8 @@ class _Stage:
             + "    return heun_binder, image_binder\n", f"{self.role} batch")
         self.heun_binder, self.image_binder = make(
             *expr._ARRAY_FUNCTIONS, np.absolute, np.empty, np.errstate, np.copyto,
-            functools.partial(_composed_heun, self), functools.partial(_composed_image, self),
+            functools.partial(_composed_heun, weakref.proxy(self)),
+            functools.partial(_composed_image, weakref.proxy(self)),
             MARGIN, *map(np.array, consts))
 
     def heun_binder(self, width):

@@ -541,6 +541,64 @@ def test_criterion_8_negative_control_dropped_channel():
     assert abs(misses - math.sqrt((n_paths - 1) / 2.0)) <= 1e-9, f"missed by {misses!r} stderr"
 
 
+@pytest.fixture(scope="module")
+def criterion_8_common_noise():
+    """Criterion 8's run and, in the same increments drawn again, the sums
+    ``S_i = sum_n b a^(N-1-n) dB_(i,n)``, with ``a = 1 - gamma h + (gamma
+    h)^2 / 2`` and ``b = 1 - gamma h / 2``: only z carries noise and it
+    enters linearly, so Heun's z_T is its noise-free value plus eps S_i.
+    Returns the run's variance, S at gamma and at gamma * 1.01, and path 0's
+    S with its increments reversed in time."""
+    n_paths, n_steps, h, gamma = 10_000, 1000, 1e-3, 0.5
+    stats = ver.monte_carlo(catalog.dissipative_system(), [1.0, 0.0, 2.0, 0.0, 0.0], T=1.0,
+                            dt=h, n_paths=n_paths, master_seed=0, observable="z")
+    weights = []
+    for g in (gamma, gamma * 1.01):
+        a, b = 1.0 - g * h + (g * h) ** 2 / 2.0, 1.0 - g * h / 2.0
+        weights.append(b * a ** np.arange(n_steps - 1, -1, -1.0))
+    weights = np.stack(weights, axis=1)
+    sums, chunk = np.empty((n_paths, 2)), np.empty((1000, n_steps))
+    for start in range(0, n_paths, len(chunk)):
+        flow._draw_increments(chunk, h, 0, start)
+        sums[start:start + len(chunk)] = chunk @ weights
+        if start == 0:
+            reversed_first = chunk[0, ::-1] @ weights[:, 0]
+    return stats.variance, sums[:, 0], sums[:, 1], reversed_first
+
+
+def _common_noise_tolerance(variance):
+    # Rounding, not sampling: each of 1000 steps rounds z (|z| <= 2) by at
+    # most a few ulps, and a shift of delta in every value moves the sample
+    # variance by at most 2 delta / sd of it, relative.
+    return 2.0 * 1000 * 4 * 2.0**-53 * 2.0 / math.sqrt(variance)
+
+
+def test_criterion_8_common_noise_oracle(criterion_8_common_noise):
+    # The ensemble's variance equals that of eps S_i over the same
+    # increments to rounding: measured 6.1e-14 relative, tolerance 2.3e-11.
+    variance, sums, _, _ = criterion_8_common_noise
+    oracle = float(np.var(0.1 * sums, ddof=1))
+    gap = abs(variance - oracle) / oracle
+    print(f"common-noise oracle: relative gap {gap:.2e}, "
+          f"tolerance {_common_noise_tolerance(oracle):.2e}")
+    assert gap <= _common_noise_tolerance(oracle)
+
+
+@pytest.mark.parametrize("fault", ["eps x 1.001", "gamma x 1.01", "path 0 reversed"])
+def test_criterion_8_common_noise_controls_miss(criterion_8_common_noise, fault):
+    # Each fault misses the same run: eps x 1.001 by 2.0e-3 and gamma x
+    # 1.01 by 4.2e-3 relative, both inside criterion 8's 3 standard errors,
+    # and one path's increments reversed in time by 5.7e-5, a fault of the
+    # noise layout that leaves the law of the variance unchanged.
+    variance, sums, gamma_sums, reversed_first = criterion_8_common_noise
+    faulty = {"eps x 1.001": 0.1 * 1.001 * sums, "gamma x 1.01": 0.1 * gamma_sums,
+              "path 0 reversed": 0.1 * np.concatenate(([reversed_first], sums[1:]))}[fault]
+    oracle = float(np.var(faulty, ddof=1))
+    miss = abs(variance - oracle) / oracle
+    print(f"common-noise control {fault}: misses by {miss:.2e} relative")
+    assert miss > _common_noise_tolerance(oracle)
+
+
 def test_criterion_9_strong_order_scalar_sde():
     # H0 = 0, H1 = -z realizes dz = z o dB with closed form z0 exp(B_t)
     system = geo.HamiltonianSystem(geo.DarbouxChart(1), "0", ["-z"])

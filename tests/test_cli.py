@@ -604,6 +604,20 @@ def test_too_deeply_nested_expressions_exit_2(capsys, f, message):
     assert err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize("f, message", [
+    ("1\u00b2", "unexpected character at position 1 (token '\u00b2')"),
+    (".e5", "malformed number at position 0 (token '.')"),
+], ids=["superscript", "point-exponent"])
+def test_numbers_outside_the_grammar_exit_2(tmp_path, capsys, f, message):
+    # Each used to exit 1 with a ValueError from float().
+    code, out, err = run_cli(capsys, "bracket", "-f", f, "-g", "p1")
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    cfg = write_config(tmp_path, system=dict(_INLINE, h0=f), T=0.1, dt=0.01,
+                       initial_state=[0.1, 0.2, 0.3])
+    code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def test_a_500_term_sum_still_brackets(capsys):
     code, out, _ = run_cli(capsys, "bracket", "-f", "+".join(["q1*p1"] * 500), "-g", "p1")
     assert code == 0

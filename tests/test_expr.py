@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 import sys
 import warnings
@@ -76,6 +77,169 @@ def test_parse_functions_and_errors():
         expr.parse("(q1", NAMES)
     with pytest.raises(ValueError):
         expr.parse("q1", [])
+
+
+# The hand-written tokenizer that ``expr._TOKEN`` replaced, and the
+# binary-level parser methods with the inline constructors that
+# ``expr._BUILDERS`` replaced, kept as the reference.  Its tokenizer read any Unicode digit as a digit and let a point
+# with no digit take an exponent.
+_REF_NUM_START = set("0123456789.")
+_REF_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_NAME_CONT = _REF_NAME_START | set("0123456789")
+
+
+def _reference_tokenize(source: str):
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _REF_NUM_START:
+            j = i
+            seen_dot = False
+            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+                seen_dot = seen_dot or source[j] == "."
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    while k < n and source[k].isdigit():
+                        k += 1
+                    j = k
+            text = source[i:j]
+            if text == ".":
+                raise ExprSyntaxError("malformed number", i, text)
+            tokens.append(("num", text, i))
+            i = j
+        elif c in _REF_NAME_START:
+            j = i
+            while j < n and source[j] in _REF_NAME_CONT:
+                j += 1
+            tokens.append(("name", source[i:j], i))
+            i = j
+        elif c in "+-*/^":
+            tokens.append(("op", c, i))
+            i += 1
+        elif c == "(":
+            tokens.append(("lparen", c, i))
+            i += 1
+        elif c == ")":
+            tokens.append(("rparen", c, i))
+            i += 1
+        else:
+            raise ExprSyntaxError("unexpected character", i, c)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceParser(expr._Parser):
+    def parse_expr(self):
+        node = self.parse_term()
+        while self.current[0] == "op" and self.current[1] in "+-":
+            op = self.advance()[1]
+            rhs = self.parse_term()
+            node = expr.add(node, rhs) if op == "+" else expr.sub(node, rhs)
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.current[0] == "op" and self.current[1] in "*/":
+            op = self.advance()[1]
+            rhs = self.parse_factor()
+            node = expr.mul(node, rhs) if op == "*" else expr.div(node, rhs)
+        return node
+
+
+def _reference_parse(source, declared):
+    parser = _ReferenceParser(_reference_tokenize(source), frozenset(declared))
+    node = parser.parse_expr()
+    kind, text, p = parser.current
+    if kind != "end":
+        raise ExprSyntaxError("unexpected trailing input", p, text)
+    return node
+
+
+# The reference's lexemes over ASCII: ``dot`` is a number with no digit
+# before its exponent, which it passed to ``float`` (a ValueError).
+_REFERENCE_LEXEME = re.compile(r"(?P<dot>\.[eE][+-]?[0-9])"
+                               r"|(?:[0-9]+\.?[0-9]*|\.[0-9]*)(?:[eE][+-]?[0-9]+)?"
+                               r"|[A-Za-z_][A-Za-z0-9_]*|\S")
+
+
+def _changed_by(source: str):
+    """Why ``source`` is in the changed set, where the reference read a
+    number that the grammar rejects: ``"digit"`` for a non-ASCII digit,
+    ``"point"`` for a point with no digit before an exponent, else None."""
+    if any(c.isdigit() and c not in "0123456789" for c in source):
+        return "digit"
+    if any(m["dot"] for m in _REFERENCE_LEXEME.finditer(source)):
+        return "point"
+    return None
+
+
+_CORPUS_DECLARED = ["q1", "p1", "z"]
+_CORPUS_PIECES = [*"0123456789", ".", "e", "E", "+", "-", "*", "/", "^", "(", ")",
+                  "q1", "p1", "z", "w", "x2", "sin(", "log", " ", "\t", "\u2003", "\u001c",
+                  "\u00b2", "\u0663"]
+# The two non-ASCII digits are rare, so that most sources keep a reference.
+_CORPUS_WEIGHTS = [1.0] * (len(_CORPUS_PIECES) - 2) + [0.1, 0.1]
+
+
+def test_tokenizer_matches_the_reference_outside_the_changed_set():
+    # 50,000 seeded random sources of 1 to 12 pieces.  Outside the changed
+    # set the outcome (a tree, or an error's type and message) is the
+    # reference's; inside it, where the reference read a non-ASCII digit or
+    # raised a ValueError from float, it is an ExprSyntaxError.
+    rnd = random.Random(33)
+    changed = {"digit": 0, "point": 0}
+    for _ in range(50_000):
+        source = "".join(rnd.choices(_CORPUS_PIECES, _CORPUS_WEIGHTS, k=rnd.randint(1, 12)))
+        try:
+            outcome = repr(expr.parse(source, _CORPUS_DECLARED))
+        except (ExprSyntaxError, UnknownIdentifier) as err:
+            outcome = (type(err), str(err))
+        reason = _changed_by(source)
+        if reason:
+            changed[reason] += 1
+            assert outcome[0] is ExprSyntaxError, (source, outcome)
+            continue
+        try:
+            reference = repr(_reference_parse(source, _CORPUS_DECLARED))
+        except (ExprSyntaxError, UnknownIdentifier) as err:
+            reference = (type(err), str(err))
+        assert outcome == reference, source
+    assert min(changed.values()) > 100, changed
+
+
+@pytest.mark.parametrize("source, message, reference", [
+    ("1\u00b2", "unexpected character at position 1 (token '\u00b2')", ValueError),
+    ("q1*2\u00b3", "unexpected character at position 4 (token '\u00b3')", ValueError),
+    (".e5", "malformed number at position 0 (token '.')", ValueError),
+    (".E-3", "malformed number at position 0 (token '.')", ValueError),
+    ("3\u0663", "unexpected character at position 1 (token '\u0663')", expr.Const(33.0)),
+    ("1e\u0663", "unexpected character at position 2 (token '\u0663')", expr.Const(1000.0)),
+    # Neighbours that keep the reference's outcome.
+    ("1..2", "unexpected trailing input at position 2 (token '.2')", ExprSyntaxError),
+    (".", "malformed number at position 0 (token '.')", ExprSyntaxError),
+], ids=["superscript", "superscript-factor", "point-exponent", "point-signed-exponent",
+        "arabic-indic-digit", "arabic-indic-exponent", "two-points", "lone-point"])
+def test_parse_rejects_numbers_outside_the_grammar(source, message, reference):
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse(source, NAMES)
+    assert str(err.value) == message
+    if isinstance(reference, type):
+        with pytest.raises(reference):
+            _reference_parse(source, NAMES)
+    else:
+        assert _reference_parse(source, NAMES) == reference
+
+
+def test_a_point_then_an_exponent_is_still_a_number():
+    assert expr.parse("1.e5", NAMES) == _reference_parse("1.e5", NAMES) == expr.Const(100000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import weakref
 from array import array
 from dataclasses import replace
 
@@ -528,6 +530,26 @@ def test_batch_matches_scalar_paths(system_id, scheme):
         system, np.tile(x0, (3, 1)), np.broadcast_to(increments[4], (3, *increments.shape[1:])),
         dt, scheme)
     assert shared.tobytes() == np.tile(finals[4], (3, 1)).tobytes()
+
+
+@pytest.mark.parametrize("scheme", flow.SCHEMES)
+@pytest.mark.parametrize("system_id", sorted(_BATCH_DT))
+def test_a_stage_that_stepped_dies_with_its_system(system_id, scheme):
+    # Its single-path run and its batch forms hold it weakly, so no cycle
+    # keeps it alive until the cyclic collector runs.
+    entry = catalog.get_entry(system_id)
+    system, dt = entry.system(), _BATCH_DT[system_id]
+    paths = [flow.sample_brownian(system.d, 3, dt, 7, stream_index=s) for s in range(4)]
+    x0 = np.tile(entry.default_initial_state, (4, 1))
+    gc.disable()
+    try:
+        flow.integrate(system, x0[0], paths[0], scheme)
+        flow.integrate_batch_final(system, x0, np.stack([p.increments for p in paths]), dt, scheme)
+        stage = weakref.ref(system._state_stage)
+        del system
+        assert stage() is None
+    finally:
+        gc.enable()
 
 
 def test_batch_raises_the_domain_error_of_its_first_faulting_row():
